@@ -1,5 +1,5 @@
-// Compaction-policy sweep (PR 10): the experiment behind the pluggable
-// CompactionPolicy tentpole. Every policy × workload cell opens a fresh
+// Compaction-policy sweep: the amplification grid of the two
+// CompactionPolicy shapes. Every policy × workload cell opens a fresh
 // cLSM store with deliberately small file/level targets (so hundreds of
 // picker decisions happen in seconds), runs a deterministic single-writer
 // workload, waits for maintenance to quiesce, and reads the amplification
@@ -12,9 +12,8 @@
 //   read-amp   sorted-run count a point lookup may touch: L0 files plus
 //              one per non-empty deeper level.
 //
-// Policies: leveled_basic (the pre-PR-10 picker: no expansion, no
-// grandparent machinery), leveled (LevelDB-lineage heuristics), tiered
-// (similar-size L0 run merges, leveled below). Workloads: fillseq
+// Policies: leveled (LevelDB-lineage heuristics), tiered (similar-size L0
+// run merges, leveled below). Workloads: fillseq
 // (ascending unique keys — the trivial-move showcase), fillrandom
 // (uniform-random unique keys), zipfian_overwrite (preload then skewed
 // overwrite — the write-amp regime the heuristics target).
@@ -31,8 +30,8 @@
 //                 "trivial_moves":..., "compactions":... }, ... ] }
 //
 // CLSM_BENCH_OPS overrides the per-cell overwrite op count (CI smoke uses
-// a small value just to validate the schema and the leveled-vs-basic
-// ordering; the acceptance run uses the default or larger).
+// a small value just to validate the schema and that the leveled
+// heuristics fire; the acceptance run uses the default or larger).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -267,7 +266,6 @@ int main() {
   }
 
   const PolicyUnderTest policies[] = {
-      {"leveled_basic", CompactionPolicyKind::kLeveledBasic},
       {"leveled", CompactionPolicyKind::kLeveled},
       {"tiered", CompactionPolicyKind::kTiered},
   };
@@ -294,22 +292,6 @@ int main() {
     }
     printf("\n");
   }
-
-  // The tentpole's headline: the LevelDB-lineage heuristics must not lose
-  // to the pre-PR-10 picker where it matters (skewed overwrite).
-  double basic_wamp = 0, leveled_wamp = 0;
-  for (const CellResult& c : cells) {
-    if (c.workload == "zipfian_overwrite") {
-      if (c.policy == "leveled_basic") {
-        basic_wamp = c.write_amp;
-      } else if (c.policy == "leveled") {
-        leveled_wamp = c.write_amp;
-      }
-    }
-  }
-  printf("zipfian_overwrite write-amp: leveled %.2f vs basic %.2f (%+.1f%%)\n", leveled_wamp,
-         basic_wamp,
-         basic_wamp > 0 ? (leveled_wamp - basic_wamp) / basic_wamp * 100.0 : 0.0);
 
   int rc = system("mkdir -p bench_results");
   (void)rc;

@@ -22,7 +22,7 @@ using namespace clsm;
 namespace {
 
 // One cell of the compaction_threads sweep. Opens cLSM directly (instead of
-// going through RunCell) so the stall/slowdown accounting properties can be
+// going through RunCell) so the stall accounting properties can be
 // read off the live DB before it closes.
 struct CompactionSweepResult {
   int compaction_threads = 0;
@@ -74,8 +74,6 @@ int main() {
   // Small write buffer + large key count => constant compaction pressure.
   Options options = FigureOptions(config);
   options.write_buffer_size = config.scale == "paper" ? (8 << 20) : (256 << 10);
-  options.l0_slowdown_trigger = 8;
-  options.l0_stop_trigger = 12;
 
   BenchConfig cell_config = config;
   cell_config.preload_keys = config.scale == "paper" ? 4'000'000 : 100'000;

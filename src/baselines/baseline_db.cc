@@ -85,7 +85,6 @@ Status BaselineDbBase::Init() {
           c.compactions = engine_.compaction_stats()->TotalCompactions();
           c.stall_micros = stats_.TotalStallMicros();
           c.hard_stall_micros = stats_.stall_micros.load(std::memory_order_relaxed);
-          c.slowdown_micros = stats_.slowdown_micros.load(std::memory_order_relaxed);
           c.rate_delay_micros = stats_.rate_limit_delay_micros.load(std::memory_order_relaxed);
           return c;
         },
@@ -295,24 +294,16 @@ Status BaselineDbBase::WriteLocked(const WriteOptions& options, WriteBatch* upda
   return status;
 }
 
-void BaselineDbBase::SlowdownWait(std::unique_lock<std::mutex>& lock) {
-  // LevelDB's 1ms write-delay once the slowdown trigger is reached.
-  lock.unlock();
-  std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  lock.lock();
-}
-
 namespace {
 // WriteThrottle adapter for the LevelDB-style chassis: the caller is the
 // single-writer queue head holding mutex_; sleeps release it (followers
-// keep waiting on their queue CVs, exactly as the original SlowdownWait
-// did), and memtable rolls happen inline under the mutex.
+// keep waiting on their queue CVs), and memtable rolls happen inline under
+// the mutex.
 class BaselineGateClient final : public WriteThrottle::Client {
  public:
   BaselineGateClient(BaselineDbBase* db, StorageEngine* engine, std::unique_lock<std::mutex>& lock,
                      std::atomic<MemTable*>* mem, std::atomic<bool>* imm_exists,
                      std::condition_variable* maintenance_cv, std::condition_variable* work_done_cv,
-                     void (BaselineDbBase::*slowdown_wait)(std::unique_lock<std::mutex>&),
                      void (BaselineDbBase::*roll)())
       : db_(db),
         engine_(engine),
@@ -321,7 +312,6 @@ class BaselineGateClient final : public WriteThrottle::Client {
         imm_exists_(imm_exists),
         maintenance_cv_(maintenance_cv),
         work_done_cv_(work_done_cv),
-        slowdown_wait_(slowdown_wait),
         roll_(roll) {}
 
   bool MemFull() override {
@@ -346,13 +336,6 @@ class BaselineGateClient final : public WriteThrottle::Client {
     lock_.lock();
     return MonotonicNanos() - t0;
   }
-  uint64_t LegacySlowdownSleep() override {
-    // Virtual dispatch through the chassis hook: the bLSM variant bounds
-    // the sleep by L0 pressure instead of a flat 1ms.
-    const uint64_t t0 = MonotonicNanos();
-    (db_->*slowdown_wait_)(lock_);
-    return MonotonicNanos() - t0;
-  }
   bool TryMakeRoom() override {
     (db_->*roll_)();
     maintenance_cv_->notify_one();
@@ -367,7 +350,6 @@ class BaselineGateClient final : public WriteThrottle::Client {
   std::atomic<bool>* imm_exists_;
   std::condition_variable* maintenance_cv_;
   std::condition_variable* work_done_cv_;
-  void (BaselineDbBase::*slowdown_wait_)(std::unique_lock<std::mutex>&);
   void (BaselineDbBase::*roll_)();
 };
 }  // namespace
@@ -375,8 +357,7 @@ class BaselineGateClient final : public WriteThrottle::Client {
 Status BaselineDbBase::MakeRoomForWrite(std::unique_lock<std::mutex>& lock, uint64_t bytes,
                                         bool* stalled_out) {
   BaselineGateClient client(this, &engine_, lock, &mem_, &imm_exists_, &maintenance_cv_,
-                            &work_done_cv_, &BaselineDbBase::SlowdownWait,
-                            &BaselineDbBase::RollMemTableLocked);
+                            &work_done_cv_, &BaselineDbBase::RollMemTableLocked);
   return throttle_->Gate(&client, bytes, stalled_out);
 }
 

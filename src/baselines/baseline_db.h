@@ -70,11 +70,6 @@ class BaselineDbBase : public DB {
   // local metadata caching, which avoids locks on the read path).
   virtual bool ReadersTakeMutex() const { return true; }
 
-  // Called with mutex_ held when level 0 is past the slowdown trigger; the
-  // bLSM variant overrides to bound the stall (its merge scheduler bounds
-  // write blocking).
-  virtual void SlowdownWait(std::unique_lock<std::mutex>& lock);
-
   // --- shared machinery ---
   struct Writer {
     explicit Writer(WriteBatch* b, bool s) : batch(b), sync(s) {}
@@ -91,9 +86,9 @@ class BaselineDbBase : public DB {
   Status WriteLocked(const WriteOptions& options, WriteBatch* updates,
                      bool* stalled_out = nullptr);
   // Admission for one write of `bytes` payload through the shared
-  // WriteThrottle gate (hard stalls, rate limiting / legacy slowdown,
-  // inline memtable rolls). Group-commit followers are not gated — only
-  // queue heads pass through, charging their own batch's bytes.
+  // WriteThrottle gate (hard stalls, rate limiting, inline memtable
+  // rolls). Group-commit followers are not gated — only queue heads pass
+  // through, charging their own batch's bytes.
   Status MakeRoomForWrite(std::unique_lock<std::mutex>& lock, uint64_t bytes,
                           bool* stalled_out = nullptr);
   virtual void RollMemTableLocked();  // requires mutex_

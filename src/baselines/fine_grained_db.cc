@@ -44,9 +44,7 @@ class HyperStyleDb final : public BaselineDbBase {
                         type == kTypeValue ? OpMetric::kPut : OpMetric::kDelete);
     // Slow path only when backpressure may apply: take the global mutex and
     // run the shared admission gate (including the roll). GateLikelyNeeded
-    // covers both policies — legacy's L0 slowdown trigger and the
-    // controller's throttled/refresh-due states — so the lock-free fast
-    // path survives the mode switch.
+    // is true while the controller is throttled or due a refresh.
     MemTable* mem_probe = mem_.load(std::memory_order_acquire);
     if (mem_probe->ApproximateMemoryUsage() >= engine_.options().write_buffer_size ||
         throttle_->GateLikelyNeeded()) {

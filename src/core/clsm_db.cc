@@ -117,7 +117,6 @@ Status ClsmDb::Init() {
           c.compactions = engine_.compaction_stats()->TotalCompactions();
           c.stall_micros = stats_.TotalStallMicros();
           c.hard_stall_micros = stats_.stall_micros.load(std::memory_order_relaxed);
-          c.slowdown_micros = stats_.slowdown_micros.load(std::memory_order_relaxed);
           c.rate_delay_micros = stats_.rate_limit_delay_micros.load(std::memory_order_relaxed);
           {
             std::lock_guard<std::mutex> l(rpc_mu_);
@@ -297,11 +296,6 @@ class ClsmGateClient final : public WriteThrottle::Client {
     std::this_thread::sleep_for(std::chrono::nanoseconds(nanos));
     return MonotonicNanos() - t0;
   }
-  uint64_t LegacySlowdownSleep() override {
-    // The original bounded slowdown: delay this put once by ~1ms so
-    // compaction gains on the writers before the stop trigger is reached.
-    return DelaySleep(1'000'000);
-  }
 
  private:
   StorageEngine* engine_;
@@ -318,7 +312,7 @@ Status ClsmDb::ThrottleIfNeeded(uint64_t bytes, bool* stalled_out) {
   // cLSM never blocks puts in normal operation; the waits live in the
   // shared WriteThrottle gate — Cm full while C'm is still merging
   // (heavy-compaction mode, §5.3), the L0 safety valve, and the admission
-  // delay (token bucket or legacy bounded slowdown). See
+  // delay of the token bucket. See
   // src/lsm/write_controller.h.
   ClsmGateClient client(&engine_, &mem_, &imm_exists_, &shutting_down_, &maintenance_mutex_,
                         &maintenance_cv_, &work_done_cv_);

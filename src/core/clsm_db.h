@@ -97,9 +97,8 @@ class ClsmDb final : public DB {
 
   // Backpressure, via the shared WriteThrottle gate: wait while Cm is full
   // but C'm has not finished merging (heavy-compaction mode, §5.3) or
-  // while level 0 is past the hard threshold, and meter `bytes` through
-  // the write controller's token bucket (kController mode) or apply the
-  // legacy bounded slowdown sleep (kLegacy), so L0 growth degrades writers
+  // while level 0 is at the safety cap, and meter `bytes` through the
+  // write controller's token bucket, so L0 growth degrades writers
   // gradually instead of cliff-stalling them. All waiting time is recorded
   // in Stats. Returns the latched background error, if any, so writers
   // fail fast instead of stalling behind a maintenance pipeline that
@@ -120,8 +119,7 @@ class ClsmDb final : public DB {
   // swaps pointers (afterMerge). Compactions run on the storage engine's
   // worker pool (Options::compaction_threads workers picking disjoint
   // jobs), so rolls and flushes never queue behind long merges — the
-  // reserved-flush-thread configuration of §5.3 is always in effect and
-  // Options::dedicated_flush_thread is subsumed.
+  // reserved-flush-thread configuration of §5.3 is always in effect.
   void MaintenanceLoop();
   void RollMemTable();   // beforeMerge
   void FlushImmutable(); // merge + afterMerge

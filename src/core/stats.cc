@@ -46,8 +46,7 @@ std::string DbStats::ToString() const {
       "rmw: total=%llu conflicts=%llu noop=%llu\n"
       "snapshots: acquired=%llu iterators=%llu getts_rollbacks=%llu\n"
       "maintenance: rolls=%llu flushes=%llu compactions=%llu throttle_waits=%llu\n"
-      "stalls: slowdown_waits=%llu slowdown_micros=%llu stall_micros=%llu "
-      "rate_limit_waits=%llu rate_limit_delay_micros=%llu\n"
+      "stalls: stall_micros=%llu rate_limit_waits=%llu rate_limit_delay_micros=%llu\n"
       "slow_ops: total=%llu reported=%llu dropped=%llu\n",
       static_cast<unsigned long long>(gets_total.load()),
       static_cast<unsigned long long>(gets_from_mem.load()),
@@ -66,8 +65,6 @@ std::string DbStats::ToString() const {
       static_cast<unsigned long long>(flushes.load()),
       static_cast<unsigned long long>(compactions.load()),
       static_cast<unsigned long long>(throttle_waits.load()),
-      static_cast<unsigned long long>(slowdown_waits.load()),
-      static_cast<unsigned long long>(slowdown_micros.load()),
       static_cast<unsigned long long>(stall_micros.load()),
       static_cast<unsigned long long>(rate_limit_waits.load()),
       static_cast<unsigned long long>(rate_limit_delay_micros.load()),
@@ -82,7 +79,7 @@ void DbStats::Reset() {
        {&gets_total, &gets_from_mem, &gets_from_imm, &gets_from_disk, &puts_total,
         &deletes_total, &batches_total, &rmw_total, &rmw_conflicts, &rmw_noop,
         &snapshots_acquired, &iterators_created, &getts_rollbacks, &memtable_rolls, &flushes,
-        &compactions, &throttle_waits, &slowdown_waits, &slowdown_micros, &stall_micros,
+        &compactions, &throttle_waits, &stall_micros,
         &rate_limit_waits, &rate_limit_delay_micros, &slow_ops_total, &slow_ops_reported,
         &slow_ops_dropped}) {
     c->store(0, std::memory_order_relaxed);

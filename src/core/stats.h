@@ -108,8 +108,6 @@ class DbStats {
   std::atomic<uint64_t> throttle_waits{0};  // put stalled by backpressure
 
   // --- write stalls (backpressure in the put path) ---
-  std::atomic<uint64_t> slowdown_waits{0};   // bounded 1ms slowdown sleeps (legacy mode)
-  std::atomic<uint64_t> slowdown_micros{0};  // time spent in slowdown sleeps
   std::atomic<uint64_t> stall_micros{0};     // time spent in hard stop waits
   std::atomic<uint64_t> rate_limit_waits{0};   // write-controller admission delays
   std::atomic<uint64_t> rate_limit_delay_micros{0};  // time spent in those delays
@@ -120,8 +118,7 @@ class DbStats {
   std::atomic<uint64_t> slow_ops_dropped{0};   // of which discarded by the rate limiter
 
   uint64_t TotalStallMicros() const {
-    return slowdown_micros.load(std::memory_order_relaxed) +
-           stall_micros.load(std::memory_order_relaxed) +
+    return stall_micros.load(std::memory_order_relaxed) +
            rate_limit_delay_micros.load(std::memory_order_relaxed);
   }
 

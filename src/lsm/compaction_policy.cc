@@ -7,15 +7,10 @@
 namespace clsm {
 
 std::unique_ptr<CompactionPolicy> CompactionPolicy::Create(const Options& options) {
-  switch (options.compaction_policy) {
-    case CompactionPolicyKind::kLeveledBasic:
-      return std::make_unique<LeveledPolicy>(false);
-    case CompactionPolicyKind::kTiered:
-      return std::make_unique<TieredPolicy>();
-    case CompactionPolicyKind::kLeveled:
-      break;
+  if (options.compaction_policy == CompactionPolicyKind::kTiered) {
+    return std::make_unique<TieredPolicy>();
   }
-  return std::make_unique<LeveledPolicy>(true);
+  return std::make_unique<LeveledPolicy>();
 }
 
 Compaction* CompactionPolicy::NewCompaction(VersionSet* vset, int level, int output_level) {
@@ -104,7 +99,7 @@ void LeveledPolicy::SetupOtherInputs(VersionSet* vset, Compaction* c) {
   // lower write amplification. Safe against in-flight jobs: level L and
   // L+1 were both verified free, and only jobs owning a level remove its
   // files, so every file seen here is unowned.
-  if (heuristics_ && !inputs(c, 1).empty()) {
+  if (!inputs(c, 1).empty()) {
     std::vector<FileRef> expanded0;
     GetOverlappingInputs(vset, v, level, &all_start, &all_limit, &expanded0);
     const int64_t inputs1_size = TotalFileSize(inputs(c, 1));
@@ -131,7 +126,7 @@ void LeveledPolicy::SetupOtherInputs(VersionSet* vset, Compaction* c) {
   // Grandparent seeding: snapshot the files two levels down overlapping the
   // compaction range. Metadata only — never a merge input, so a busy
   // level+2 is fine (the snapshot is an admittedly stale heuristic then).
-  if (heuristics_ && c->output_level() + 1 < kNumLevels) {
+  if (c->output_level() + 1 < kNumLevels) {
     GetOverlappingInputs(vset, v, c->output_level() + 1, &all_start, &all_limit,
                          &grandparents(c));
     const int64_t gp_bytes = TotalFileSize(grandparents(c));

@@ -51,7 +51,7 @@ class CompactionPolicy {
   // Builds the policy selected by options.compaction_policy.
   static std::unique_ptr<CompactionPolicy> Create(const Options& options);
 
-  // Stable display name ("leveled", "leveled-basic", "tiered").
+  // Stable display name ("leveled", "tiered").
   virtual const char* Name() const = 0;
 
   // See the file comment for the locking/refcount contract.
@@ -112,16 +112,12 @@ class CompactionPolicy {
   CompactionPickerStats stats_;
 };
 
-// Leveled compaction. With `heuristics` true (kLeveled) the picker carries
-// the LevelDB write-amp machinery: grandparent-overlap seeding, bounded
-// input expansion, output splitting via Compaction::ShouldStopBefore, and
-// the trivial-move guard. With false (kLeveledBasic) it reduces to the
-// historical single-seed-file picker — the A/B baseline.
+// Leveled compaction with the LevelDB write-amp machinery: grandparent-
+// overlap seeding, bounded input expansion, output splitting via
+// Compaction::ShouldStopBefore, and the trivial-move guard.
 class LeveledPolicy : public CompactionPolicy {
  public:
-  explicit LeveledPolicy(bool heuristics) : heuristics_(heuristics) {}
-
-  const char* Name() const override { return heuristics_ ? "leveled" : "leveled-basic"; }
+  const char* Name() const override { return "leveled"; }
   Compaction* Pick(VersionSet* vset, Version* v) override;
 
  protected:
@@ -130,11 +126,9 @@ class LeveledPolicy : public CompactionPolicy {
   Compaction* PickFromLevel(VersionSet* vset, Version* v, int min_level);
 
   // Completes a job whose inputs_[0] is chosen: selects inputs_[1], then
-  // (heuristics only) expands inputs_[0] under the expanded-byte limit and
-  // seeds grandparents_; finally advances the compact pointer.
+  // expands inputs_[0] under the expanded-byte limit and seeds
+  // grandparents_; finally advances the compact pointer.
   void SetupOtherInputs(VersionSet* vset, Compaction* c);
-
-  const bool heuristics_;
 };
 
 // Size-tiered level-0 merging for write-heavy shards: similar-sized L0
@@ -144,8 +138,6 @@ class LeveledPolicy : public CompactionPolicy {
 // tiered_max_run_bytes; deeper levels stay leveled ("lazy leveling").
 class TieredPolicy : public LeveledPolicy {
  public:
-  TieredPolicy() : LeveledPolicy(true) {}
-
   const char* Name() const override { return "tiered"; }
   Compaction* Pick(VersionSet* vset, Version* v) override;
 };

@@ -147,7 +147,7 @@ class VersionSet {
   // picks, expansions, output splits, blocked trivial moves, grandparent
   // bytes). Lock-free reads; exported in "clsm.stats.json" / Prometheus.
   const CompactionPickerStats& picker_stats() const;
-  // Display name of the active policy ("leveled", "leveled-basic", "tiered").
+  // Display name of the active policy ("leveled", "tiered").
   const char* compaction_policy_name() const;
 
   // Number of picked-but-not-yet-released compactions.

@@ -25,9 +25,7 @@ WriteControllerConfig WriteControllerConfig::FromOptions(const Options& options)
   }
   config.refresh_nanos = std::max<uint64_t>(1, options.write_rate_refresh_micros) * 1000;
   config.l0_debt_start = std::max(1, options.l0_compaction_trigger);
-  const int cap = options.l0_safety_cap > 0 ? options.l0_safety_cap
-                                            : 2 * options.l0_stop_trigger;
-  config.l0_safety_cap = std::max(cap, config.l0_debt_start + 1);
+  config.l0_safety_cap = std::max(options.l0_safety_cap, config.l0_debt_start + 1);
   // Full backlog debt at 4x the level-1 target: by then the merge machinery
   // is clearly losing and writers should be near the rate floor.
   config.backlog_debt_cap = std::max<uint64_t>(1, 4 * options.level1_max_bytes);
@@ -176,11 +174,6 @@ WriteThrottle::WriteThrottle(StorageEngine* engine, DbStats* stats,
                              bool fail_on_any_bg_error, bool stop_only_when_mem_full)
     : engine_(engine),
       stats_(stats),
-      mode_(engine->options().write_rate_limit_mode),
-      l0_slowdown_files_(engine->options().l0_slowdown_trigger),
-      hard_stop_files_(mode_ == WriteRateLimitMode::kController
-                           ? WriteControllerConfig::FromOptions(engine->options()).l0_safety_cap
-                           : engine->options().l0_stop_trigger),
       fail_on_any_bg_error_(fail_on_any_bg_error),
       stop_only_when_mem_full_(stop_only_when_mem_full),
       controller_(WriteControllerConfig::FromOptions(engine->options()),
@@ -201,15 +194,11 @@ void WriteThrottle::MaybeRefreshRate(int l0_files, bool imm_pending, double mem_
 }
 
 bool WriteThrottle::GateLikelyNeeded() const {
-  if (mode_ == WriteRateLimitMode::kLegacy) {
-    return engine_->NumLevelFiles(0) >= l0_slowdown_files_;
-  }
   return !controller_.unthrottled() || controller_.RefreshDue();
 }
 
 Status WriteThrottle::Gate(Client* client, uint64_t bytes, bool* stalled_out) {
-  // Fast path: controller mode with zero debt skips every check but the
-  // component loads.
+  // Fast path: zero debt skips every check but the component loads.
   bool delayed_once = false;
   bool safety_noted = false;
   // Hard-stall bracketing: the wait loop re-checks every ~1ms but
@@ -245,7 +234,7 @@ Status WriteThrottle::Gate(Client* client, uint64_t bytes, bool* stalled_out) {
     const bool imm = client->ImmExists();
     const int l0_files = engine_->NumLevelFiles(0);
     const bool l0_stuffed =
-        l0_files >= hard_stop_files_ && (!stop_only_when_mem_full_ || mem_full);
+        l0_files >= hard_stop_files() && (!stop_only_when_mem_full_ || mem_full);
     if ((mem_full && imm) || l0_stuffed) {
       if (!stalled) {
         stalled = true;
@@ -259,7 +248,7 @@ Status WriteThrottle::Gate(Client* client, uint64_t bytes, bool* stalled_out) {
         stats_->Bump(stats_->throttle_waits);
         engine_->listeners().NotifyStallBegin(stall_reason);
       }
-      if (l0_stuffed && !safety_noted && mode_ == WriteRateLimitMode::kController) {
+      if (l0_stuffed && !safety_noted) {
         // The controller failed to hold the line; the safety valve fired.
         // Checked on every pass, not just stall entry: an episode that
         // begins as a memtable-full wait and then sees L0 hit the cap
@@ -280,17 +269,8 @@ Status WriteThrottle::Gate(Client* client, uint64_t bytes, bool* stalled_out) {
     }
     end_stall();
     if (!delayed_once) {
-      uint64_t delay_nanos = 0;
-      StallReason delay_reason = StallReason::kRateLimited;
-      if (mode_ == WriteRateLimitMode::kController) {
-        MaybeRefreshRate(l0_files, imm, imm ? client->MemFillFraction() : 0.0);
-        if (!controller_.unthrottled()) {
-          delay_nanos = controller_.Admit(bytes);
-        }
-      } else if (l0_files >= l0_slowdown_files_) {
-        delay_nanos = 1;  // sentinel: LegacySlowdownSleep picks the duration
-        delay_reason = StallReason::kL0Slowdown;
-      }
+      MaybeRefreshRate(l0_files, imm, imm ? client->MemFillFraction() : 0.0);
+      const uint64_t delay_nanos = controller_.Admit(bytes);
       if (delay_nanos > 0) {
         // One delay per op: after paying it the writer proceeds (unless the
         // hard conditions were crossed meanwhile — hence the continue).
@@ -300,21 +280,14 @@ Status WriteThrottle::Gate(Client* client, uint64_t bytes, bool* stalled_out) {
         }
         engine_->SignalCompaction();
         client->KickMaintenance();
-        engine_->listeners().NotifyStallBegin(delay_reason);
-        uint64_t actual_nanos;
-        if (delay_reason == StallReason::kRateLimited) {
-          controller_.OnDelayStart();
-          actual_nanos = client->DelaySleep(delay_nanos);
-          controller_.OnDelayEnd(actual_nanos);
-          stats_->Bump(stats_->rate_limit_waits);
-          stats_->Add(stats_->rate_limit_delay_micros, actual_nanos / 1000);
-        } else {
-          stats_->Bump(stats_->slowdown_waits);
-          actual_nanos = client->LegacySlowdownSleep();
-          stats_->Add(stats_->slowdown_micros, actual_nanos / 1000);
-        }
+        engine_->listeners().NotifyStallBegin(StallReason::kRateLimited);
+        controller_.OnDelayStart();
+        const uint64_t actual_nanos = client->DelaySleep(delay_nanos);
+        controller_.OnDelayEnd(actual_nanos);
+        stats_->Bump(stats_->rate_limit_waits);
+        stats_->Add(stats_->rate_limit_delay_micros, actual_nanos / 1000);
         CLSM_PERF_TIMER_ADD(write_delay_nanos, actual_nanos);
-        engine_->listeners().NotifyStallEnd(delay_reason, actual_nanos / 1000);
+        engine_->listeners().NotifyStallEnd(StallReason::kRateLimited, actual_nanos / 1000);
         continue;
       }
     }

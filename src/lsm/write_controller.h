@@ -1,8 +1,8 @@
-// Feedback-driven write admission control: the gradual-backpressure
-// replacement for the fixed L0 slowdown/stop cliffs.
+// Feedback-driven write admission control, the one admission policy of
+// every variant (cLSM and the baselines alike).
 //
-// The classic LevelDB policy — sleep 1ms past l0_slowdown_trigger, block
-// outright past l0_stop_trigger — turns write latency into a step function:
+// The classic LevelDB policy — sleep 1ms per write past 8 level-0 files,
+// block outright past 12 — turns write latency into a step function:
 // nothing, then a cliff. Following the stability analysis of Luo & Carey
 // (and bLSM's spring-and-gear scheduler), WriteController instead meters
 // writers through a token bucket whose refill rate is recomputed every
@@ -227,9 +227,6 @@ class WriteThrottle {
     // Sleep for ~nanos (releasing any held lock) and return the nanoseconds
     // actually slept.
     virtual uint64_t DelaySleep(uint64_t nanos) = 0;
-    // The legacy bounded slowdown sleep (~1ms; bLSM's variant scales it
-    // with L0 pressure). Returns nanoseconds actually slept.
-    virtual uint64_t LegacySlowdownSleep() = 0;
     // Roll the memtable inline if this chassis does so from the write path
     // (LevelDB-style, under its mutex). Returns true if it rolled (the gate
     // re-checks state); false if rolling is the maintenance thread's job.
@@ -251,8 +248,9 @@ class WriteThrottle {
   // Latency registry for the kRollWait series (null disables recording).
   void SetRegistry(StatsRegistry* registry) { registry_ = registry; }
 
-  // Admit one write of `bytes` payload, blocking/delaying per the active
-  // policy. Sets *stalled_out (when non-null) if the call waited at all.
+  // Admit one write of `bytes` payload: block while the memory components
+  // or the L0 safety valve are full, then delay by the controller's
+  // token-bucket verdict. Sets *stalled_out (when non-null) if the call waited at all.
   // Returns the latched background error when the pipeline cannot drain.
   Status Gate(Client* client, uint64_t bytes, bool* stalled_out);
 
@@ -261,8 +259,7 @@ class WriteThrottle {
   // should take its write lock and run the full gate.
   bool GateLikelyNeeded() const;
 
-  WriteRateLimitMode mode() const { return mode_; }
-  int hard_stop_files() const { return hard_stop_files_; }
+  int hard_stop_files() const { return controller_.config().l0_safety_cap; }
   WriteController* controller() { return &controller_; }
   const WriteController* controller() const { return &controller_; }
 
@@ -274,9 +271,6 @@ class WriteThrottle {
   StorageEngine* const engine_;
   DbStats* const stats_;
   StatsRegistry* registry_ = nullptr;
-  const WriteRateLimitMode mode_;
-  const int l0_slowdown_files_;  // legacy-mode bounded-delay trigger
-  const int hard_stop_files_;    // legacy: stop trigger; controller: safety cap
   const bool fail_on_any_bg_error_;
   const bool stop_only_when_mem_full_;
   WriteController controller_;

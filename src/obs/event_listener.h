@@ -74,7 +74,8 @@ struct CompactionJobInfo {
 enum class StallReason : int {
   kMemtableFull = 0,  // Cm full while C'm is still merging
   kL0Stop,            // level 0 past the stop trigger / safety cap
-  kL0Slowdown,        // bounded slowdown delay (legacy admission mode)
+  kL0Slowdown,        // retired fixed-trigger slowdown; never emitted, the
+                      // value stays so the reason codes keep their numbers
   kRateLimited,       // write-controller token-bucket delay
 };
 const char* StallReasonName(StallReason r);

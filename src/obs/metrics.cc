@@ -63,62 +63,42 @@ double LatencyClock::NanosPerTick() {
 }
 #endif
 
-int StatsRegistry::ShardIndex() {
-  // Hash of the thread id, computed once per thread. Distinct threads may
-  // collide on a shard — the counters stay correct, only contention rises.
+int ThisThreadStatsShard() {
   thread_local const int shard =
-      static_cast<int>(std::hash<std::thread::id>()(std::this_thread::get_id()) % kNumShards);
+      static_cast<int>(std::hash<std::thread::id>()(std::this_thread::get_id()) % kNumStatsShards);
   return shard;
 }
 
-uint64_t StatsRegistry::Count(OpMetric op) const {
-  uint64_t n = 0;
-  for (const Shard& s : shards_) {
-    n += s.hists[static_cast<int>(op)].count.load(std::memory_order_relaxed);
+void HistogramCell::MergeInto(Histogram* out) const {
+  const uint64_t num = count.load(std::memory_order_relaxed);
+  if (num == 0) {
+    return;
   }
-  return n;
-}
-
-void StatsRegistry::AggregateInto(OpMetric op, Histogram* out) const {
   uint64_t counts[Histogram::kNumBuckets];
-  for (const Shard& s : shards_) {
-    const ShardHist& h = s.hists[static_cast<int>(op)];
-    const uint64_t num = h.count.load(std::memory_order_relaxed);
-    if (num == 0) {
-      continue;
-    }
-    // min/max are recovered from the occupied bucket range (exact to
-    // bucket width): the hot path records no per-sample extremes.
-    int lo = -1, hi = -1;
-    for (int b = 0; b < Histogram::kNumBuckets; b++) {
-      counts[b] = h.buckets[b].load(std::memory_order_relaxed);
-      if (counts[b] != 0) {
-        if (lo < 0) {
-          lo = b;
-        }
-        hi = b;
+  int lo = -1, hi = -1;
+  for (int b = 0; b < Histogram::kNumBuckets; b++) {
+    counts[b] = buckets[b].load(std::memory_order_relaxed);
+    if (counts[b] != 0) {
+      if (lo < 0) {
+        lo = b;
       }
+      hi = b;
     }
-    if (lo < 0) {
-      continue;  // counts raced to zero; nothing to merge
-    }
-    const double min = lo > 0 ? Histogram::BucketLimit(lo - 1) : 0.0;
-    const double max = Histogram::BucketLimit(hi);
-    out->MergeBucketCounts(counts, num,
-                           static_cast<double>(h.sum_nanos.load(std::memory_order_relaxed)), min,
-                           max);
   }
+  if (lo < 0) {
+    return;  // counts raced to zero; nothing to merge
+  }
+  const double min = lo > 0 ? Histogram::BucketLimit(lo - 1) : 0.0;
+  const double max = Histogram::BucketLimit(hi);
+  out->MergeBucketCounts(counts, num, static_cast<double>(sum_nanos.load(std::memory_order_relaxed)),
+                         min, max);
 }
 
-void StatsRegistry::Reset() {
-  for (Shard& s : shards_) {
-    for (ShardHist& h : s.hists) {
-      h.count.store(0, std::memory_order_relaxed);
-      h.sum_nanos.store(0, std::memory_order_relaxed);
-      for (auto& b : h.buckets) {
-        b.store(0, std::memory_order_relaxed);
-      }
-    }
+void HistogramCell::Reset() {
+  count.store(0, std::memory_order_relaxed);
+  sum_nanos.store(0, std::memory_order_relaxed);
+  for (auto& b : buckets) {
+    b.store(0, std::memory_order_relaxed);
   }
 }
 

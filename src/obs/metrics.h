@@ -93,51 +93,84 @@ class LatencyClock {
   static double NanosPerTick();  // calibrated / read once on first use
 };
 
-class StatsRegistry {
- public:
-  static constexpr int kNumShards = 16;
+// Shard of the calling thread in [0, kNumStatsShards): a hash of the
+// thread id, computed once per thread. Distinct threads may collide on a
+// shard; the counters stay correct, only contention rises.
+constexpr int kNumStatsShards = 16;
+int ThisThreadStatsShard();
 
-  StatsRegistry() = default;
-  StatsRegistry(const StatsRegistry&) = delete;
-  StatsRegistry& operator=(const StatsRegistry&) = delete;
+// One shard's copy of one latency series: relaxed atomic counts in the
+// util/histogram bucket domain.
+struct HistogramCell {
+  std::atomic<uint64_t> count{0};
+  std::atomic<uint64_t> sum_nanos{0};
+  std::atomic<uint64_t> buckets[Histogram::kNumBuckets] = {};
 
-  // Record one sample of `nanos` for op. Wait-free: relaxed adds on the
-  // calling thread's shard (threads hash onto shards, so unrelated threads
-  // rarely share a cache line). No per-sample min/max bookkeeping: the
-  // extremes are recovered from the bucket boundaries at aggregation time,
-  // exact to bucket width — keeping the hot path to counter adds plus one
-  // bucket bump.
-  void Record(OpMetric op, uint64_t nanos) {
-    ShardHist& h = shards_[ShardIndex()].hists[static_cast<int>(op)];
-    h.count.fetch_add(1, std::memory_order_relaxed);
-    h.sum_nanos.fetch_add(nanos, std::memory_order_relaxed);
-    h.buckets[Histogram::BucketIndex(static_cast<double>(nanos))].fetch_add(
+  void Record(uint64_t nanos) {
+    count.fetch_add(1, std::memory_order_relaxed);
+    sum_nanos.fetch_add(nanos, std::memory_order_relaxed);
+    buckets[Histogram::BucketIndex(static_cast<double>(nanos))].fetch_add(
         1, std::memory_order_relaxed);
   }
-
-  // Total samples recorded for op across all shards.
-  uint64_t Count(OpMetric op) const;
-
-  // Merge every shard's buckets for op into *out (values in nanoseconds).
-  // Racy-by-design monitoring read, like the DbStats counters.
-  void AggregateInto(OpMetric op, Histogram* out) const;
-
+  // Folds this cell into *out. No per-sample min/max is kept on the hot
+  // path: the extremes are recovered from the occupied bucket range, exact
+  // to bucket width.
+  void MergeInto(Histogram* out) const;
   void Reset();
+};
+
+// The sharded latency-histogram primitive: kSeries series (indexed by the
+// enum Series), each kept once per shard so recording threads rarely share
+// a cache line. Record is wait-free (three relaxed adds); reads merge every
+// shard and are racy-by-design monitoring snapshots, like the DbStats
+// counters. StatsRegistry (engine ops and write-path phases) and
+// RpcServerStats (per-opcode request latency) are both instances.
+template <typename Series, int kSeries>
+class ShardedHistograms {
+ public:
+  ShardedHistograms() = default;
+  ShardedHistograms(const ShardedHistograms&) = delete;
+  ShardedHistograms& operator=(const ShardedHistograms&) = delete;
+
+  // Record one sample of `nanos` for series s.
+  void Record(Series s, uint64_t nanos) {
+    shards_[ThisThreadStatsShard()].cells[static_cast<int>(s)].Record(nanos);
+  }
+
+  // Total samples recorded for s across all shards.
+  uint64_t Count(Series s) const {
+    uint64_t n = 0;
+    for (const Shard& shard : shards_) {
+      n += shard.cells[static_cast<int>(s)].count.load(std::memory_order_relaxed);
+    }
+    return n;
+  }
+
+  // Merge every shard's buckets for s into *out (values in nanoseconds).
+  void AggregateInto(Series s, Histogram* out) const {
+    for (const Shard& shard : shards_) {
+      shard.cells[static_cast<int>(s)].MergeInto(out);
+    }
+  }
+
+  void Reset() {
+    for (Shard& shard : shards_) {
+      for (HistogramCell& cell : shard.cells) {
+        cell.Reset();
+      }
+    }
+  }
 
  private:
-  struct ShardHist {
-    std::atomic<uint64_t> count{0};
-    std::atomic<uint64_t> sum_nanos{0};
-    std::atomic<uint64_t> buckets[Histogram::kNumBuckets] = {};
-  };
   struct alignas(64) Shard {
-    ShardHist hists[kNumOpMetrics];
+    HistogramCell cells[kSeries];
   };
 
-  static int ShardIndex();
-
-  Shard shards_[kNumShards];
+  Shard shards_[kNumStatsShards];
 };
+
+// Latency of every public op and internal write-path phase.
+using StatsRegistry = ShardedHistograms<OpMetric, kNumOpMetrics>;
 
 // RAII latency probe: records the scope's duration into registry (no-op
 // when registry is null, so call sites need no branching).

@@ -65,8 +65,7 @@ struct PerfContext {
   uint64_t total_nanos = 0;              // whole op, set at op exit
   uint64_t throttle_nanos = 0;           // put: whole backpressure gate
   uint64_t memtable_roll_wait_nanos = 0; //   of which: hard stall (Cm full / L0 stop)
-  uint64_t write_delay_nanos = 0;        //   of which: admission delay (rate limiter
-                                         //   or legacy bounded slowdown sleep)
+  uint64_t write_delay_nanos = 0;        //   of which: rate-limiter admission delay
   uint64_t lock_getts_nanos = 0;         // put: lock acquire + timestamp draw
   uint64_t shared_lock_wait_nanos = 0;   //   of which: contended lock acquire
   uint64_t mem_insert_nanos = 0;         // put: skiplist insertion

@@ -1,13 +1,13 @@
 // Serving-tier observability substrate: one lock-free accumulator for the
-// KV front end's per-request metrics (the RPC analogue of StatsRegistry).
-// KvService threads record one relaxed-add bundle per request — latency
-// bucket, request/byte counters, response-status counter — on a shard
-// owned (statistically) by the handling thread; exporters aggregate the
-// shards into the `rpc` stats block and the clsm_rpc_* Prometheus
-// families. The same object carries the runtime request-trace sampler
-// state so the admin server can flip sampling on a live service through
-// the DB's late-bound handle (the service attaches after the admin server
-// is already up).
+// KV front end's per-request metrics. KvService threads record one
+// relaxed-add bundle per request — a sample in the per-opcode latency
+// ShardedHistograms (whose count is the request counter), byte counters
+// and a response-status counter — on the handling thread's stats shard;
+// exporters aggregate the shards into the `rpc` stats block and the
+// clsm_rpc_* Prometheus families. The same object carries the runtime
+// request-trace sampler state so the admin server can flip sampling on a
+// live service through the DB's late-bound handle (the service attaches
+// after the admin server is already up).
 //
 // Units: latencies are recorded in NANOSECONDS (the StatsRegistry
 // convention); exporters convert.
@@ -17,7 +17,7 @@
 #include <atomic>
 #include <cstdint>
 
-#include "src/util/histogram.h"
+#include "src/obs/metrics.h"
 
 namespace clsm {
 
@@ -60,8 +60,6 @@ const char* RpcStatusClassName(RpcStatusClass c);
 // stay valid across service shutdown).
 class RpcServerStats {
  public:
-  static constexpr int kNumShards = 8;
-
   RpcServerStats() = default;
   RpcServerStats(const RpcServerStats&) = delete;
   RpcServerStats& operator=(const RpcServerStats&) = delete;
@@ -70,19 +68,16 @@ class RpcServerStats {
   // counters, all relaxed adds on the calling thread's shard.
   void RecordRequest(RpcOp op, RpcStatusClass status, uint64_t latency_nanos,
                      uint64_t bytes_in, uint64_t bytes_out) {
-    OpShard& s = shards_[ShardIndex()].ops[static_cast<int>(op)];
-    s.requests.fetch_add(1, std::memory_order_relaxed);
-    s.bytes_in.fetch_add(bytes_in, std::memory_order_relaxed);
-    s.bytes_out.fetch_add(bytes_out, std::memory_order_relaxed);
-    s.responses[static_cast<int>(status)].fetch_add(1, std::memory_order_relaxed);
-    s.sum_nanos.fetch_add(latency_nanos, std::memory_order_relaxed);
-    s.buckets[Histogram::BucketIndex(static_cast<double>(latency_nanos))].fetch_add(
-        1, std::memory_order_relaxed);
+    latency_.Record(op, latency_nanos);
+    OpCounters& c = counters_[ThisThreadStatsShard()].ops[static_cast<int>(op)];
+    c.bytes_in.fetch_add(bytes_in, std::memory_order_relaxed);
+    c.bytes_out.fetch_add(bytes_out, std::memory_order_relaxed);
+    c.responses[static_cast<int>(status)].fetch_add(1, std::memory_order_relaxed);
   }
 
   // --- aggregated reads (sum across shards) ---
 
-  uint64_t Requests(RpcOp op) const;
+  uint64_t Requests(RpcOp op) const { return latency_.Count(op); }
   uint64_t BytesIn(RpcOp op) const;
   uint64_t BytesOut(RpcOp op) const;
   uint64_t Responses(RpcOp op, RpcStatusClass status) const;
@@ -92,9 +87,8 @@ class RpcServerStats {
   // All responses in the kError or kBadRequest classes.
   uint64_t TotalErrors() const;
 
-  // Merge every shard's latency buckets for op into *out (nanoseconds),
-  // recovering min/max from the occupied bucket range.
-  void AggregateLatency(RpcOp op, Histogram* out) const;
+  // Merge every shard's latency buckets for op into *out (nanoseconds).
+  void AggregateLatency(RpcOp op, Histogram* out) const { latency_.AggregateInto(op, out); }
 
   void Reset();
 
@@ -125,21 +119,17 @@ class RpcServerStats {
   std::atomic<uint32_t> trace_sample_ppm{0};
 
  private:
-  struct OpShard {
-    std::atomic<uint64_t> requests{0};
+  struct OpCounters {
     std::atomic<uint64_t> bytes_in{0};
     std::atomic<uint64_t> bytes_out{0};
     std::atomic<uint64_t> responses[kNumRpcStatusClasses] = {};
-    std::atomic<uint64_t> sum_nanos{0};
-    std::atomic<uint64_t> buckets[Histogram::kNumBuckets] = {};
   };
-  struct alignas(64) Shard {
-    OpShard ops[kNumRpcOps];
+  struct alignas(64) CounterShard {
+    OpCounters ops[kNumRpcOps];
   };
 
-  static int ShardIndex();
-
-  Shard shards_[kNumShards];
+  ShardedHistograms<RpcOp, kNumRpcOps> latency_;
+  CounterShard counters_[kNumStatsShards];
 };
 
 }  // namespace clsm

@@ -173,7 +173,7 @@ class PrometheusVisitor : public StatsVisitor {
   void GaugeF64(const char* name, double v) override { Scalar(name, "gauge", F64(v)); }
   void Text(const char* name, const char* value) override {
     // Info-style: the string rides as a label on a constant-1 gauge, e.g.
-    // clsm_write_controller_mode{db="clsm",mode="controller"} 1.
+    // clsm_compaction_policy{db="clsm",compaction_policy="leveled"} 1.
     std::string labels = BaseLabels();
     labels += ',';
     labels += PrometheusSanitizeName(name);
@@ -348,7 +348,7 @@ struct MetricAgg {
   Histogram hist;
 };
 
-// Maintains the path key ("stall/slowdown_micros", "levels/0/files",
+// Maintains the path key ("stall/stall_micros", "levels/0/files",
 // "latency_us/put") identically in both passes.
 class PathedVisitor : public StatsVisitor {
  public:
@@ -516,15 +516,12 @@ void VisitCounters(StatsVisitor* v, const DbStats& s) {
   v->Counter("flushes", s.flushes.load(std::memory_order_relaxed));
   v->Counter("compactions", s.compactions.load(std::memory_order_relaxed));
   v->Counter("throttle_waits", s.throttle_waits.load(std::memory_order_relaxed));
-  v->Counter("slowdown_waits", s.slowdown_waits.load(std::memory_order_relaxed));
   v->Counter("rate_limit_waits", s.rate_limit_waits.load(std::memory_order_relaxed));
   v->Counter("slow_ops_total", s.slow_ops_total.load(std::memory_order_relaxed));
   v->Counter("slow_ops_reported", s.slow_ops_reported.load(std::memory_order_relaxed));
   v->Counter("slow_ops_dropped", s.slow_ops_dropped.load(std::memory_order_relaxed));
   v->EndGroup();
   v->BeginGroup("stall");
-  v->Counter("slowdown_waits", s.slowdown_waits.load(std::memory_order_relaxed));
-  v->Counter("slowdown_micros", s.slowdown_micros.load(std::memory_order_relaxed));
   v->Counter("stall_micros", s.stall_micros.load(std::memory_order_relaxed));
   v->Counter("rate_limit_waits", s.rate_limit_waits.load(std::memory_order_relaxed));
   v->Counter("rate_limit_delay_micros",
@@ -537,8 +534,6 @@ void VisitCounters(StatsVisitor* v, const DbStats& s) {
 void VisitWriteController(StatsVisitor* v, const WriteThrottle& throttle) {
   const WriteController& c = *throttle.controller();
   v->BeginGroup("write_controller");
-  v->Text("mode",
-          throttle.mode() == WriteRateLimitMode::kController ? "controller" : "legacy");
   v->GaugeU64("rate_bytes_per_sec", c.current_rate());
   v->GaugeU64("effective_max_bytes_per_sec", c.effective_max_rate());
   v->GaugeU64("drain_rate_bytes_per_sec", c.drain_rate_estimate());

@@ -22,13 +22,14 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/metrics.h"
+
 namespace clsm {
 
 class ActiveTimestampSet;
 class DbStats;
 class Histogram;
 class RpcServerStats;
-class StatsRegistry;
 class StorageEngine;
 class WriteThrottle;
 
@@ -98,9 +99,8 @@ class StatsVisitor {
 // {
 //   "db": "clsm",
 //   "counters": { "puts_total": N, ... },            // every DbStats field
-//   "stall": {"slowdown_waits":N,"slowdown_micros":N,"stall_micros":N,
-//             "rate_limit_waits":N,"rate_limit_delay_micros":N},
-//   "write_controller": {"mode":"controller"|"legacy","rate_bytes_per_sec":N,
+//   "stall": {"stall_micros":N,"rate_limit_waits":N,"rate_limit_delay_micros":N},
+//   "write_controller": {"rate_bytes_per_sec":N,
 //                        "effective_max_bytes_per_sec":N,
 //                        "drain_rate_bytes_per_sec":N,
 //                        "debt":D,"tokens":N,"delayed_writers":N,

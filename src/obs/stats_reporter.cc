@@ -27,7 +27,7 @@ std::string FormatReporterLine(const std::string& tag, double interval_secs,
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "[stats:%s] interval=%.1fs writes+%llu gets+%llu flushes+%llu "
-                "compactions+%llu stall+%.1fms (hard+%.1f slowdown+%.1f rate+%.1f)",
+                "compactions+%llu stall+%.1fms (hard+%.1f rate+%.1f)",
                 tag.c_str(), interval_secs,
                 static_cast<unsigned long long>(cur.writes - prev.writes),
                 static_cast<unsigned long long>(cur.gets - prev.gets),
@@ -35,7 +35,6 @@ std::string FormatReporterLine(const std::string& tag, double interval_secs,
                 static_cast<unsigned long long>(cur.compactions - prev.compactions),
                 (cur.stall_micros - prev.stall_micros) / 1000.0,
                 (cur.hard_stall_micros - prev.hard_stall_micros) / 1000.0,
-                (cur.slowdown_micros - prev.slowdown_micros) / 1000.0,
                 (cur.rate_delay_micros - prev.rate_delay_micros) / 1000.0);
   std::string line(buf);
   // The serving tier rides along only where one exists — embedded DBs keep
@@ -55,9 +54,8 @@ ReporterCounters CountersFromStatsJson(const std::string& json) {
   c.flushes = JsonU64(json, "flushes");
   c.compactions = JsonU64(json, "compactions");
   c.hard_stall_micros = JsonU64(json, "stall_micros");
-  c.slowdown_micros = JsonU64(json, "slowdown_micros");
   c.rate_delay_micros = JsonU64(json, "rate_limit_delay_micros");
-  c.stall_micros = c.hard_stall_micros + c.slowdown_micros + c.rate_delay_micros;
+  c.stall_micros = c.hard_stall_micros + c.rate_delay_micros;
   // The rpc block's top-level total leads its per-op "requests_total"
   // keys in document order, so first-occurrence search reads the total.
   c.rpc_requests = JsonU64(json, "requests_total");

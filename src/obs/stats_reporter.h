@@ -24,10 +24,8 @@ struct ReporterCounters {
   uint64_t compactions = 0;
   uint64_t stall_micros = 0;  // total blocked/delayed time (sum of the below)
   // Stall-reason breakdown: time writers spent hard-stopped (memtable full
-  // / L0 safety valve), in legacy bounded slowdown sleeps, and in
-  // write-controller admission delays.
+  // / L0 safety valve) and in write-controller admission delays.
   uint64_t hard_stall_micros = 0;
-  uint64_t slowdown_micros = 0;
   uint64_t rate_delay_micros = 0;
   // KV serving tier (the "rpc" stats block); stays 0 for embedded DBs
   // without a KvService attached.

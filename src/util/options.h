@@ -23,21 +23,6 @@ class EventListener;
 class Snapshot;
 class BlockCache;
 
-// Write-admission policy (see src/lsm/write_controller.h and DESIGN.md
-// "Write backpressure").
-//  * kController (default): a token-bucket rate limiter whose refill rate
-//    is recomputed from measured flush/compaction debt (L0 file count,
-//    pending immutable memtable, per-level compaction backlog). Per-writer
-//    delay ramps smoothly from zero to a hard safety valve instead of
-//    cliffing at the two fixed triggers.
-//  * kLegacy: the inherited LevelDB scheme — a bounded slowdown sleep at
-//    l0_slowdown_trigger and a hard stop at l0_stop_trigger. Kept
-//    selectable for A/B benching (bench_stability compares the two).
-enum class WriteRateLimitMode : int {
-  kLegacy = 0,
-  kController = 1,
-};
-
 // Compaction input-selection strategy (see src/lsm/compaction_policy.h and
 // DESIGN.md "Compaction policies").
 //  * kLeveled (default): leveled compaction with the LevelDB write-amp
@@ -45,18 +30,13 @@ enum class WriteRateLimitMode : int {
 //    output splitting at grandparent boundaries, and a trivial-move guard
 //    that refuses to drop a file onto an unboundedly wide range two levels
 //    down.
-//  * kLeveledBasic: the same leveled picker with every heuristic disabled
-//    (single seed file, no grandparent tracking). This is the historical
-//    picker, kept selectable as the A/B baseline bench_compaction_policies
-//    compares against.
 //  * kTiered: size-tiered level-0 run merging for write-heavy shards —
 //    similar-sized L0 runs merge into one bigger L0 run without reading
 //    any L1 data; runs promote into L1 (and deeper levels stay leveled)
 //    only once a merged run would exceed tiered_max_run_bytes.
 enum class CompactionPolicyKind : int {
   kLeveled = 0,
-  kLeveledBasic = 1,
-  kTiered = 2,
+  kTiered = 1,
 };
 
 struct Options {
@@ -124,18 +104,17 @@ struct Options {
   int tiered_max_merge_width = 8;
   double tiered_size_ratio = 2.0;
   uint64_t tiered_max_run_bytes = 0;
-  // Number of L0 files that triggers a compaction into L1.
+  // Number of L0 files that triggers a compaction into L1. It is also
+  // where the write controller's L0 debt starts.
   int l0_compaction_trigger = 4;
-  // Number of L0 files at which writers are slowed / stalled. Under
-  // kController these triggers parameterize the debt curve (debt starts at
-  // l0_compaction_trigger, saturates at the safety cap) rather than acting
-  // as cliffs; under kLegacy they retain their historical meaning.
-  int l0_slowdown_trigger = 8;
-  int l0_stop_trigger = 12;
 
   // --- write admission control (src/lsm/write_controller) ---
-
-  WriteRateLimitMode write_rate_limit_mode = WriteRateLimitMode::kController;
+  //
+  // Every write passes a token bucket whose refill rate is recomputed from
+  // measured flush/compaction debt (L0 file count, pending immutable
+  // memtable, per-level compaction backlog), so per-writer delay ramps
+  // smoothly from zero instead of cliffing at fixed L0 triggers. See
+  // DESIGN.md "Write backpressure".
 
   // Rate clamp for the controller, bytes/sec of admitted user write payload.
   // The floor keeps writers trickling even at full debt (progress feeds the
@@ -157,10 +136,10 @@ struct Options {
   // Sampled lazily on the write path, so zero extra threads.
   uint64_t write_rate_refresh_micros = 10'000;
 
-  // Safety valve: L0 file count at which writers hard-stall even in
-  // controller mode (the controller should keep this unreached under
-  // sustained load). 0 => 2 * l0_stop_trigger.
-  int l0_safety_cap = 0;
+  // Safety valve: L0 file count at which writers hard-stall (the
+  // controller should keep this unreached under sustained load). L0 debt
+  // saturates here. Raised to l0_compaction_trigger + 1 if set below it.
+  int l0_safety_cap = 24;
 
   // Test hook: monotonic-nanosecond clock driving the write controller's
   // bucket refill and refresh cadence. Null (default) uses the real
@@ -184,15 +163,11 @@ struct Options {
   // write throughput scales with cores instead of serializing behind one
   // compactor. The paper uses 1 everywhere except §5.3 where RocksDB uses
   // several. Values < 1 are clamped to 1.
+  // Memtable flushes always run on their own thread (the maintenance
+  // thread), apart from this pool, so heavy disk compactions never delay
+  // the Cm -> C'm roll: the "some thread is always reserved for flushing"
+  // configuration of §5.3/§6 is permanently in effect.
   int compaction_threads = 1;
-
-  // Historical knob: memtable flushes now always run on their own thread
-  // (the maintenance thread), separate from the compaction worker pool, so
-  // heavy disk compactions never delay the Cm -> C'm roll (the "some
-  // thread is always reserved for flushing" RocksDB configuration of
-  // §5.3/§6 is permanently in effect). Retained for option-sweep
-  // compatibility; has no behavioral effect anymore.
-  bool dedicated_flush_thread = false;
 
   // --- observability (src/obs) ---
 

@@ -216,26 +216,6 @@ TEST_F(CompactionPickerTest, TrivialMoveAllowedUnderSmallGrandparentOverlap) {
   EXPECT_EQ(0u, PickerLevel(1).trivial_moves_blocked.load());
 }
 
-TEST_F(CompactionPickerTest, BasicPolicyKeepsHistoricalTrivialMoveShape) {
-  // The A/B baseline: no grandparent tracking, so the same wide shape
-  // stays a trivial move (this is exactly the blind spot being measured).
-  options_.compaction_policy = CompactionPolicyKind::kLeveledBasic;
-  OpenEngine();
-  VersionEdit edit;
-  AddFakeFile(&edit, 1, "a", "z", 12 * kMiB);
-  for (int i = 0; i < 8; i++) {
-    char name[8];
-    std::snprintf(name, sizeof(name), "g%02d", i);
-    AddFakeFile(&edit, 3, name, name, 8 * kMiB);
-  }
-  ASSERT_TRUE(versions()->LogAndApply(&edit).ok());
-
-  std::unique_ptr<Compaction> c(versions()->PickCompaction());
-  ASSERT_NE(nullptr, c);
-  EXPECT_TRUE(c->IsTrivialMove());
-  EXPECT_EQ(0u, PickerLevel(1).trivial_moves_blocked.load());
-}
-
 TEST_F(CompactionPickerTest, TieredMergesSimilarSizedRunsWithinLevelZero) {
   options_.compaction_policy = CompactionPolicyKind::kTiered;
   OpenEngine();

@@ -214,8 +214,7 @@ TEST_F(CompactionStressTest, DeleteHeavyWorkloadShrinks) {
 // final state matches a sequential model.
 TEST_F(CompactionStressTest, ParallelCompactionsDisjointAndConsistent) {
   options_.compaction_threads = 4;
-  options_.l0_slowdown_trigger = 6;
-  options_.l0_stop_trigger = 10;
+  options_.l0_safety_cap = 20;
   Open();
 
   constexpr int kWriters = 4;

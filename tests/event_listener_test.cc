@@ -169,8 +169,7 @@ TEST_P(EventListenerTest, StallEventsBracketOnWriterThread) {
   // Aggressive backpressure: stall quickly and often.
   options.write_buffer_size = 32 * 1024;
   options.target_file_size = 32 * 1024;
-  options.l0_slowdown_trigger = 2;
-  options.l0_stop_trigger = 4;
+  options.l0_safety_cap = 8;
   std::unique_ptr<DB> db = OpenFresh(options);
 
   constexpr int kThreads = 4;

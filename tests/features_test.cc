@@ -142,7 +142,6 @@ TEST(LinearizableSnapshotTest, ReadYourOwnWritesThroughSnapshot) {
 TEST(DedicatedFlushThreadTest, FunctionalUnderChurn) {
   ScratchDir dir("flushthread");
   Options options;
-  options.dedicated_flush_thread = true;
   options.write_buffer_size = 128 * 1024;
   options.target_file_size = 128 * 1024;
   auto db = OpenClsm(dir.path() + "/db", options);
@@ -170,7 +169,6 @@ TEST(DedicatedFlushThreadTest, FunctionalUnderChurn) {
 TEST(DedicatedFlushThreadTest, ConcurrentReadersAndWriters) {
   ScratchDir dir("flushthread2");
   Options options;
-  options.dedicated_flush_thread = true;
   options.write_buffer_size = 128 * 1024;
   auto db = OpenClsm(dir.path() + "/db", options);
 

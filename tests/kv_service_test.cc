@@ -269,7 +269,8 @@ TEST_F(KvServiceTest, OversizedLengthPrefixClosesConnection) {
 TEST_F(KvServiceTest, EmptyKeyAndBinaryValuesSurvive) {
   KvClient c;
   ConnectClient(&c);
-  std::string binary("\x00\x01\xff\x7f zero \x00 embedded", 24);
+  const char kBinary[] = "\x00\x01\xff\x7f zero \x00 embedded";
+  std::string binary(kBinary, sizeof(kBinary) - 1);
   ASSERT_TRUE(c.Put("bin", binary).ok());
   std::string v;
   ASSERT_TRUE(c.Get("bin", &v).ok());

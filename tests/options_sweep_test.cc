@@ -48,11 +48,6 @@ std::vector<SweepCase> SweepCases() {
     cases.push_back(c);
   }
   {
-    SweepCase c{"dedicated_flush", Options()};
-    c.options.dedicated_flush_thread = true;
-    cases.push_back(c);
-  }
-  {
     SweepCase c{"linearizable_snapshots", Options()};
     c.options.linearizable_snapshots = true;
     cases.push_back(c);
@@ -95,8 +90,7 @@ std::vector<SweepCase> SweepCases() {
     cases.push_back(c);
   }
   {
-    SweepCase c{"leveled_basic_policy", Options()};
-    c.options.compaction_policy = CompactionPolicyKind::kLeveledBasic;
+    SweepCase c{"leveled_policy_small_files", Options()};
     c.options.write_buffer_size = 16 * 1024;
     c.options.target_file_size = 16 * 1024;
     c.options.level1_max_bytes = 48 * 1024;

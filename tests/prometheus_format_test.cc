@@ -93,7 +93,7 @@ TEST(PrometheusFormatTest, SyntheticSourceRendersTypedFamilies) {
   // "stall_micros" already starts with its group, so the segment is not
   // doubled into clsm_stall_stall_micros.
   EXPECT_NE(std::string::npos, text.find("clsm_stall_micros{db=\"synthetic\"} 1234")) << text;
-  EXPECT_NE(std::string::npos, text.find("clsm_stall_slowdown_waits{db=\"synthetic\"} 0"))
+  EXPECT_NE(std::string::npos, text.find("clsm_stall_rate_limit_waits{db=\"synthetic\"} 0"))
       << text;
   // Process telemetry rides along on every snapshot.
   EXPECT_NE(std::string::npos, text.find("# TYPE clsm_process_rss_bytes gauge")) << text;

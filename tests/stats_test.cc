@@ -20,6 +20,7 @@
 
 #include "src/baselines/factory.h"
 #include "src/obs/metrics.h"
+#include "src/obs/rpc_stats.h"
 #include "src/obs/stats_reporter.h"
 #include "src/util/histogram.h"
 #include "tests/test_util.h"
@@ -262,6 +263,78 @@ TEST(StatsRegistryTest, EightThreadTotalsMatch) {
   registry.Reset();
   EXPECT_EQ(registry.Count(OpMetric::kPut), 0u);
   EXPECT_EQ(registry.Count(OpMetric::kGet), 0u);
+}
+
+// The one sharded-histogram primitive: merging every shard must keep the
+// exact sample count and sum, and recover the extremes to bucket width
+// even though no per-sample min/max is recorded.
+TEST(ShardedHistogramsTest, MergeKeepsCountSumAndExtremesAcrossShards) {
+  StatsRegistry registry;
+  constexpr int kThreads = 8;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&registry, t] {
+      for (uint64_t i = 0; i < 1000; i++) {
+        registry.Record(OpMetric::kFlush, 500 + t * 1000 + i);
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  Histogram h;
+  registry.AggregateInto(OpMetric::kFlush, &h);
+  EXPECT_EQ(h.Num(), kThreads * 1000.0);
+  double sum = 0;
+  for (int t = 0; t < kThreads; t++) {
+    for (uint64_t i = 0; i < 1000; i++) {
+      sum += static_cast<double>(500 + t * 1000 + i);
+    }
+  }
+  EXPECT_DOUBLE_EQ(h.Sum(), sum);
+  const int lo = Histogram::BucketIndex(500);
+  const int hi = Histogram::BucketIndex(500 + (kThreads - 1) * 1000 + 999);
+  EXPECT_EQ(h.Min(), lo > 0 ? Histogram::BucketLimit(lo - 1) : 0.0);
+  EXPECT_EQ(h.Max(), Histogram::BucketLimit(hi));
+}
+
+// RpcServerStats keeps its per-opcode latency in the same primitive; the
+// latency sample count is the request counter, so it must agree with the
+// status-class counters recorded beside it under concurrent load.
+TEST(ShardedHistogramsTest, RpcRequestCountIsTheLatencySampleCount) {
+  RpcServerStats rpc;
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 5000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&rpc, t] {
+      for (int i = 0; i < kPerThread; i++) {
+        const RpcStatusClass status =
+            i % 4 == 0 ? RpcStatusClass::kNotFound : RpcStatusClass::kOk;
+        rpc.RecordRequest(RpcOp::kGet, status, 1000 + t, 20, 300);
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  const uint64_t total = uint64_t{kThreads} * kPerThread;
+  EXPECT_EQ(rpc.Requests(RpcOp::kGet), total);
+  EXPECT_EQ(rpc.Responses(RpcOp::kGet, RpcStatusClass::kOk) +
+                rpc.Responses(RpcOp::kGet, RpcStatusClass::kNotFound),
+            total);
+  EXPECT_EQ(rpc.BytesIn(RpcOp::kGet), total * 20);
+  EXPECT_EQ(rpc.BytesOut(RpcOp::kGet), total * 300);
+  Histogram h;
+  rpc.AggregateLatency(RpcOp::kGet, &h);
+  EXPECT_EQ(h.Num(), static_cast<double>(total));
+
+  rpc.Reset();
+  EXPECT_EQ(rpc.TotalRequests(), 0u);
+  EXPECT_EQ(rpc.TotalBytesIn(), 0u);
+  Histogram empty;
+  rpc.AggregateLatency(RpcOp::kGet, &empty);
+  EXPECT_EQ(empty.Num(), 0.0);
 }
 
 TEST(StatsRegistryTest, OpMetricNamesAreStable) {

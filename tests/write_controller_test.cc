@@ -11,10 +11,9 @@
 //  * the unthrottled fast-path flag transitions re-arm the bucket;
 //  * concurrent Admit() is data-race-free (TSan) and every delay honors
 //    the per-writer bound;
-//  * DB integration: controller mode produces rate-limit delays (not
-//    legacy slowdowns) under pressure on both chassis, legacy mode still
-//    takes the bounded-slowdown path, and the L0 safety valve engages
-//    when flushes outrun compaction.
+//  * DB integration: the controller produces rate-limit delays under
+//    pressure on both chassis, and the L0 safety valve engages when
+//    flushes outrun compaction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -108,7 +107,7 @@ TEST(WriteControllerConfigTest, FromOptionsClampsDegenerateKnobs) {
   EXPECT_DOUBLE_EQ(c.gain, 0.4);
   EXPECT_EQ(c.refresh_nanos, uint64_t{10'000'000});
   EXPECT_EQ(c.l0_debt_start, options.l0_compaction_trigger);
-  EXPECT_EQ(c.l0_safety_cap, 2 * options.l0_stop_trigger);
+  EXPECT_EQ(c.l0_safety_cap, options.l0_safety_cap);
   EXPECT_EQ(c.backlog_debt_cap, 4 * options.level1_max_bytes);
 
   options.min_write_rate = 8 << 20;
@@ -444,8 +443,7 @@ double ExtractDouble(const std::string& json, const std::string& name) {
 
 // Under write pressure the controller sees debt (pending immutable, L0
 // growth, deep-level backlog), throttles, and the delays surface as
-// rate_limit_waits — never as legacy slowdown_waits, which controller mode
-// retires. The whole sequence runs on an injected mock clock
+// rate_limit_waits. The whole sequence runs on an injected mock clock
 // (Options::write_controller_clock): rate refreshes happen exactly at the
 // test's sampler writes and token refill is frozen everywhere else, so the
 // assertions are schedule-independent — under load the background
@@ -453,7 +451,7 @@ double ExtractDouble(const std::string& json, const std::string& name) {
 // bucket or slip an extra refresh in. (The wall-clock version of this test
 // flaked ~3/20 under 6x CPU stress: a fixed write budget raced the
 // compactor for whether the bucket ever reached deficit.)
-TEST(WriteControllerIntegrationTest, ControllerModeDelaysWithoutLegacySlowdowns) {
+TEST(WriteControllerIntegrationTest, ControllerDelaysWritersUnderDebt) {
   for (DbVariant variant : {DbVariant::kClsm, DbVariant::kLevelDb}) {
     SCOPED_TRACE(variant == DbVariant::kClsm ? "clsm" : "leveldb");
     ScratchDir dir("wc-controller");
@@ -538,10 +536,7 @@ TEST(WriteControllerIntegrationTest, ControllerModeDelaysWithoutLegacySlowdowns)
     bool found = false;
     EXPECT_GT(ExtractCounter(json, "rate_limit_waits", &found), 0u) << json;
     EXPECT_TRUE(found);
-    EXPECT_EQ(ExtractCounter(json, "slowdown_waits"), 0u) << json;
     EXPECT_GT(ExtractCounter(json, "rate_limit_delay_micros"), 0u) << json;
-    EXPECT_NE(json.find("\"write_controller\":{\"mode\":\"controller\""), std::string::npos)
-        << json;
     EXPECT_GT(ExtractCounter(json, "rate_updates"), 0u) << json;
 
     // The live-rate property parses and sits inside the configured clamp.
@@ -553,47 +548,9 @@ TEST(WriteControllerIntegrationTest, ControllerModeDelaysWithoutLegacySlowdowns)
   }
 }
 
-// Legacy mode preserves the historical behavior for A/B comparison: the
-// bounded slowdown sleeps fire past l0_slowdown_trigger and the rate
-// limiter stays idle.
-TEST(WriteControllerIntegrationTest, LegacyModeStillTakesTheSlowdownPath) {
-  for (DbVariant variant : {DbVariant::kClsm, DbVariant::kLevelDb}) {
-    SCOPED_TRACE(variant == DbVariant::kClsm ? "clsm" : "leveldb");
-    ScratchDir dir("wc-legacy");
-    Options options;
-    options.write_rate_limit_mode = WriteRateLimitMode::kLegacy;
-    options.write_buffer_size = 16 * 1024;
-    options.l0_compaction_trigger = 2;
-    options.l0_slowdown_trigger = 2;
-    options.l0_stop_trigger = 6;
-    std::unique_ptr<DB> db = OpenFresh(variant, options, dir.path() + "/db");
-
-    // Write until the first L0 pile-up trips a slowdown sleep (checked in
-    // batches so a fast compactor cannot starve the assertion forever; the
-    // cap bounds the test when something is genuinely broken).
-    bool slowed = false;
-    for (int batch = 0; batch < 60 && !slowed; batch++) {
-      for (int i = 0; i < 500; i++) {
-        ASSERT_TRUE(
-            db->Put(WriteOptions(), Key(batch * 500 + i), std::string(512, 'l')).ok());
-      }
-      slowed =
-          ExtractCounter(db->GetProperty("clsm.stats.json"), "slowdown_waits") > 0;
-    }
-    EXPECT_TRUE(slowed);
-
-    const std::string json = db->GetProperty("clsm.stats.json");
-    EXPECT_GT(ExtractCounter(json, "slowdown_waits"), 0u) << json;
-    EXPECT_EQ(ExtractCounter(json, "rate_limit_waits"), 0u) << json;
-    EXPECT_NE(json.find("\"write_controller\":{\"mode\":\"legacy\""), std::string::npos)
-        << json;
-    EXPECT_EQ(ExtractCounter(json, "l0_hard_stop"), 6u) << json;
-  }
-}
-
 // With the safety cap forced down to two L0 files, rapid tiny flushes
-// outrun compaction and the hard stop must engage (and be counted) even
-// in controller mode — the valve behind the smooth ramp.
+// outrun compaction and the hard stop must engage (and be counted) — the
+// valve behind the smooth ramp.
 TEST(WriteControllerIntegrationTest, SafetyValveEngagesWhenFlushesOutrunCompaction) {
   ScratchDir dir("wc-valve");
   Options options;

@@ -79,7 +79,7 @@ Status ClsmDb::Init() {
 
   // Flush recovered WAL contents straight to level 0, then retire old logs.
   if (recovered != nullptr && recovered->NumEntries() > 0) {
-    s = engine_.FlushMemTable(recovered, log_number_);
+    s = engine_.FlushMemTable(recovered, log_number_, SmallestLiveSnapshot());
   } else {
     // Still record the fresh log in the manifest so the obsolete-file sweep
     // below cannot strand CURRENT pointing at a removed manifest.
@@ -195,14 +195,20 @@ ClsmDb::~ClsmDb() {
   }
 }
 
-SequenceNumber ClsmDb::GetTS() {
+SequenceNumber ClsmDb::GetTS(uint64_t n) {
   // Algorithm 2, getTS: the rollback closes the Figure-4 race — if a
   // concurrent getSnap already chose a snapshot time at or after our
   // timestamp, writing at this timestamp could make the snapshot
   // inconsistent, so discard it and draw a fresh (larger) one.
+  //
+  // A range [ts, ts + n) needs nothing more. One increment reserves it, so
+  // the counter never reads inside it; Active holds only ts, and ranges are
+  // disjoint, so FindMin - 1 never lands inside it either. Every snapshot
+  // time is thus below ts or at least ts + n - 1, and getSnap excludes or
+  // waits out the whole range exactly as it does a single put at ts.
   SpinBackoff backoff;
   while (true) {
-    SequenceNumber ts = time_counter_.IncAndGet();
+    SequenceNumber ts = time_counter_.IncAndGet(n);
     active_.Add(ts);
     if (ts <= snap_time_.load(std::memory_order_seq_cst)) {
       active_.Remove(ts);
@@ -366,9 +372,8 @@ void ClsmDb::FinishOp(DbOpType op, const Slice& key, uint32_t value_size, OpOutc
   }
 }
 
-Status ClsmDb::PutInternal(const WriteOptions& options, ValueType type, const Slice& key,
-                           const Slice& value) {
-  stats_.Bump(type == kTypeValue ? stats_.puts_total : stats_.deletes_total);
+template <typename Op>
+Status ClsmDb::Commit(const WriteOptions& options, DbOpType op, const Op* ops, size_t n) {
   // Degraded read-only mode: a latched hard error means new writes can no
   // longer be made durable — fail them at the door (one lock-free load on
   // the happy path) instead of only when the pipeline backs up.
@@ -381,13 +386,23 @@ Status ClsmDb::PutInternal(const WriteOptions& options, ValueType type, const Sl
   PerfContextStartOp(perf_level_);
   const bool pt = tls_perf_context.timers_enabled();
   const bool timing = metrics_on_ || attributed_ops_ || pt;
-  const DbOpType op = type == kTypeValue ? DbOpType::kPut : DbOpType::kDelete;
   const uint64_t t0 = timing ? LatencyClock::Ticks() : 0;
+  // A batch's trace record carries no key and its total payload bytes in
+  // value_size (replay skips kWrite records). Summed in 64 bits and clamped
+  // only at the 32-bit trace-record boundary.
+  const bool batch = op == DbOpType::kWrite;
+  uint64_t bytes = 0;
+  for (size_t i = 0; i < n; i++) {
+    bytes += ops[i].key.size() + ops[i].value.size();
+  }
+  const Slice trace_key = batch ? Slice() : Slice(ops[0].key);
+  const uint32_t trace_bytes =
+      static_cast<uint32_t>(std::min<uint64_t>(batch ? bytes : ops[0].value.size(), UINT32_MAX));
   bool op_stalled = false;
-  Status throttle_status = ThrottleIfNeeded(key.size() + value.size(), &op_stalled);
-  if (!throttle_status.ok()) {
-    FinishOp(op, key, static_cast<uint32_t>(value.size()), OpOutcome::kError, t0, op_stalled);
-    return throttle_status;
+  Status s = ThrottleIfNeeded(bytes, &op_stalled);
+  if (!s.ok()) {
+    FinishOp(op, trace_key, trace_bytes, OpOutcome::kError, t0, op_stalled);
+    return s;
   }
   // Phase boundaries: [t0, pt_a) throttle, [pt_a, t1) lock + getTS,
   // [t1, t2) memtable insert, [t2, t3) WAL append. The four segments are
@@ -396,38 +411,25 @@ Status ClsmDb::PutInternal(const WriteOptions& options, ValueType type, const Sl
   // checks.
   const uint64_t pt_a = pt ? LatencyClock::Ticks() : 0;
 
-  // Algorithm 2, put.
+  // Algorithm 2, put, with a batch's ops at consecutive timestamps.
   lock_.LockShared();
-  SequenceNumber ts = GetTS();
+  const SequenceNumber first = GetTS(n);
   MemTable* mem = mem_.load(std::memory_order_acquire);
   const uint64_t t1 = (metrics_on_ || pt) ? LatencyClock::Ticks() : 0;
-  mem->Add(ts, type, key, value);
-  const uint64_t t2 = (metrics_on_ || pt) ? LatencyClock::Ticks() : 0;
-  if (!engine_.options().disable_wal) {
-    std::string record;
-    EncodeWalRecord(&record, ts, type, key, value);
-    AsyncLogger* logger = logger_.load(std::memory_order_acquire);
-    if (options.sync || engine_.options().sync_logging) {
-      Status s = logger->AddRecordSync(std::move(record));
-      if (!s.ok()) {
-        active_.Remove(ts);
-        lock_.UnlockShared();
-        FinishOp(op, key, static_cast<uint32_t>(value.size()), OpOutcome::kError, t0, op_stalled);
-        return s;
-      }
-    } else {
-      logger->AddRecordAsync(std::move(record));
-    }
+  for (size_t i = 0; i < n; i++) {
+    mem->Add(first + i, ops[i].type, ops[i].key, ops[i].value);
   }
-  active_.Remove(ts);
-  lock_.UnlockShared();
+  const uint64_t t2 = (metrics_on_ || pt) ? LatencyClock::Ticks() : 0;
+  s = LogAndRelease(options, first, ops, n);
   if (metrics_on_ || pt) {
     const uint64_t t3 = LatencyClock::Ticks();
     if (metrics_on_) {
       registry_.Record(OpMetric::kMemInsert, LatencyClock::ToNanos(t2 - t1));
       registry_.Record(OpMetric::kWalAppend, LatencyClock::ToNanos(t3 - t2));
-      registry_.Record(type == kTypeValue ? OpMetric::kPut : OpMetric::kDelete,
-                       LatencyClock::ToNanos(t3 - t0));
+      if (!batch) {
+        registry_.Record(op == DbOpType::kPut ? OpMetric::kPut : OpMetric::kDelete,
+                         LatencyClock::ToNanos(t3 - t0));
+      }
     }
     if (pt) {
       PerfContext& ctx = tls_perf_context;
@@ -437,72 +439,52 @@ Status ClsmDb::PutInternal(const WriteOptions& options, ValueType type, const Sl
       ctx.wal_append_nanos += LatencyClock::ToNanos(t3 - t2);
     }
   }
-  FinishOp(op, key, static_cast<uint32_t>(value.size()), OpOutcome::kOk, t0, op_stalled);
-  return Status::OK();
+  FinishOp(op, trace_key, trace_bytes, s.ok() ? OpOutcome::kOk : OpOutcome::kError, t0,
+           op_stalled);
+  return s;
 }
 
-Status ClsmDb::Put(const WriteOptions& options, const Slice& key, const Slice& value) {
-  return PutInternal(options, kTypeValue, key, value);
-}
-
-Status ClsmDb::Delete(const WriteOptions& options, const Slice& key) {
-  return PutInternal(options, kTypeDeletion, key, Slice());
-}
-
-Status ClsmDb::Write(const WriteOptions& options, WriteBatch* updates) {
-  stats_.Bump(stats_.batches_total);
-  if (engine_.bg_error()->writes_blocked()) {
-    return engine_.bg_error()->status();
-  }
-  PerfContextStartOp(perf_level_);
-  const bool timing = metrics_on_ || attributed_ops_ || tls_perf_context.timers_enabled();
-  const uint64_t t0 = timing ? LatencyClock::Ticks() : 0;
-  // Trace records carry the batch's total payload bytes in value_size (the
-  // per-op key/value breakdown is not traced; replay skips kWrite records).
-  // Summed in 64 bits — a >= 4 GiB batch used to wrap the accumulator and
-  // attribute garbage sizes — and clamped only at the 32-bit trace-record
-  // boundary.
-  uint64_t batch_bytes = 0;
-  for (const WriteBatch::Op& op : updates->ops()) {
-    batch_bytes += op.key.size() + op.value.size();
-  }
-  const uint32_t traced_bytes =
-      static_cast<uint32_t>(std::min<uint64_t>(batch_bytes, UINT32_MAX));
-  bool op_stalled = false;
-  Status throttle_status = ThrottleIfNeeded(batch_bytes, &op_stalled);
-  if (!throttle_status.ok()) {
-    FinishOp(DbOpType::kWrite, Slice(), traced_bytes, OpOutcome::kError, t0, op_stalled);
-    return throttle_status;
-  }
-
-  // Batches synchronize coarsely: exclusive mode excludes all puts and the
-  // merge hooks, making the batch atomic with respect to snapshots (§4).
-  lock_.LockExclusive();
-  MemTable* mem = mem_.load(std::memory_order_acquire);
-  AsyncLogger* logger = logger_.load(std::memory_order_acquire);
-  SequenceNumber last_ts = 0;
-  // The whole batch becomes one WAL record, so recovery replays it
-  // all-or-nothing even if the crash tears the log tail.
-  std::string record;
-  for (const WriteBatch::Op& op : updates->ops()) {
-    last_ts = time_counter_.IncAndGet();
-    mem->Add(last_ts, op.type, op.key, op.value);
-    if (!engine_.options().disable_wal) {
-      EncodeWalRecord(&record, last_ts, op.type, op.key, op.value);
-    }
-  }
+template <typename Op>
+Status ClsmDb::LogAndRelease(const WriteOptions& options, SequenceNumber first, const Op* ops,
+                             size_t n) {
   Status s;
-  if (!engine_.options().disable_wal && !record.empty()) {
+  if (!engine_.options().disable_wal) {
+    // All n ops become one record, so recovery replays a batch
+    // all-or-nothing even if the crash tears the log tail.
+    std::string record;
+    for (size_t i = 0; i < n; i++) {
+      EncodeWalRecord(&record, first + i, ops[i].type, ops[i].key, ops[i].value);
+    }
+    AsyncLogger* logger = logger_.load(std::memory_order_acquire);
     if (options.sync || engine_.options().sync_logging) {
       s = logger->AddRecordSync(std::move(record));
     } else {
       logger->AddRecordAsync(std::move(record));
     }
   }
-  lock_.UnlockExclusive();
-  FinishOp(DbOpType::kWrite, Slice(), traced_bytes, s.ok() ? OpOutcome::kOk : OpOutcome::kError,
-           t0, op_stalled);
+  active_.Remove(first);
+  lock_.UnlockShared();
   return s;
+}
+
+Status ClsmDb::Put(const WriteOptions& options, const Slice& key, const Slice& value) {
+  stats_.Bump(stats_.puts_total);
+  const WriteOp op{kTypeValue, key, value};
+  return Commit(options, DbOpType::kPut, &op, 1);
+}
+
+Status ClsmDb::Delete(const WriteOptions& options, const Slice& key) {
+  stats_.Bump(stats_.deletes_total);
+  const WriteOp op{kTypeDeletion, key, Slice()};
+  return Commit(options, DbOpType::kDelete, &op, 1);
+}
+
+Status ClsmDb::Write(const WriteOptions& options, WriteBatch* updates) {
+  stats_.Bump(stats_.batches_total);
+  if (updates->Count() == 0) {
+    return Status::OK();  // nothing to order or log
+  }
+  return Commit(options, DbOpType::kWrite, updates->ops().data(), updates->Count());
 }
 
 Status ClsmDb::Get(const ReadOptions& options, const Slice& key, std::string* value) {
@@ -593,36 +575,43 @@ void CleanupIterState(void* arg1, void* arg2) {
 
 Iterator* ClsmDb::NewIterator(const ReadOptions& options) {
   stats_.Bump(stats_.iterators_created);
-  SequenceNumber seq;
-  if (options.snapshot != nullptr) {
-    seq = static_cast<const SnapshotImpl*>(options.snapshot)->timestamp();
-  } else {
-    // Fresh serializable snapshot (not installed: the iterator protects its
-    // own data by pinning the components; installation is only needed for
-    // handles that outlive this call — see GetSnapshot). Acquired under the
-    // shared lock, like getSnap, so the timestamp cannot land in the middle
-    // of an exclusive-mode atomic batch.
-    lock_.LockShared();
-    seq = AcquireScanTimestamp();
-    lock_.UnlockShared();
-  }
-
-  IterState* state = new IterState{nullptr, nullptr, nullptr};
-  std::vector<Iterator*> children;
-  {
-    EpochGuard guard(*engine_.epochs());
-    state->mem = mem_.load(std::memory_order_acquire);
-    state->mem->Ref();
-    state->imm = imm_.load(std::memory_order_acquire);
-    if (state->imm != nullptr) {
-      state->imm->Ref();
+  IterState* state = nullptr;
+  SequenceNumber seq = 0;
+  while (true) {
+    state = new IterState{nullptr, nullptr, nullptr};
+    {
+      EpochGuard guard(*engine_.epochs());
+      state->mem = mem_.load(std::memory_order_acquire);
+      state->mem->Ref();
+      state->imm = imm_.load(std::memory_order_acquire);
+      if (state->imm != nullptr) {
+        state->imm->Ref();
+      }
     }
+    state->version = engine_.versions()->GetCurrent();
+    if (options.snapshot != nullptr) {
+      seq = static_cast<const SnapshotImpl*>(options.snapshot)->timestamp();
+      break;
+    }
+    // Fresh serializable snapshot, not installed: the iterator protects its
+    // own data by pinning the components (installation is only needed for
+    // handles that outlive this call — see GetSnapshot). Taken after the
+    // pin, it is at or above every timestamp in the pinned tables (their
+    // memtables rolled with no write in flight), so no flush or compaction
+    // dropped a version it needs. It stands if no roll moved Pm meanwhile:
+    // then every write at or below it is in the pinned components.
+    seq = AcquireScanTimestamp();
+    if (mem_.load(std::memory_order_acquire) == state->mem) {
+      break;
+    }
+    CleanupIterState(state, nullptr);
   }
+  std::vector<Iterator*> children;
   children.push_back(state->mem->NewIterator());
   if (state->imm != nullptr) {
     children.push_back(state->imm->NewIterator());
   }
-  state->version = engine_.AddVersionIterators(options, &children);
+  state->version->AddIterators(options, &children);
 
   Iterator* internal =
       NewMergingIterator(engine_.icmp(), children.data(), static_cast<int>(children.size()));
@@ -696,6 +685,8 @@ Status ClsmDb::ReadModifyWrite(const WriteOptions& options, const Slice& key,
   // mode keeps the component pointers stable for the whole read-validate-
   // write attempt; conflicts with other writers are detected at the skip
   // list's bottom level and resolved by restarting with a fresh timestamp.
+  // The attempt that ends the loop releases the lock: a write through
+  // LogAndRelease, a no-op directly.
   lock_.LockShared();
   Status result;
   bool did_write = false;
@@ -714,23 +705,15 @@ Status ClsmDb::ReadModifyWrite(const WriteOptions& options, const Slice& key,
     if (!next.has_value()) {
       // User chose not to write; linearizes at the read.
       stats_.Bump(stats_.rmw_noop);
+      lock_.UnlockShared();
       break;
     }
 
     SequenceNumber tsn = GetTS();
     MemTable* mem = mem_.load(std::memory_order_acquire);
     if (mem->AddIfNoConflict(tsn, kTypeValue, key, *next, ts_read)) {
-      if (!engine_.options().disable_wal) {
-        std::string record;
-        EncodeWalRecord(&record, tsn, kTypeValue, key, *next);
-        AsyncLogger* logger = logger_.load(std::memory_order_acquire);
-        if (options.sync || engine_.options().sync_logging) {
-          result = logger->AddRecordSync(std::move(record));
-        } else {
-          logger->AddRecordAsync(std::move(record));
-        }
-      }
-      active_.Remove(tsn);
+      const WriteOp op{kTypeValue, key, *next};
+      result = LogAndRelease(options, tsn, &op, 1);
       did_write = true;
       written_bytes = static_cast<uint32_t>(next->size());
       if (performed != nullptr) {
@@ -744,7 +727,6 @@ Status ClsmDb::ReadModifyWrite(const WriteOptions& options, const Slice& key,
     stats_.Bump(stats_.rmw_conflicts);
     active_.Remove(tsn);
   }
-  lock_.UnlockShared();
   if (metrics_on_) {
     registry_.Record(OpMetric::kRmw, LatencyClock::ToNanos(LatencyClock::Ticks() - t0));
   }
@@ -824,7 +806,11 @@ void ClsmDb::FlushImmutable() {
   }
   stats_.Bump(stats_.flushes);
 
-  Status s = engine_.FlushMemTable(imm, log_number_);
+  // Dropping shadowed versions here is safe for every reader of the new
+  // table: snapshots installed before the roll bound SmallestLiveSnapshot,
+  // and every later scan timestamp is at or above C'm's newest (all its
+  // writers finished before the roll), as NewIterator relies on too.
+  Status s = engine_.FlushMemTable(imm, log_number_, SmallestLiveSnapshot());
   if (!s.ok()) {
     // FlushMemTable latched the error; C'm stays resident for reads.
     return;

@@ -3,7 +3,8 @@
 //
 //  * Gets never block: component pointers (Pm, P'm, Pd) are read under
 //    epoch protection with per-component refcounts (§3.1).
-//  * Puts run concurrently and lock-free against each other; they hold the
+//  * Puts, deletes and atomic batches share one write path: they run
+//    concurrently and lock-free against each other, holding the
 //    shared-exclusive lock in shared mode only to exclude the brief
 //    beforeMerge/afterMerge pointer swaps (Algorithm 1).
 //  * Snapshot scans are serializable multi-version reads driven by the
@@ -77,9 +78,11 @@ class ClsmDb final : public DB {
 
   Status Init();
 
-  // Algorithm 2, getTS: acquire a fresh put timestamp, registered in the
-  // Active set, retrying while it would invalidate a concurrent snapshot.
-  SequenceNumber GetTS();
+  // Algorithm 2, getTS, over a range: reserve n fresh timestamps
+  // [first, first + n) with one counter increment, register first in the
+  // Active set, and retry while the range would invalidate a concurrent
+  // snapshot. Returns first.
+  SequenceNumber GetTS(uint64_t n = 1);
 
   // Algorithm 2 lines 9-14 (without installing a handle): pick a
   // serializable snapshot timestamp. With Options::linearizable_snapshots
@@ -87,8 +90,26 @@ class ClsmDb final : public DB {
   // never in the past of the call.
   SequenceNumber AcquireScanTimestamp();
 
-  Status PutInternal(const WriteOptions& options, ValueType type, const Slice& key,
-                     const Slice& value);
+  // One write of Put, Delete or an RMW attempt. Commit and LogAndRelease
+  // take these or a batch's WriteBatch::Op, which has the same fields.
+  struct WriteOp {
+    ValueType type;
+    Slice key;
+    Slice value;
+  };
+
+  // The write path (Algorithm 2, put, for n >= 1 ops): throttle, shared
+  // lock, GetTS(n), insert op i at first + i, then LogAndRelease. op is
+  // kPut, kDelete (n == 1) or kWrite; it names the latency histogram and
+  // the trace record.
+  template <typename Op>
+  Status Commit(const WriteOptions& options, DbOpType op, const Op* ops, size_t n);
+
+  // The tail of every write, shared by Commit and ReadModifyWrite: append
+  // the n ops (at timestamps first, first + 1, ...) as one WAL record, sync
+  // or async, then leave the Active set and release the shared lock.
+  template <typename Op>
+  Status LogAndRelease(const WriteOptions& options, SequenceNumber first, const Op* ops, size_t n);
 
   // Latest value/timestamp of key across Pm, P'm, Pd (RMW read step).
   // Returns true if some version exists; fills *value (valid only for

@@ -50,8 +50,8 @@ class DB {
   // Removes key (by storing a deletion marker, the ⊥ of §2.1).
   virtual Status Delete(const WriteOptions& options, const Slice& key) = 0;
 
-  // Atomically applies a batch of writes (paper §4: batches synchronize
-  // coarsely, holding the shared-exclusive lock in exclusive mode).
+  // Atomically applies a batch of writes: recovery replays all or none of
+  // it, and every snapshot sees all or none of it.
   virtual Status Write(const WriteOptions& options, WriteBatch* updates) = 0;
 
   // Reads the value of key (as of options.snapshot when set). Returns

@@ -1,6 +1,8 @@
-// Atomic batch of write operations. cLSM applies batches under the
-// shared-exclusive lock in exclusive mode (paper §4), mirroring LevelDB's
-// coarse-grained batch synchronization.
+// Atomic batch of write operations. cLSM commits a batch like a put (shared
+// lock, Active set): one counter increment gives its ops consecutive
+// timestamps, which is what keeps it atomic for snapshots, and one WAL
+// record keeps it atomic for recovery. The paper (§4) instead takes the
+// lock in exclusive mode, as LevelDB does.
 #ifndef CLSM_CORE_WRITE_BATCH_H_
 #define CLSM_CORE_WRITE_BATCH_H_
 

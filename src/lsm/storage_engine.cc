@@ -342,7 +342,8 @@ Version* StorageEngine::AddVersionIterators(const ReadOptions& options,
   return v;
 }
 
-Status StorageEngine::BuildTable(Iterator* iter, FileMetaData* meta) {
+Status StorageEngine::BuildTable(Iterator* iter, FileMetaData* meta,
+                                 SequenceNumber smallest_snapshot) {
   meta->file_size = 0;
   iter->SeekToFirst();
   if (!iter->Valid()) {
@@ -358,8 +359,21 @@ Status StorageEngine::BuildTable(Iterator* iter, FileMetaData* meta) {
 
   TableBuilder builder(options_, &icmp_, filter_policy_.get(), file.get());
   meta->smallest.DecodeFrom(iter->key());
+  // The compactions' obsolete-version rule: skip a version when the entry
+  // before it, the newer version of the same key, is at or below
+  // smallest_snapshot. Slices into the memtable stay valid for the loop.
   Slice key;
+  ParsedInternalKey newer(Slice(), 0, kTypeValue);
   for (; iter->Valid(); iter->Next()) {
+    ParsedInternalKey ikey;
+    if (ParseInternalKey(iter->key(), &ikey)) {
+      const bool shadowed = !key.empty() && newer.sequence <= smallest_snapshot &&
+                            icmp_.user_comparator()->Compare(ikey.user_key, newer.user_key) == 0;
+      newer = ikey;
+      if (shadowed) {
+        continue;
+      }
+    }
     key = iter->key();
     builder.Add(key, iter->value());
   }
@@ -388,7 +402,8 @@ Status StorageEngine::BuildTable(Iterator* iter, FileMetaData* meta) {
   return s;
 }
 
-Status StorageEngine::FlushMemTable(MemTable* mem, uint64_t log_number) {
+Status StorageEngine::FlushMemTable(MemTable* mem, uint64_t log_number,
+                                    SequenceNumber smallest_snapshot) {
   FlushJobInfo info;
   info.memtable_entries = mem->NumEntries();
   info.memtable_bytes = mem->ApproximateMemoryUsage();
@@ -399,7 +414,7 @@ Status StorageEngine::FlushMemTable(MemTable* mem, uint64_t log_number) {
   meta.number = versions_->NewFileNumber();
   std::unique_ptr<Iterator> iter(mem->NewIterator());
 
-  Status s = BuildTable(iter.get(), &meta);
+  Status s = BuildTable(iter.get(), &meta, smallest_snapshot);
   if (!s.ok()) {
     RecordBackgroundError(BgErrorReason::kFlush, s);
   } else {

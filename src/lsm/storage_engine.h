@@ -78,7 +78,9 @@ class StorageEngine {
 
   // Writes the (immutable) memtable to a level-0 table and logs the edit.
   // log_number: WAL files strictly older than this become obsolete.
-  Status FlushMemTable(MemTable* mem, uint64_t log_number);
+  // smallest_snapshot: as for CompactOnce; a version shadowed by a newer one
+  // at or below it is left out of the table (0 keeps every version).
+  Status FlushMemTable(MemTable* mem, uint64_t log_number, SequenceNumber smallest_snapshot = 0);
 
   // Persists a new current log number (empty version edit). Required after
   // opening a fresh WAL with nothing to flush: it rewrites the manifest so
@@ -175,7 +177,7 @@ class StorageEngine {
  private:
   Status NewDB();
   Status RecoverLogFile(uint64_t log_number, MemTable* mem, SequenceNumber* max_seq);
-  Status BuildTable(Iterator* iter, FileMetaData* meta);
+  Status BuildTable(Iterator* iter, FileMetaData* meta, SequenceNumber smallest_snapshot);
   // Runs one already-picked compaction (trivial move or full merge) and
   // records its per-level stats. Used by both CompactOnce and the workers.
   Status RunCompaction(Compaction* c, SequenceNumber smallest_snapshot);

@@ -56,12 +56,13 @@ struct PerfContext {
   uint64_t bloom_useful = 0;           // bloom filter skipped a block read
 
   // --- phase timers, nanoseconds (kEnableTimers only) ---
-  // The write-path phases are contiguous segments of PutInternal, so for a
-  // Put: throttle + lock_getts + mem_insert + wal_append ≈ total (the
-  // perf_context_test asserts within 10%). memtable_roll_wait /
-  // write_delay / shared_lock_wait are finer-grained sub-components of
-  // throttle resp. lock_getts, recorded at their sources — they overlap
-  // the segment timers and must not be added on top of them.
+  // The write-path phases are contiguous segments of ClsmDb's one commit
+  // routine, so for a Put, Delete or batch Write: throttle + lock_getts +
+  // mem_insert + wal_append ≈ total (the perf_context_test asserts within
+  // 10%). memtable_roll_wait / write_delay / shared_lock_wait are
+  // finer-grained sub-components of throttle resp. lock_getts, recorded at
+  // their sources — they overlap the segment timers and must not be added
+  // on top of them.
   uint64_t total_nanos = 0;              // whole op, set at op exit
   uint64_t throttle_nanos = 0;           // put: whole backpressure gate
   uint64_t memtable_roll_wait_nanos = 0; //   of which: hard stall (Cm full / L0 stop)

@@ -125,6 +125,29 @@ TEST_F(EngineTest, CompactionPreservesSnapshotVersions) {
   EXPECT_EQ("newest1", Get("key0000001", kMaxSequenceNumber));
 }
 
+// A flush applies the compactions' obsolete-version rule: a version goes
+// only when the newer version of its key is at or below the oldest
+// snapshot; the default bound keeps every version.
+TEST_F(EngineTest, FlushDropsVersionsNoSnapshotCanSee) {
+  Open();
+  // Flushes key@1, key@5, key@9 with the given oldest-snapshot bound.
+  auto flush = [&](const std::string& key, SequenceNumber smallest_snapshot) {
+    MemTable* mem = new MemTable(*engine_->icmp());
+    for (SequenceNumber seq : {1, 5, 9}) {
+      mem->Add(seq, kTypeValue, key, key + std::to_string(seq));
+    }
+    ASSERT_TRUE(
+        engine_->FlushMemTable(mem, engine_->versions()->LogNumber(), smallest_snapshot).ok());
+    mem->Unref();
+  };
+  flush("a", 0);
+  EXPECT_EQ("a1", Get("a", 1));
+  flush("b", 6);
+  EXPECT_EQ("NOTFOUND", Get("b", 1));  // b@5 <= 6 shadows it for every snapshot
+  EXPECT_EQ("b5", Get("b", 6));        // the newest version at the snapshot stays
+  EXPECT_EQ("b9", Get("b", 9));
+}
+
 TEST_F(EngineTest, DeletionMarkersDropOnlyAtBaseLevel) {
   Open();
   FlushBatch(200, 1, "v");

@@ -2,144 +2,22 @@
 
 #include <chrono>
 
-#include "src/core/db_iter.h"
-#include "src/obs/instrumented_iter.h"
-#include "src/obs/stats_export.h"
-#include "src/table/merging_iterator.h"
-
 namespace clsm {
 
+// LevelDB semantics: fail writers on any latched background error, let L0
+// pressure block only the inline roll, and keep every version in a flush.
 BaselineDbBase::BaselineDbBase(const Options& options, const std::string& dbname)
-    : dbname_(dbname),
-      admin_slow_ring_(options.admin_port >= 0 ? std::make_shared<SlowOpRingListener>()
-                                               : nullptr),
-      admin_trace_(options.admin_port >= 0 ? std::make_shared<TraceController>() : nullptr),
-      engine_(WithAdminListeners(options, admin_slow_ring_, admin_trace_), dbname),
-      metrics_on_(options.latency_metrics),
-      perf_level_(options.perf_level),
-      slow_op_threshold_nanos_(options.slow_op_threshold_micros * 1000),
-      slow_op_limiter_(options.slow_op_max_per_sec) {
-  engine_.SetStatsRegistry(metrics_on_ ? &registry_ : nullptr);
-  throttle_ = std::make_unique<WriteThrottle>(&engine_, &stats_,
-                                              /*fail_on_any_bg_error=*/true,
-                                              /*stop_only_when_mem_full=*/true);
-  throttle_->SetRegistry(metrics_on_ ? &registry_ : nullptr);
-  trace_ops_ = engine_.listeners().has_op_listeners();
-  attributed_ops_ = trace_ops_ || slow_op_threshold_nanos_ != 0;
-}
+    : DbChassis(options, dbname, /*fail_on_any_bg_error=*/true,
+                /*stop_only_when_mem_full=*/true, /*flush_drops_shadowed=*/false) {}
 
-Status BaselineDbBase::Init() {
-  MemTable* recovered = nullptr;
-  SequenceNumber max_seq = 0;
-  Status s = engine_.Open(&recovered, &max_seq);
-  if (!s.ok()) {
-    if (recovered != nullptr) {
-      recovered->Unref();
-    }
-    return s;
-  }
-  last_sequence_.store(std::max(engine_.versions()->LastSequence(), max_seq));
-
-  if (!engine_.options().disable_wal) {
-    std::unique_ptr<AsyncLogger> logger;
-    uint64_t log_number = 0;
-    s = engine_.NewLog(&log_number, &logger);
-    log_number_ = log_number;
-    if (!s.ok()) {
-      if (recovered != nullptr) {
-        recovered->Unref();
-      }
-      return s;
-    }
-    logger_.store(logger.release(), std::memory_order_release);
-  } else {
-    log_number_ = engine_.versions()->NewFileNumber();
-  }
-
-  engine_.versions()->SetLastSequence(
-      std::max(engine_.versions()->LastSequence(), last_sequence_.load()));
-  if (recovered != nullptr && recovered->NumEntries() > 0) {
-    s = engine_.FlushMemTable(recovered, log_number_);
-  } else {
-    s = engine_.CommitLogRotation(log_number_);
-  }
-  if (recovered != nullptr) {
-    recovered->Unref();
-  }
-  if (!s.ok()) {
-    return s;
-  }
-  engine_.RemoveObsoleteFiles(log_number_, /*include_tables=*/true);
-
-  mem_.store(new MemTable(*engine_.icmp()), std::memory_order_release);
+void BaselineDbBase::StartMaintenance(SequenceNumber recovered_seq) {
+  last_sequence_.store(recovered_seq);
   maintenance_thread_ = std::thread([this] { MaintenanceLoop(); });
-  if (engine_.options().stats_dump_period_sec > 0) {
-    reporter_ = std::make_unique<StatsReporter>(
-        Name(), engine_.options().stats_dump_period_sec,
-        [this] {
-          ReporterCounters c;
-          c.writes = stats_.puts_total.load(std::memory_order_relaxed) +
-                     stats_.deletes_total.load(std::memory_order_relaxed);
-          c.gets = stats_.gets_total.load(std::memory_order_relaxed);
-          c.flushes = stats_.flushes.load(std::memory_order_relaxed);
-          c.compactions = engine_.compaction_stats()->TotalCompactions();
-          c.stall_micros = stats_.TotalStallMicros();
-          c.hard_stall_micros = stats_.stall_micros.load(std::memory_order_relaxed);
-          c.rate_delay_micros = stats_.rate_limit_delay_micros.load(std::memory_order_relaxed);
-          return c;
-        },
-        [this] { return GetProperty("clsm.stats.json"); },
-        engine_.options().stats_dump_deltas ? std::function<void()>([this] { ResetStats(); })
-                                            : std::function<void()>());
-  }
-  if (engine_.options().admin_port >= 0) {
-    AdminHooks hooks;
-    hooks.db_name = Name();
-    hooks.stats_json = [this] { return GetProperty("clsm.stats.json"); };
-    hooks.perf_json = [this] { return GetProperty("clsm.perf.json"); };
-    hooks.metrics_text = [this] { return BuildStatsPrometheus(StatsSource()); };
-    hooks.reset_stats = [this] { ResetStats(); };
-    hooks.bg_error = engine_.bg_error();
-    hooks.slow_ops = admin_slow_ring_.get();
-    hooks.trace = admin_trace_.get();
-    hooks.max_connections = engine_.options().admin_max_connections;
-    admin_ = std::make_unique<AdminServer>(std::move(hooks));
-    s = admin_->Start(engine_.options().admin_bind_address, engine_.options().admin_port);
-    if (!s.ok()) {
-      return s;
-    }
-  }
-  return Status::OK();
-}
-
-BaselineDbBase::~BaselineDbBase() {
-  // Stop the admin server first (its handlers call GetProperty), then the
-  // reporter: both walk stats_/engine_ state.
-  admin_.reset();
-  reporter_.reset();
-  shutting_down_.store(true, std::memory_order_release);
-  maintenance_cv_.notify_all();
-  if (maintenance_thread_.joinable()) {
-    maintenance_thread_.join();
-  }
-  AsyncLogger* logger = logger_.exchange(nullptr, std::memory_order_acq_rel);
-  delete logger;
-  imm_logger_.reset();
-  MemTable* imm = imm_.exchange(nullptr, std::memory_order_acq_rel);
-  if (imm != nullptr) {
-    imm->Unref();
-  }
-  MemTable* mem = mem_.exchange(nullptr, std::memory_order_acq_rel);
-  if (mem != nullptr) {
-    mem->Unref();
-  }
 }
 
 Status BaselineDbBase::Put(const WriteOptions& options, const Slice& key, const Slice& value) {
   stats_.Bump(stats_.puts_total);
-  PerfContextStartOp(perf_level_);
-  const bool timing = metrics_on_ || attributed_ops_ || tls_perf_context.timers_enabled();
-  const uint64_t t0 = timing ? LatencyClock::Ticks() : 0;
+  const uint64_t t0 = StartOp();
   WriteBatch batch;
   batch.Put(key, value);
   bool op_stalled = false;
@@ -154,9 +32,7 @@ Status BaselineDbBase::Put(const WriteOptions& options, const Slice& key, const 
 
 Status BaselineDbBase::Delete(const WriteOptions& options, const Slice& key) {
   stats_.Bump(stats_.deletes_total);
-  PerfContextStartOp(perf_level_);
-  const bool timing = metrics_on_ || attributed_ops_ || tls_perf_context.timers_enabled();
-  const uint64_t t0 = timing ? LatencyClock::Ticks() : 0;
+  const uint64_t t0 = StartOp();
   WriteBatch batch;
   batch.Delete(key);
   bool op_stalled = false;
@@ -171,9 +47,7 @@ Status BaselineDbBase::Delete(const WriteOptions& options, const Slice& key) {
 
 Status BaselineDbBase::Write(const WriteOptions& options, WriteBatch* updates) {
   stats_.Bump(stats_.batches_total);
-  PerfContextStartOp(perf_level_);
-  const bool timing = metrics_on_ || attributed_ops_ || tls_perf_context.timers_enabled();
-  const uint64_t t0 = timing ? LatencyClock::Ticks() : 0;
+  const uint64_t t0 = StartOp();
   uint32_t batch_bytes = 0;
   for (const WriteBatch::Op& op : updates->ops()) {
     batch_bytes += static_cast<uint32_t>(op.key.size() + op.value.size());
@@ -294,40 +168,18 @@ Status BaselineDbBase::WriteLocked(const WriteOptions& options, WriteBatch* upda
   return status;
 }
 
-namespace {
-// WriteThrottle adapter for the LevelDB-style chassis: the caller is the
+// WriteThrottle adapter for the LevelDB-style variants: the caller is the
 // single-writer queue head holding mutex_; sleeps release it (followers
 // keep waiting on their queue CVs), and memtable rolls happen inline under
 // the mutex.
-class BaselineGateClient final : public WriteThrottle::Client {
+class BaselineDbBase::GateClient final : public DbChassis::GateClient {
  public:
-  BaselineGateClient(BaselineDbBase* db, StorageEngine* engine, std::unique_lock<std::mutex>& lock,
-                     std::atomic<MemTable*>* mem, std::atomic<bool>* imm_exists,
-                     std::condition_variable* maintenance_cv, std::condition_variable* work_done_cv,
-                     void (BaselineDbBase::*roll)())
-      : db_(db),
-        engine_(engine),
-        lock_(lock),
-        mem_(mem),
-        imm_exists_(imm_exists),
-        maintenance_cv_(maintenance_cv),
-        work_done_cv_(work_done_cv),
-        roll_(roll) {}
+  GateClient(BaselineDbBase* db, std::unique_lock<std::mutex>& lock)
+      : DbChassis::GateClient(db), db_(db), lock_(lock) {}
 
-  bool MemFull() override {
-    MemTable* m = mem_->load(std::memory_order_acquire);
-    return m->ApproximateMemoryUsage() >= engine_->options().write_buffer_size;
-  }
-  double MemFillFraction() override {
-    MemTable* m = mem_->load(std::memory_order_acquire);
-    return static_cast<double>(m->ApproximateMemoryUsage()) /
-           static_cast<double>(std::max<size_t>(1, engine_->options().write_buffer_size));
-  }
-  bool ImmExists() override { return imm_exists_->load(std::memory_order_acquire); }
-  void KickMaintenance() override { maintenance_cv_->notify_one(); }
   void WaitForProgress() override {
-    maintenance_cv_->notify_one();
-    work_done_cv_->wait_for(lock_, std::chrono::milliseconds(1));
+    db_->maintenance_cv_.notify_one();
+    db_->work_done_cv_.wait_for(lock_, std::chrono::milliseconds(1));
   }
   uint64_t DelaySleep(uint64_t nanos) override {
     const uint64_t t0 = MonotonicNanos();
@@ -337,27 +189,19 @@ class BaselineGateClient final : public WriteThrottle::Client {
     return MonotonicNanos() - t0;
   }
   bool TryMakeRoom() override {
-    (db_->*roll_)();
-    maintenance_cv_->notify_one();
+    db_->RollMemTableLocked();
+    db_->maintenance_cv_.notify_one();
     return true;
   }
 
  private:
-  BaselineDbBase* db_;
-  StorageEngine* engine_;
+  BaselineDbBase* const db_;
   std::unique_lock<std::mutex>& lock_;
-  std::atomic<MemTable*>* mem_;
-  std::atomic<bool>* imm_exists_;
-  std::condition_variable* maintenance_cv_;
-  std::condition_variable* work_done_cv_;
-  void (BaselineDbBase::*roll_)();
 };
-}  // namespace
 
 Status BaselineDbBase::MakeRoomForWrite(std::unique_lock<std::mutex>& lock, uint64_t bytes,
                                         bool* stalled_out) {
-  BaselineGateClient client(this, &engine_, lock, &mem_, &imm_exists_, &maintenance_cv_,
-                            &work_done_cv_, &BaselineDbBase::RollMemTableLocked);
+  GateClient client(this, lock);
   return throttle_->Gate(&client, bytes, stalled_out);
 }
 
@@ -385,51 +229,20 @@ void BaselineDbBase::RollMemTableLocked() {
   engine_.listeners().NotifyMemtableRoll(old_mem->ApproximateMemoryUsage());
 }
 
-void BaselineDbBase::FlushImmutable() {
-  if (engine_.bg_error()->writes_blocked()) {
-    return;  // degraded mode: keep C'm (and its WAL) for reads/recovery
-  }
-  MemTable* imm = imm_.load(std::memory_order_acquire);
-  assert(imm != nullptr);
-
-  // The retired WAL must be durable before the table build retires it; a
-  // failed drain/sync/close aborts the flush (see ClsmDb::FlushImmutable).
-  if (imm_logger_ != nullptr) {
-    Status wal_status = imm_logger_->Close();
-    imm_logger_.reset();
-    if (!wal_status.ok()) {
-      engine_.RecordBackgroundError(BgErrorReason::kWalSync, wal_status);
-      return;
-    }
-  }
-  stats_.Bump(stats_.flushes);
-
-  // Persist the sequence counter with the flush edit (see ClsmDb note).
-  engine_.versions()->SetLastSequence(
-      std::max(engine_.versions()->LastSequence(), last_sequence_.load()));
-  Status s = engine_.FlushMemTable(imm, log_number_);
-  {
-    std::lock_guard<std::mutex> l(mutex_);
-    if (!s.ok()) {
-      // FlushMemTable latched the background error.
-      return;
-    }
-    imm_.store(nullptr, std::memory_order_release);
-    imm_exists_.store(false, std::memory_order_release);
-  }
-  engine_.epochs()->Synchronize();
-  imm->Unref();
-  engine_.RemoveObsoleteFiles(log_number_);
+void BaselineDbBase::ClearImmutable() {
+  // Under the global mutex: LevelDB readers pin the components under it.
+  std::lock_guard<std::mutex> l(mutex_);
+  imm_.store(nullptr, std::memory_order_release);
+  imm_exists_.store(false, std::memory_order_release);
 }
 
 void BaselineDbBase::MaintenanceLoop() {
-  std::mutex loop_mutex;
   while (!shutting_down_.load(std::memory_order_acquire)) {
     const bool blocked = engine_.bg_error()->writes_blocked();
     bool need_flush = !blocked && imm_exists_.load(std::memory_order_acquire);
     bool need_compact = !blocked && engine_.NeedsCompaction();
     if (!need_flush && !need_compact) {
-      std::unique_lock<std::mutex> l(loop_mutex);
+      std::unique_lock<std::mutex> l(maintenance_mutex_);
       maintenance_cv_.wait_for(l, std::chrono::milliseconds(2));
       continue;
     }
@@ -445,153 +258,52 @@ void BaselineDbBase::MaintenanceLoop() {
   }
 }
 
-SequenceNumber BaselineDbBase::SmallestLiveSnapshot() {
-  return snapshots_.OldestTimestamp(last_sequence_.load(std::memory_order_acquire));
-}
-
 void BaselineDbBase::RefComponents(MemTable** mem, MemTable** imm) {
   if (ReadersTakeMutex()) {
     // Original LevelDB: the global mutex guards the pointer fetch — reads
     // block whenever a writer or the merge holds it.
     std::lock_guard<std::mutex> l(mutex_);
-    *mem = mem_.load(std::memory_order_acquire);
-    (*mem)->Ref();
-    *imm = imm_.load(std::memory_order_acquire);
-    if (*imm != nullptr) {
-      (*imm)->Ref();
-    }
+    RefMemTables(mem, imm);
   } else {
     // RocksDB-style: readers cache metadata without locks.
     EpochGuard guard(*engine_.epochs());
-    *mem = mem_.load(std::memory_order_acquire);
-    (*mem)->Ref();
-    *imm = imm_.load(std::memory_order_acquire);
-    if (*imm != nullptr) {
-      (*imm)->Ref();
-    }
+    RefMemTables(mem, imm);
   }
 }
 
-Status BaselineDbBase::GetInternal(const ReadOptions& options, const Slice& key,
-                                   std::string* value, SequenceNumber seq,
-                                   SequenceNumber* seq_found) {
-  LookupKey lkey(key, seq);
-  MemTable* mem;
-  MemTable* imm;
-  RefComponents(&mem, &imm);
-
-  const bool pt = tls_perf_context.timers_enabled();
-  const uint64_t search_t0 = pt ? LatencyClock::Ticks() : 0;
-  Status s;
-  if (mem->Get(lkey, value, &s, seq_found)) {
-    stats_.Bump(stats_.gets_from_mem);
-    if (pt) {
-      tls_perf_context.mem_search_nanos += LatencyClock::ToNanos(LatencyClock::Ticks() - search_t0);
-    }
-  } else if (imm != nullptr && imm->Get(lkey, value, &s, seq_found)) {
-    stats_.Bump(stats_.gets_from_imm);
-    if (pt) {
-      tls_perf_context.mem_search_nanos += LatencyClock::ToNanos(LatencyClock::Ticks() - search_t0);
-    }
-  } else {
-    const uint64_t disk_t0 = pt ? LatencyClock::Ticks() : 0;
-    if (pt) {
-      tls_perf_context.mem_search_nanos += LatencyClock::ToNanos(disk_t0 - search_t0);
-    }
-    s = engine_.Get(options, lkey, value, seq_found);
-    stats_.Bump(stats_.gets_from_disk);
-    if (pt) {
-      tls_perf_context.disk_search_nanos += LatencyClock::ToNanos(LatencyClock::Ticks() - disk_t0);
-    }
-  }
-  mem->Unref();
-  if (imm != nullptr) {
-    imm->Unref();
-  }
-  return s;
-}
-
-Status BaselineDbBase::GetLatestLocked(const ReadOptions& options, const Slice& key,
-                                       std::string* value, SequenceNumber* seq_found) {
+Status BaselineDbBase::GetLatestLocked(const Slice& key, std::string* value) {
   // Caller holds mutex_, so the component pointers are stable and the roll
   // cannot retire them mid-read; no reference counting needed.
   LookupKey lkey(key, kMaxSequenceNumber);
   MemTable* mem = mem_.load(std::memory_order_acquire);
   MemTable* imm = imm_.load(std::memory_order_acquire);
   Status s;
-  if (mem->Get(lkey, value, &s, seq_found)) {
+  if (mem->Get(lkey, value, &s)) {
     return s;
   }
-  if (imm != nullptr && imm->Get(lkey, value, &s, seq_found)) {
+  if (imm != nullptr && imm->Get(lkey, value, &s)) {
     return s;
   }
-  return engine_.Get(options, lkey, value, seq_found);
+  return engine_.Get(ReadOptions(), lkey, value);
 }
 
 Status BaselineDbBase::Get(const ReadOptions& options, const Slice& key, std::string* value) {
   stats_.Bump(stats_.gets_total);
-  PerfContextStartOp(perf_level_);
-  const bool timing = metrics_on_ || attributed_ops_ || tls_perf_context.timers_enabled();
-  const uint64_t t0 = timing ? LatencyClock::Ticks() : 0;
-  SequenceNumber seq;
-  if (options.snapshot != nullptr) {
-    seq = static_cast<const SnapshotImpl*>(options.snapshot)->timestamp();
-  } else {
-    seq = last_sequence_.load(std::memory_order_acquire);
-  }
-  Status s = GetInternal(options, key, value, seq, nullptr);
-  if (metrics_on_) {
-    registry_.Record(OpMetric::kGet, LatencyClock::ToNanos(LatencyClock::Ticks() - t0));
-  }
-  FinishOp(DbOpType::kGet, key, s.ok() ? static_cast<uint32_t>(value->size()) : 0,
-           s.ok() ? OpOutcome::kOk : (s.IsNotFound() ? OpOutcome::kNotFound : OpOutcome::kError),
-           t0, /*stalled=*/false);
-  return s;
-}
-
-namespace {
-struct IterState {
+  const uint64_t t0 = StartOp();
+  const SequenceNumber seq = ReadTimestamp(options, last_sequence_.load(std::memory_order_acquire));
   MemTable* mem;
   MemTable* imm;
-  Version* version;
-};
-
-void CleanupIterState(void* arg1, void* arg2) {
-  IterState* state = reinterpret_cast<IterState*>(arg1);
-  state->mem->Unref();
-  if (state->imm != nullptr) {
-    state->imm->Unref();
-  }
-  if (state->version != nullptr) {
-    state->version->Unref();
-  }
-  delete state;
+  RefComponents(&mem, &imm);
+  return GetPinned(options, key, seq, mem, imm, value, t0);
 }
-}  // namespace
 
 Iterator* BaselineDbBase::NewIterator(const ReadOptions& options) {
   stats_.Bump(stats_.iterators_created);
-  SequenceNumber seq;
-  if (options.snapshot != nullptr) {
-    seq = static_cast<const SnapshotImpl*>(options.snapshot)->timestamp();
-  } else {
-    seq = last_sequence_.load(std::memory_order_acquire);
-  }
-
-  IterState* state = new IterState{nullptr, nullptr, nullptr};
+  const SequenceNumber seq = ReadTimestamp(options, last_sequence_.load(std::memory_order_acquire));
+  IterState* state = new IterState;
   RefComponents(&state->mem, &state->imm);
-  std::vector<Iterator*> children;
-  children.push_back(state->mem->NewIterator());
-  if (state->imm != nullptr) {
-    children.push_back(state->imm->NewIterator());
-  }
-  state->version = engine_.AddVersionIterators(options, &children);
-
-  Iterator* internal =
-      NewMergingIterator(engine_.icmp(), children.data(), static_cast<int>(children.size()));
-  internal->RegisterCleanup(&CleanupIterState, state, nullptr);
-  return NewLatencyRecordingIterator(NewDBIterator(engine_.icmp()->user_comparator(), internal, seq),
-                                     metrics_on_ ? &registry_ : nullptr);
+  state->version = engine_.versions()->GetCurrent();
+  return NewPinnedIterator(options, state, seq);
 }
 
 const Snapshot* BaselineDbBase::GetSnapshot() {
@@ -601,8 +313,6 @@ const Snapshot* BaselineDbBase::GetSnapshot() {
   std::lock_guard<std::mutex> l(mutex_);
   return snapshots_.New(last_sequence_.load(std::memory_order_acquire));
 }
-
-void BaselineDbBase::ReleaseSnapshot(const Snapshot* snapshot) { snapshots_.Release(snapshot); }
 
 Status BaselineDbBase::ReadModifyWrite(const WriteOptions& options, const Slice& key,
                                        const RmwFunction& f, bool* performed) {
@@ -615,17 +325,13 @@ Status BaselineDbBase::ReadModifyWrite(const WriteOptions& options, const Slice&
   if (engine_.bg_error()->writes_blocked()) {
     return engine_.bg_error()->status();
   }
-  PerfContextStartOp(perf_level_);
-  const bool timing = metrics_on_ || attributed_ops_ || tls_perf_context.timers_enabled();
-  const uint64_t t0 = timing ? LatencyClock::Ticks() : 0;
+  const uint64_t t0 = StartOp();
   bool did_write = false;
   uint32_t written_bytes = 0;
   {
     std::lock_guard<std::mutex> l(mutex_);
     std::string current;
-    SequenceNumber seq_found = 0;
-    ReadOptions ro;
-    Status s = GetLatestLocked(ro, key, &current, &seq_found);
+    Status s = GetLatestLocked(key, &current);
     std::optional<Slice> cur;
     if (s.ok()) {
       cur = Slice(current);
@@ -654,112 +360,6 @@ Status BaselineDbBase::ReadModifyWrite(const WriteOptions& options, const Slice&
   FinishOp(DbOpType::kRmw, key, written_bytes,
            did_write ? OpOutcome::kOk : OpOutcome::kNotFound, t0, /*stalled=*/false);
   return Status::OK();
-}
-
-StatsJsonSource BaselineDbBase::StatsSource() {
-  // Compactions are counted by the engine's scheduler; mirror the total
-  // into the legacy counter so every snapshot stays truthful.
-  stats_.compactions.store(engine_.compaction_stats()->TotalCompactions(),
-                           std::memory_order_relaxed);
-  StatsJsonSource src;
-  src.db = Name();
-  src.counters = &stats_;
-  src.registry = &registry_;
-  src.engine = &engine_;
-  src.throttle = throttle_.get();
-  return src;
-}
-
-std::string BaselineDbBase::GetProperty(const Slice& property) {
-  if (property == Slice("clsm.levels")) {
-    return engine_.versions()->LevelSummary();
-  }
-  if (property == Slice("clsm.last-ts")) {
-    return std::to_string(last_sequence_.load());
-  }
-  if (property == Slice("clsm.stats")) {
-    stats_.compactions.store(engine_.compaction_stats()->TotalCompactions(),
-                             std::memory_order_relaxed);
-    return stats_.ToString() + engine_.compaction_stats()->ToString();
-  }
-  if (property == Slice("clsm.stats.json")) {
-    return BuildStatsJson(StatsSource());
-  }
-  if (property == Slice("clsm.perf.json")) {
-    return tls_perf_context.ToJson();
-  }
-  if (property == Slice("clsm.stall-micros")) {
-    return std::to_string(stats_.TotalStallMicros());
-  }
-  if (property == Slice("clsm.l0-files")) {
-    return std::to_string(engine_.NumLevelFiles(0));
-  }
-  if (property == Slice("clsm.write-rate")) {
-    return std::to_string(throttle_->controller()->current_rate());
-  }
-  if (property == Slice("clsm.stats.reset")) {
-    ResetStats();
-    return "OK";
-  }
-  if (property == Slice("clsm.bg-error")) {
-    return engine_.bg_error()->status().ToString();
-  }
-  if (property == Slice("clsm.background-error")) {
-    return engine_.bg_error()->ToString();
-  }
-  if (property == Slice("clsm.admin-port")) {
-    // The bound port (resolves Options::admin_port == 0); -1 if disabled.
-    return std::to_string(admin_ != nullptr ? admin_->port() : -1);
-  }
-  return std::string();
-}
-
-void BaselineDbBase::ResetStats() {
-  stats_.Reset();
-  registry_.Reset();
-  slow_op_limiter_.Reset();
-}
-
-void BaselineDbBase::FinishOp(DbOpType op, const Slice& key, uint32_t value_size,
-                              OpOutcome outcome, uint64_t start_ticks, bool stalled) {
-  if (start_ticks == 0) {
-    return;
-  }
-  const uint64_t total_nanos = LatencyClock::ToNanos(LatencyClock::Ticks() - start_ticks);
-  PerfContext& ctx = tls_perf_context;
-  if (ctx.timers_enabled()) {
-    ctx.total_nanos = total_nanos;
-  }
-  if (!attributed_ops_) {
-    return;
-  }
-  const uint64_t latency_micros = total_nanos / 1000;
-  if (trace_ops_) {
-    OperationInfo info;
-    info.op = op;
-    info.key = key;
-    info.value_size = value_size;
-    info.outcome = outcome;
-    info.latency_micros = latency_micros;
-    engine_.listeners().NotifyOperation(info);
-  }
-  if (slow_op_threshold_nanos_ != 0 && total_nanos >= slow_op_threshold_nanos_) {
-    stats_.Bump(stats_.slow_ops_total);
-    if (slow_op_limiter_.Admit(engine_.env()->NowMicros())) {
-      SlowOpInfo info;
-      info.op = op;
-      info.key_prefix_hash = SlowOpKeyPrefixHash(key);
-      info.latency_micros = latency_micros;
-      info.perf = ctx;
-      info.l0_files = engine_.NumLevelFiles(0);
-      info.stalled = stalled;
-      info.suppressed = slow_op_limiter_.suppressed();
-      engine_.listeners().NotifySlowOperation(info);
-      stats_.Bump(stats_.slow_ops_reported);
-    } else {
-      stats_.Bump(stats_.slow_ops_dropped);
-    }
-  }
 }
 
 void BaselineDbBase::WaitForMaintenance() {

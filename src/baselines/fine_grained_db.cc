@@ -18,6 +18,7 @@ class HyperStyleDb final : public BaselineDbBase {
  public:
   HyperStyleDb(const Options& options, const std::string& dbname)
       : BaselineDbBase(options, dbname) {}
+  ~HyperStyleDb() override { StopBackground(); }
 
   const char* Name() const override { return "hyperleveldb"; }
 
@@ -28,8 +29,6 @@ class HyperStyleDb final : public BaselineDbBase {
   Status Delete(const WriteOptions& options, const Slice& key) override {
     return ConcurrentWrite(options, kTypeDeletion, key, Slice());
   }
-
-  using BaselineDbBase::Init;
 
  private:
   static constexpr int kStripes = 16;
@@ -101,14 +100,7 @@ class HyperStyleDb final : public BaselineDbBase {
 }  // namespace
 
 Status OpenHyperStyleDb(const Options& options, const std::string& dbname, DB** dbptr) {
-  *dbptr = nullptr;
-  auto db = std::make_unique<HyperStyleDb>(options, dbname);
-  Status s = db->Init();
-  if (!s.ok()) {
-    return s;
-  }
-  *dbptr = db.release();
-  return Status::OK();
+  return DbChassis::Open(std::make_unique<HyperStyleDb>(options, dbname), dbptr);
 }
 
 }  // namespace clsm

@@ -16,6 +16,7 @@ class StripedRmwDb final : public BaselineDbBase {
  public:
   StripedRmwDb(const Options& options, const std::string& dbname)
       : BaselineDbBase(options, dbname) {}
+  ~StripedRmwDb() override { StopBackground(); }
 
   const char* Name() const override { return "leveldb-striped-rmw"; }
 
@@ -59,8 +60,6 @@ class StripedRmwDb final : public BaselineDbBase {
     return s;
   }
 
-  using BaselineDbBase::Init;
-
  private:
   static constexpr int kStripes = 256;
 
@@ -72,14 +71,7 @@ class StripedRmwDb final : public BaselineDbBase {
 }  // namespace
 
 Status OpenStripedRmwDb(const Options& options, const std::string& dbname, DB** dbptr) {
-  *dbptr = nullptr;
-  auto db = std::make_unique<StripedRmwDb>(options, dbname);
-  Status s = db->Init();
-  if (!s.ok()) {
-    return s;
-  }
-  *dbptr = db.release();
-  return Status::OK();
+  return DbChassis::Open(std::make_unique<StripedRmwDb>(options, dbname), dbptr);
 }
 
 }  // namespace clsm

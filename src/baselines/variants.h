@@ -1,5 +1,6 @@
 // Open functions for the competitor concurrency architectures (paper §5).
-// Every variant shares cLSM's disk substrate; see baseline_db.h.
+// Every variant shares cLSM's engine chassis and disk substrate; see
+// baseline_db.h.
 #ifndef CLSM_BASELINES_VARIANTS_H_
 #define CLSM_BASELINES_VARIANTS_H_
 
@@ -21,8 +22,9 @@ Status OpenHyperStyleDb(const Options& options, const std::string& dbname, DB** 
 // thread-locally cached metadata. Reads scale; writes do not.
 Status OpenRocksStyleDb(const Options& options, const std::string& dbname, DB** dbptr);
 
-// bLSM: single-writer with a merge scheduler that bounds how long merges
-// may block writes (gentler backpressure than LevelDB's hard stalls).
+// bLSM: a single writer whose merge scheduler bounds how long merges may
+// block writes. The shared write controller plays that role for every
+// variant, so this opens the LevelDB class under the name "blsm".
 Status OpenBlsmStyleDb(const Options& options, const std::string& dbname, DB** dbptr);
 
 // LevelDB + textbook lock-striping RMW (the Fig 9 baseline): every write

@@ -1,7 +1,8 @@
 // EventListener: user-registerable hooks for internal lifecycle events
 // (memtable roll, flush, compaction, write stall, WAL sync), registered via
-// Options::listeners and invoked from ClsmDb, the baselines' shared
-// chassis, StorageEngine and the asynchronous WAL logger.
+// Options::listeners and invoked from the engine chassis shared by ClsmDb
+// and the baselines (src/core/db_chassis.h), StorageEngine and the
+// asynchronous WAL logger.
 //
 // Listener contract (see DESIGN.md "Observability"):
 //  * hooks are invoked synchronously on internal threads (maintenance,

@@ -2,8 +2,9 @@
 // bounds OnSlowOperation dispatch, and a bundled JSONL sink listener so
 // tail outliers self-describe in production without custom listener code.
 //
-// Flow: ClsmDb / the baseline chassis time every public op (whenever
-// Options::slow_op_threshold_micros > 0); an op over the threshold builds
+// Flow: every variant times each public op with the engine chassis's
+// StartOp/FinishOp (src/core/db_chassis.h) whenever
+// Options::slow_op_threshold_micros > 0; an op over the threshold builds
 // a SlowOpInfo (op type, key-prefix hash, latency, PerfContext snapshot,
 // L0/stall state) and — if the limiter admits it — fans it out through
 // ListenerSet::NotifySlowOperation.

@@ -6,8 +6,10 @@
 
 #include "src/lsm/bg_error.h"
 #include "src/obs/op_trace.h"
+#include "src/obs/rpc_stats.h"
 #include "src/obs/slow_op.h"
 #include "src/obs/stats_export.h"
+#include "src/obs/trace_listener.h"
 
 namespace clsm {
 
@@ -44,6 +46,37 @@ Options WithAdminListeners(const Options& options,
     out.listeners.push_back(trace);
   }
   return out;
+}
+
+void RpcAttachment::Attach(std::shared_ptr<RpcServerStats> stats,
+                           std::shared_ptr<TraceEventListener> trace) {
+  std::lock_guard<std::mutex> l(mu_);
+  stats_ = std::move(stats);
+  trace_ = std::move(trace);
+}
+
+RpcServerStats* RpcAttachment::stats() {
+  std::lock_guard<std::mutex> l(mu_);
+  return stats_.get();
+}
+
+void RpcAttachment::AddAdminHooks(AdminHooks* hooks) {
+  hooks->rpctrace_set = [this](uint32_t ppm) {
+    std::lock_guard<std::mutex> l(mu_);
+    if (stats_ == nullptr) {
+      return false;  // no KV service has attached yet
+    }
+    stats_->SetTraceSamplePpm(ppm);
+    return true;
+  };
+  hooks->rpctrace_dump = [this]() -> std::string {
+    std::shared_ptr<TraceEventListener> t;
+    {
+      std::lock_guard<std::mutex> l(mu_);
+      t = trace_;
+    }
+    return t != nullptr ? t->DumpChromeTrace() : std::string();
+  };
 }
 
 AdminServer::AdminServer(AdminHooks hooks)

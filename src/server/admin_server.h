@@ -1,7 +1,7 @@
 // Embedded admin/metrics HTTP endpoint. Enabled per-DB via
-// Options::admin_port; both ClsmDb and the baseline chassis wire one up,
-// so every variant — including the ones used as experimental controls —
-// is scrapable and debuggable the same way.
+// Options::admin_port; the engine chassis (src/core/db_chassis.h) wires
+// one up, so every variant — including the ones used as experimental
+// controls — is scrapable and debuggable the same way.
 //
 // Endpoints (all bodies are small; the server closes each connection):
 //   GET  /                     endpoint index (plain text)
@@ -30,6 +30,7 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "src/server/http_server.h"
@@ -39,8 +40,10 @@
 namespace clsm {
 
 class BackgroundErrorState;
+class RpcServerStats;
 class SlowOpRingListener;
 class TraceController;
+class TraceEventListener;
 
 // Copy of `options` with the admin server's internal listeners appended
 // (per-op listener membership is sampled once at DB open, so the slow-op
@@ -87,6 +90,27 @@ struct AdminHooks {
   // (thread-per-connection); <= 0 means unbounded. Sourced from
   // Options::admin_max_connections by the DB wiring.
   int max_connections = 0;
+};
+
+// The serving-tier handles a KvService attaches to a DB late (see
+// DB::AttachRpcObservability). Only ever replaced, never cleared, so a
+// scrape during service shutdown still renders. Scrape and admin paths
+// only, never op paths.
+class RpcAttachment {
+ public:
+  void Attach(std::shared_ptr<RpcServerStats> stats, std::shared_ptr<TraceEventListener> trace);
+
+  // The attached stats, or null; valid until the next Attach. Renders and
+  // resets consume it synchronously.
+  RpcServerStats* stats();
+
+  // Wires POST /control/rpctrace/* and GET /rpctrace to the attachment.
+  void AddAdminHooks(AdminHooks* hooks);
+
+ private:
+  std::mutex mu_;
+  std::shared_ptr<RpcServerStats> stats_;      // guarded by mu_
+  std::shared_ptr<TraceEventListener> trace_;  // guarded by mu_
 };
 
 class AdminServer {

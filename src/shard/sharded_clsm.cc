@@ -8,7 +8,6 @@
 #include "src/obs/rpc_stats.h"
 #include "src/obs/slow_op.h"
 #include "src/obs/stats_export.h"
-#include "src/obs/trace_listener.h"
 #include "src/table/merging_iterator.h"
 #include "src/util/comparator.h"
 #include "src/util/env.h"
@@ -96,12 +95,10 @@ Status ShardedClsm::StartAdmin(const Options& options) {
   AdminHooks hooks;
   hooks.db_name = name_;
   hooks.stats_json = [this] {
-    std::lock_guard<std::mutex> l(rpc_mu_);
-    return BuildStatsJsonSharded(name_.c_str(), ShardStatsSources(), rpc_stats_.get());
+    return BuildStatsJsonSharded(name_.c_str(), ShardStatsSources(), rpc_.stats());
   };
   hooks.metrics_text = [this] {
-    std::lock_guard<std::mutex> l(rpc_mu_);
-    return BuildStatsPrometheusSharded(name_.c_str(), ShardStatsSources(), rpc_stats_.get());
+    return BuildStatsPrometheusSharded(name_.c_str(), ShardStatsSources(), rpc_.stats());
   };
   // PerfContext is thread-local and process-wide; any member renders the
   // same cross-thread view.
@@ -128,22 +125,7 @@ Status ShardedClsm::StartAdmin(const Options& options) {
   // wrapper's own ring, fed by the serving tier's slow-request records.
   rpc_slow_ring_ = std::make_shared<SlowOpRingListener>();
   hooks.slow_ops = rpc_slow_ring_.get();
-  hooks.rpctrace_set = [this](uint32_t ppm) {
-    std::lock_guard<std::mutex> l(rpc_mu_);
-    if (rpc_stats_ == nullptr) {
-      return false;  // no KV service has attached yet
-    }
-    rpc_stats_->SetTraceSamplePpm(ppm);
-    return true;
-  };
-  hooks.rpctrace_dump = [this]() -> std::string {
-    std::shared_ptr<TraceEventListener> t;
-    {
-      std::lock_guard<std::mutex> l(rpc_mu_);
-      t = rpc_trace_;
-    }
-    return t != nullptr ? t->DumpChromeTrace() : std::string();
-  };
+  rpc_.AddAdminHooks(&hooks);
   hooks.max_connections = options.admin_max_connections;
   admin_ = std::make_unique<AdminServer>(std::move(hooks));
   return admin_->Start(options.admin_bind_address, options.admin_port);
@@ -272,8 +254,7 @@ Status ShardedClsm::ReadModifyWrite(const WriteOptions& options, const Slice& ke
 
 std::string ShardedClsm::GetProperty(const Slice& property) {
   if (property == Slice("clsm.stats.json")) {
-    std::lock_guard<std::mutex> l(rpc_mu_);
-    return BuildStatsJsonSharded(name_.c_str(), ShardStatsSources(), rpc_stats_.get());
+    return BuildStatsJsonSharded(name_.c_str(), ShardStatsSources(), rpc_.stats());
   }
   if (property == Slice("clsm.shard-count")) {
     return std::to_string(shards_.size());
@@ -300,17 +281,14 @@ void ShardedClsm::ResetStats() {
   for (auto& shard : shards_) {
     shard->ResetStats();
   }
-  std::lock_guard<std::mutex> l(rpc_mu_);
-  if (rpc_stats_ != nullptr) {
-    rpc_stats_->Reset();
+  if (RpcServerStats* rpc = rpc_.stats()) {
+    rpc->Reset();
   }
 }
 
 std::shared_ptr<SlowOpRingListener> ShardedClsm::AttachRpcObservability(
     std::shared_ptr<RpcServerStats> stats, std::shared_ptr<TraceEventListener> trace) {
-  std::lock_guard<std::mutex> l(rpc_mu_);
-  rpc_stats_ = std::move(stats);
-  rpc_trace_ = std::move(trace);
+  rpc_.Attach(std::move(stats), std::move(trace));
   return rpc_slow_ring_;  // null when the admin server is off
 }
 

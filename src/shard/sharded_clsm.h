@@ -125,10 +125,8 @@ class ShardedClsm final : public DB {
   // Serving-tier observability, attached late by the KvService fronting
   // this wrapper (the production topology: one service, one sharded DB).
   // The wrapper owns the slow-request ring its /slowops serves — members
-  // keep their own engine rings internal. Guarded by rpc_mu_.
-  std::mutex rpc_mu_;
-  std::shared_ptr<RpcServerStats> rpc_stats_;      // guarded by rpc_mu_
-  std::shared_ptr<TraceEventListener> rpc_trace_;  // guarded by rpc_mu_
+  // keep their own engine rings internal.
+  RpcAttachment rpc_;
   std::shared_ptr<SlowOpRingListener> rpc_slow_ring_;  // non-null iff admin runs
 };
 

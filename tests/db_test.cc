@@ -344,6 +344,20 @@ TEST_P(DbTest, GetProperty) {
   EXPECT_FALSE(db_->GetProperty("clsm.levels").empty());
   EXPECT_TRUE(db_->GetProperty("no.such.property").empty());
   EXPECT_NE(nullptr, db_->Name());
+  // Every variant answers the same numeric properties from the shared
+  // chassis.
+  for (const char* property :
+       {"clsm.mem-usage", "clsm.compactions-inflight", "clsm.compaction-overlaps"}) {
+    const std::string answer = db_->GetProperty(property);
+    EXPECT_FALSE(answer.empty()) << property;
+    EXPECT_EQ(answer.find_first_not_of("0123456789"), std::string::npos)
+        << property << " = " << answer;
+  }
+  EXPECT_GT(std::stoull(db_->GetProperty("clsm.mem-usage")), 0u);
+  // Retired spelling: clsm.background-error carries the same status plus
+  // its reason and severity.
+  EXPECT_TRUE(db_->GetProperty("clsm.bg-error").empty());
+  EXPECT_FALSE(db_->GetProperty("clsm.background-error").empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, DbTest, ::testing::ValuesIn(AllVariants()),

@@ -496,6 +496,27 @@ TEST_P(StatsJsonTest, IteratorAndRmwSeriesRecord) {
   EXPECT_EQ(NumberAt(json, "\"counters\"", "rmw_total"), 1);
 }
 
+// A KvService attaches its request stats late; every variant exports them
+// as the "rpc" block and zeroes them with the rest of the interval state.
+TEST_P(StatsJsonTest, AttachedRpcStatsExportAndReset) {
+  Options options;
+  std::unique_ptr<DB> db = OpenFresh(options);
+  auto rpc = std::make_shared<RpcServerStats>();
+  db->AttachRpcObservability(rpc, nullptr);
+  rpc->RecordRequest(RpcOp::kGet, RpcStatusClass::kOk, 1000, 20, 300);
+
+  std::string json = db->GetProperty("clsm.stats.json");
+  JsonChecker checker(json);
+  EXPECT_TRUE(checker.Valid()) << json;
+  ASSERT_NE(json.find("\"rpc\":{"), std::string::npos) << json;
+  EXPECT_EQ(NumberAt(json, "\"rpc\":{", "requests_total"), 1);
+
+  db->ResetStats();
+  EXPECT_EQ(rpc->TotalRequests(), 0u);
+  json = db->GetProperty("clsm.stats.json");
+  EXPECT_EQ(NumberAt(json, "\"rpc\":{", "requests_total"), 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllVariants, StatsJsonTest,
                          ::testing::Values(DbVariant::kClsm, DbVariant::kLevelDb,
                                            DbVariant::kRocksDb, DbVariant::kHyperLevelDb),

@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <barrier>
 #include <memory>
 #include <string>
 #include <thread>
@@ -32,25 +33,49 @@ struct U64Comparator {
   }
 };
 
+// Inserts go into a fresh list every kListEntries inserts, as a memtable is
+// replaced once it fills, so the per-insert cost is measured at memtable
+// scale rather than at whatever size one ever-growing list reaches by the
+// end of the run. The threads swap lists at a barrier.
+constexpr int kListEntries = 16384;
+
+struct InsertTarget {
+  ConcurrentArena arena;
+  ConcurrentSkipList<const char*, U64Comparator> list{U64Comparator(), &arena};
+};
+InsertTarget* insert_target = nullptr;
+
+void RefreshInsertTarget() noexcept {
+  delete insert_target;
+  insert_target = new InsertTarget;
+}
+
 void BM_SkipListInsert(benchmark::State& state) {
-  static ConcurrentArena* arena = nullptr;
-  static ConcurrentSkipList<const char*, U64Comparator>* list = nullptr;
-  static std::atomic<uint64_t>* counter = nullptr;
+  using RefreshBarrier = std::barrier<void (*)() noexcept>;
+  static RefreshBarrier* refresh = nullptr;
+  static std::atomic<uint64_t> counter{0};
   if (state.thread_index() == 0) {
-    arena = new ConcurrentArena;
-    list = new ConcurrentSkipList<const char*, U64Comparator>(U64Comparator(), arena);
-    counter = new std::atomic<uint64_t>(0);
+    RefreshInsertTarget();
+    refresh = new RefreshBarrier(state.threads(), RefreshInsertTarget);
   }
+  // Every thread runs the same iteration count, so all reach each barrier.
+  const int per_list = kListEntries / state.threads();
+  int inserted = 0;
   for (auto _ : state) {
-    uint64_t v = counter->fetch_add(1, std::memory_order_relaxed);
-    char* key = arena->AllocateAligned(8);
+    InsertTarget* target = insert_target;
+    uint64_t v = counter.fetch_add(1, std::memory_order_relaxed);
+    char* key = target->arena.AllocateAligned(8);
     EncodeFixed64(key, v * 2654435761u);  // scatter
-    list->Insert(key);
+    target->list.Insert(key);
+    if (++inserted == per_list) {
+      inserted = 0;
+      refresh->arrive_and_wait();
+    }
   }
   if (state.thread_index() == 0) {
-    delete list;
-    delete arena;
-    delete counter;
+    delete refresh;
+    delete insert_target;
+    insert_target = nullptr;
   }
 }
 BENCHMARK(BM_SkipListInsert)->ThreadRange(1, 8)->UseRealTime();

@@ -1,102 +1,50 @@
 #include "src/arena/arena.h"
 
+#include <sys/mman.h>
+
 #include <cstdlib>
-#include <new>
 
 namespace clsm {
 
 namespace {
-constexpr size_t kBlockSize = 4096 * 64;  // 256 KiB chunks amortize malloc
+// A standard chunk is one 64-page mapping, header included: 256 KiB amortizes
+// the mmap call and the install race over thousands of memtable entries.
+constexpr size_t kPageBytes = 4096;
+constexpr size_t kChunkBytes = 64 * kPageBytes;
 }  // namespace
 
-Arena::Arena()
-    : alloc_ptr_(nullptr), alloc_bytes_remaining_(0), block_list_head_(nullptr), memory_usage_(0) {}
-
-Arena::~Arena() {
-  void* p = block_list_head_;
-  while (p != nullptr) {
-    void* next = *reinterpret_cast<void**>(p);
-    free(p);
-    p = next;
-  }
-}
-
-char* Arena::Allocate(size_t bytes) {
-  assert(bytes > 0);
-  if (bytes <= alloc_bytes_remaining_) {
-    char* result = alloc_ptr_;
-    alloc_ptr_ += bytes;
-    alloc_bytes_remaining_ -= bytes;
-    return result;
-  }
-  return AllocateFallback(bytes);
-}
-
-char* Arena::AllocateAligned(size_t bytes) {
-  const size_t align = alignof(std::max_align_t) > 8 ? 8 : alignof(std::max_align_t);
-  size_t current_mod = reinterpret_cast<uintptr_t>(alloc_ptr_) & (align - 1);
-  size_t slop = (current_mod == 0 ? 0 : align - current_mod);
-  size_t needed = bytes + slop;
-  char* result;
-  if (needed <= alloc_bytes_remaining_) {
-    result = alloc_ptr_ + slop;
-    alloc_ptr_ += needed;
-    alloc_bytes_remaining_ -= needed;
-  } else {
-    result = AllocateFallback(bytes);  // fresh blocks are malloc-aligned
-  }
-  assert((reinterpret_cast<uintptr_t>(result) & (align - 1)) == 0);
-  return result;
-}
-
-char* Arena::AllocateFallback(size_t bytes) {
-  if (bytes > kBlockSize / 4) {
-    // Large objects get their own block so we do not waste the rest of the
-    // current block.
-    return AllocateNewBlock(bytes);
-  }
-  char* block = AllocateNewBlock(kBlockSize);
-  alloc_ptr_ = block + bytes;
-  alloc_bytes_remaining_ = kBlockSize - bytes;
-  return block;
-}
-
-char* Arena::AllocateNewBlock(size_t block_bytes) {
-  size_t total = block_bytes + sizeof(void*);
-  char* raw = static_cast<char*>(malloc(total));
-  if (raw == nullptr) {
-    abort();
-  }
-  *reinterpret_cast<void**>(raw) = block_list_head_;
-  block_list_head_ = raw;
-  memory_usage_.fetch_add(total, std::memory_order_relaxed);
-  return raw + sizeof(void*);
-}
-
 ConcurrentArena::ConcurrentArena() : memory_usage_(0) {
-  current_.store(NewChunk(kBlockSize, nullptr), std::memory_order_relaxed);
+  current_.store(NewChunk(0, nullptr), std::memory_order_relaxed);
 }
 
 ConcurrentArena::~ConcurrentArena() {
   Chunk* c = current_.load(std::memory_order_relaxed);
   while (c != nullptr) {
     Chunk* next = c->next;
-    free(c);
+    DeleteChunk(c);
     c = next;
   }
 }
 
-ConcurrentArena::Chunk* ConcurrentArena::NewChunk(size_t capacity, Chunk* next) {
-  void* raw = malloc(sizeof(Chunk) + capacity);
-  if (raw == nullptr) {
+ConcurrentArena::Chunk* ConcurrentArena::NewChunk(size_t min_capacity, Chunk* next) {
+  size_t map_bytes = kChunkBytes;
+  if (sizeof(Chunk) + min_capacity > map_bytes) {
+    // Oversized allocations get a mapping of their own, rounded up to whole
+    // pages; the rounding slack stays usable by later allocations.
+    map_bytes = (sizeof(Chunk) + min_capacity + kPageBytes - 1) / kPageBytes * kPageBytes;
+  }
+  void* raw = mmap(nullptr, map_bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (raw == MAP_FAILED) {
     abort();
   }
   Chunk* c = static_cast<Chunk*>(raw);
   c->offset.store(0, std::memory_order_relaxed);
-  c->capacity = capacity;
+  c->capacity = map_bytes - sizeof(Chunk);
   c->next = next;
   return c;
 }
+
+void ConcurrentArena::DeleteChunk(Chunk* c) { munmap(c, sizeof(Chunk) + c->capacity); }
 
 char* ConcurrentArena::AllocateAligned(size_t bytes) {
   assert(bytes > 0);
@@ -112,13 +60,12 @@ char* ConcurrentArena::AllocateAligned(size_t bytes) {
     if (off + bytes <= c->capacity) {
       return c->data() + off;
     }
-    // Chunk exhausted: race to install a replacement. The loser frees its
+    // Chunk exhausted: race to install a replacement. The loser unmaps its
     // candidate and retries in the winner's chunk.
-    size_t cap = bytes > kBlockSize ? bytes : kBlockSize;
-    Chunk* fresh = NewChunk(cap, c);
+    Chunk* fresh = NewChunk(bytes, c);
     Chunk* expected = c;
     if (!current_.compare_exchange_strong(expected, fresh, std::memory_order_acq_rel)) {
-      free(fresh);
+      DeleteChunk(fresh);
     }
   }
 }

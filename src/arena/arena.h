@@ -1,11 +1,13 @@
-// Memory arenas backing the in-memory component.
+// Memory arena backing the in-memory component.
 //
 // ConcurrentArena is the non-blocking allocator the paper's implementation
 // section calls for (§4, citing Michael's scalable lock-free allocation):
 // allocation is a fetch_add bump inside the current chunk; chunk exhaustion
 // is handled by a CAS race to install a fresh chunk, so no allocating thread
-// ever blocks on another. All memory is released at arena destruction, which
-// matches memtable lifetime (a memtable dies wholesale after its merge).
+// ever blocks on another. Chunks are mapped straight from the OS with mmap
+// and unmapped at arena destruction, which matches memtable lifetime (a
+// memtable dies wholesale after its merge): a retired memtable's memory goes
+// back to the OS instead of staying resident in the process allocator.
 #ifndef CLSM_ARENA_ARENA_H_
 #define CLSM_ARENA_ARENA_H_
 
@@ -15,32 +17,6 @@
 #include <cstdint>
 
 namespace clsm {
-
-// Single-threaded arena (used by baselines whose writes are serialized).
-class Arena {
- public:
-  Arena();
-  ~Arena();
-
-  Arena(const Arena&) = delete;
-  Arena& operator=(const Arena&) = delete;
-
-  char* Allocate(size_t bytes);
-  // Aligned to pointer size; required for nodes holding std::atomic fields.
-  char* AllocateAligned(size_t bytes);
-
-  size_t MemoryUsage() const { return memory_usage_.load(std::memory_order_relaxed); }
-
- private:
-  char* AllocateFallback(size_t bytes);
-  char* AllocateNewBlock(size_t block_bytes);
-
-  char* alloc_ptr_;
-  size_t alloc_bytes_remaining_;
-  // Chunks are threaded through their first pointer-sized bytes.
-  void* block_list_head_;
-  std::atomic<size_t> memory_usage_;
-};
 
 // Lock-free multi-producer arena.
 class ConcurrentArena {
@@ -58,15 +34,18 @@ class ConcurrentArena {
   size_t MemoryUsage() const { return memory_usage_.load(std::memory_order_relaxed); }
 
  private:
+  // Header at the start of each mapping; the data follows it, up to the end
+  // of the mapping (sizeof(Chunk) + capacity bytes, a whole number of pages).
   struct Chunk {
     std::atomic<size_t> offset;
     size_t capacity;
     Chunk* next;  // previous chunk in the retained list
-    // data follows
     char* data() { return reinterpret_cast<char*>(this) + sizeof(Chunk); }
   };
 
-  static Chunk* NewChunk(size_t capacity, Chunk* next);
+  // Maps a chunk whose data holds at least min_capacity bytes.
+  static Chunk* NewChunk(size_t min_capacity, Chunk* next);
+  static void DeleteChunk(Chunk* c);
 
   std::atomic<Chunk*> current_;
   std::atomic<size_t> memory_usage_;

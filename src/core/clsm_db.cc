@@ -180,26 +180,26 @@ Status ClsmDb::Commit(const WriteOptions& options, DbOpType op, const Op* ops, s
   }
   const uint64_t t2 = (metrics_on_ || pt) ? LatencyClock::Ticks() : 0;
   s = LogAndRelease(options, first, ops, n);
-  if (metrics_on_ || pt) {
-    const uint64_t t3 = LatencyClock::Ticks();
-    if (metrics_on_) {
-      registry_.Record(OpMetric::kMemInsert, LatencyClock::ToNanos(t2 - t1));
-      registry_.Record(OpMetric::kWalAppend, LatencyClock::ToNanos(t3 - t2));
-      if (!batch) {
-        registry_.Record(op == DbOpType::kPut ? OpMetric::kPut : OpMetric::kDelete,
-                         LatencyClock::ToNanos(t3 - t0));
-      }
-    }
-    if (pt) {
-      PerfContext& ctx = tls_perf_context;
-      ctx.throttle_nanos += LatencyClock::ToNanos(pt_a - t0);
-      ctx.lock_getts_nanos += LatencyClock::ToNanos(t1 - pt_a);
-      ctx.mem_insert_nanos += LatencyClock::ToNanos(t2 - t1);
-      ctx.wal_append_nanos += LatencyClock::ToNanos(t3 - t2);
-    }
+  const uint64_t t3 = (metrics_on_ || pt) ? LatencyClock::Ticks() : 0;
+  if (pt) {
+    PerfContext& ctx = tls_perf_context;
+    ctx.throttle_nanos += LatencyClock::ToNanos(pt_a - t0);
+    ctx.lock_getts_nanos += LatencyClock::ToNanos(t1 - pt_a);
+    ctx.mem_insert_nanos += LatencyClock::ToNanos(t2 - t1);
+    ctx.wal_append_nanos += LatencyClock::ToNanos(t3 - t2);
   }
+  // FinishOp closes total_nanos right after t3; the histograms are recorded
+  // after it so that their cost stays outside the op's attributed total.
   FinishOp(op, trace_key, trace_bytes, s.ok() ? OpOutcome::kOk : OpOutcome::kError, t0,
            op_stalled);
+  if (metrics_on_) {
+    registry_.Record(OpMetric::kMemInsert, LatencyClock::ToNanos(t2 - t1));
+    registry_.Record(OpMetric::kWalAppend, LatencyClock::ToNanos(t3 - t2));
+    if (!batch) {
+      registry_.Record(op == DbOpType::kPut ? OpMetric::kPut : OpMetric::kDelete,
+                       LatencyClock::ToNanos(t3 - t0));
+    }
+  }
   return s;
 }
 

@@ -28,6 +28,10 @@ class MemTable : public RefCounted {
   size_t ApproximateMemoryUsage() const { return arena_.MemoryUsage(); }
   size_t NumEntries() const { return table_.ApproxCount(); }
 
+  // The skip list's structure checker (ConcurrentSkipList::CheckStructure):
+  // "" when sound. For tests; call only while no Add is in flight.
+  std::string CheckStructure() const { return table_.CheckStructure(); }
+
   // Iterator over internal keys (for flush-to-disk and snapshot scans).
   // The caller must hold a reference to the memtable for the iterator's
   // lifetime. Weakly consistent under concurrent Adds.

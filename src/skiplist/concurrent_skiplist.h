@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdlib>
+#include <string>
 
 #include "src/arena/arena.h"
 #include "src/obs/perf_context.h"
@@ -58,6 +59,14 @@ class ConcurrentSkipList {
 
   // Approximate number of entries (maintained with relaxed increments).
   size_t ApproxCount() const { return count_.load(std::memory_order_relaxed); }
+
+  // Structure checker for tests; call only while no insert is in flight.
+  // Verifies that every level is strictly sorted, that levels at or above
+  // the current max height are empty, that every upper level is a sub-list
+  // of the level below, and that the bottom list holds ApproxCount()
+  // entries. Returns "" when all hold, else a description of the first
+  // violation. O(n * kMaxHeight); nothing on the op path calls it.
+  std::string CheckStructure() const;
 
   // Weakly consistent iterator over the bottom list.
   class Iterator {
@@ -114,16 +123,21 @@ class ConcurrentSkipList {
     return (n != nullptr) && (compare_(n->key, key) < 0);
   }
 
-  // Returns first node >= key; fills prev[0..max_height-1] when non-null.
+  // Returns first node >= key; fills prev[0..max_height-1] when non-null,
+  // with max_height read once at the start of the descent. prev[level] is
+  // the last node at that level whose key is < key (or head_).
   Node* FindGreaterOrEqual(const Key& key, Node** prev) const;
   Node* FindLessThan(const Key& key) const;
   Node* FindLast() const;
 
   int GetMaxHeight() const { return max_height_.load(std::memory_order_acquire); }
 
-  // Links node x (of height `height`) into levels [from_level, height) with
-  // CAS, recomputing splices on contention.
-  void LinkUpperLevels(Node* x, int height, int from_level);
+  // Links node x (of height `height`, already linked at level 0) into
+  // levels [1, height) with CAS. Each level's walk starts at prev[level],
+  // the predecessor the level-0 descent recorded: nodes are never unlinked,
+  // so it stays in that level and stays below x's key, and the walk is
+  // O(1) expected per level. A lost CAS re-walks from the same predecessor.
+  void LinkUpperLevels(Node* x, int height, Node* const* prev);
 
   Comparator const compare_;
   ConcurrentArena* const arena_;
@@ -255,19 +269,19 @@ ConcurrentSkipList<Key, Comparator>::FindLast() const {
 }
 
 template <typename Key, class Comparator>
-void ConcurrentSkipList<Key, Comparator>::LinkUpperLevels(Node* x, int height, int from_level) {
-  for (int level = from_level; level < height; level++) {
+void ConcurrentSkipList<Key, Comparator>::LinkUpperLevels(Node* x, int height, Node* const* prev) {
+  for (int level = 1; level < height; level++) {
+    Node* pred = prev[level];
     while (true) {
-      // Recompute the splice at this level; concurrent inserts may have
-      // changed it.
-      Node* prev = head_;
-      Node* next = prev->Next(level);
+      // Advance past nodes spliced in since the descent; concurrent inserts
+      // only ever add nodes, so the splice lies at or after pred.
+      Node* next = pred->Next(level);
       while (KeyIsAfterNode(x->key, next)) {
-        prev = next;
-        next = prev->Next(level);
+        pred = next;
+        next = pred->Next(level);
       }
       x->NoBarrierSetNext(level, next);
-      if (prev->CasNext(level, next, x)) {
+      if (pred->CasNext(level, next, x)) {
         break;
       }
     }
@@ -287,8 +301,9 @@ void ConcurrentSkipList<Key, Comparator>::Insert(const Key& key) {
 
   Node* x = NewNode(key, height);
   // Bottom level first: once level 0 is linked the key is logically present.
+  // The max height was raised above, so the descent fills prev[0..height).
+  Node* prev[kMaxHeight];
   while (true) {
-    Node* prev[kMaxHeight];
     Node* succ = FindGreaterOrEqual(key, prev);
     assert(succ == nullptr || !Equal(key, succ->key));  // duplicates forbidden
     x->NoBarrierSetNext(0, succ);
@@ -297,14 +312,19 @@ void ConcurrentSkipList<Key, Comparator>::Insert(const Key& key) {
     }
     // Lost a race at the splice point; retry from a fresh search.
   }
-  LinkUpperLevels(x, height, 1);
+  LinkUpperLevels(x, height, prev);
   count_.fetch_add(1, std::memory_order_relaxed);
 }
 
 template <typename Key, class Comparator>
 template <typename ConflictFn>
 bool ConcurrentSkipList<Key, Comparator>::InsertIfNoConflict(const Key& key, ConflictFn conflict) {
+  // The search runs before the max height is raised below, so it fills only
+  // the levels that existed then; the levels above start from head_.
   Node* prev[kMaxHeight];
+  for (int i = 0; i < kMaxHeight; i++) {
+    prev[i] = head_;
+  }
   Node* succ = FindGreaterOrEqual(key, prev);
   const bool prev_is_head = (prev[0] == head_);
   const Key prev_key = prev_is_head ? Key() : prev[0]->key;
@@ -331,9 +351,46 @@ bool ConcurrentSkipList<Key, Comparator>::InsertIfNoConflict(const Key& key, Con
     // The node was never published; its arena storage is simply abandoned.
     return false;
   }
-  LinkUpperLevels(x, height, 1);
+  LinkUpperLevels(x, height, prev);
   count_.fetch_add(1, std::memory_order_relaxed);
   return true;
+}
+
+template <typename Key, class Comparator>
+std::string ConcurrentSkipList<Key, Comparator>::CheckStructure() const {
+  const int max_height = GetMaxHeight();
+  for (int level = 0; level < kMaxHeight; level++) {
+    const std::string at = "level " + std::to_string(level) + ": ";
+    Node* n = head_->Next(level);
+    if (level >= max_height && n != nullptr) {
+      return at + "non-empty at or above max height " + std::to_string(max_height);
+    }
+    // `below` walks level-1 in step; every node of this level must be met
+    // there, in order, for the level to be a sub-list of the one below.
+    Node* below = level > 0 ? head_->Next(level - 1) : nullptr;
+    size_t length = 0;
+    for (Node* prev = nullptr; n != nullptr; prev = n, n = n->Next(level)) {
+      length++;
+      if (prev != nullptr && compare_(prev->key, n->key) >= 0) {
+        return at + "not strictly sorted at position " + std::to_string(length - 1);
+      }
+      if (level > 0) {
+        while (below != nullptr && below != n && compare_(below->key, n->key) < 0) {
+          below = below->Next(level - 1);
+        }
+        if (below != n) {
+          return at + "node at position " + std::to_string(length - 1) +
+                 " missing from the level below";
+        }
+        below = below->Next(level - 1);
+      }
+    }
+    if (level == 0 && length != ApproxCount()) {
+      return at + "length " + std::to_string(length) + " != ApproxCount() " +
+             std::to_string(ApproxCount());
+    }
+  }
+  return "";
 }
 
 template <typename Key, class Comparator>

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdio>
 #include <cstring>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -12,11 +14,11 @@
 namespace clsm {
 namespace {
 
-TEST(ArenaTest, Empty) { Arena arena; }
-
-TEST(ArenaTest, ManyAllocations) {
+// Mixed sizes (mostly tiny, some up to 6000 bytes, a few large) through
+// both entry points; every byte keeps the value written into it.
+TEST(ConcurrentArenaTest, ManyAllocations) {
   std::vector<std::pair<size_t, char*>> allocated;
-  Arena arena;
+  ConcurrentArena arena;
   const int N = 100000;
   size_t bytes = 0;
   Random rnd(301);
@@ -99,6 +101,57 @@ TEST(ConcurrentArenaTest, ConcurrentDisjointness) {
       }
     }
   }
+}
+
+size_t ResidentBytes() {
+  FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) {
+    return 0;
+  }
+  unsigned long size_pages = 0;
+  unsigned long resident_pages = 0;
+  const int n = std::fscanf(f, "%lu %lu", &size_pages, &resident_pages);
+  std::fclose(f);
+  return n == 2 ? resident_pages * static_cast<size_t>(sysconf(_SC_PAGESIZE)) : 0;
+}
+
+// A retired memtable's memory goes back to the OS: destroying a filled
+// arena must shrink the process's resident set by about the arena's size,
+// also after earlier arenas have come and gone (as in a long-running store,
+// where a process allocator would keep freed chunks for reuse).
+TEST(ConcurrentArenaTest, DestructionReturnsMemoryToOs) {
+  if (ResidentBytes() == 0) {
+    GTEST_SKIP() << "/proc/self/statm unavailable";
+  }
+  constexpr size_t kArenaBytes = 32u << 20;
+  constexpr size_t kMinDrop = 24u << 20;
+  constexpr int kThreads = 4;
+  auto fill = [](ConcurrentArena* arena, size_t total) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; t++) {
+      threads.emplace_back([arena, total, t] {
+        Random rnd(7 + t);
+        while (arena->MemoryUsage() < total) {
+          const size_t n = 16 + rnd.Uniform(400);
+          memset(arena->AllocateAligned(n), t + 1, n);  // make the pages resident
+        }
+      });
+    }
+    for (auto& th : threads) {
+      th.join();
+    }
+  };
+  {
+    ConcurrentArena earlier;
+    fill(&earlier, 1u << 20);
+  }
+  auto* arena = new ConcurrentArena;
+  fill(arena, kArenaBytes);
+  const size_t filled = ResidentBytes();
+  delete arena;
+  const size_t after = ResidentBytes();
+  EXPECT_GE(filled, after + kMinDrop) << "resident " << (filled >> 20) << " MiB with the arena, "
+                                      << (after >> 20) << " MiB after destroying it";
 }
 
 }  // namespace

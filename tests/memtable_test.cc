@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/lsm/memtable.h"
 
@@ -193,6 +196,97 @@ TEST_F(MemTableTest, ConcurrentConditionalInsertLosesNoUpdate) {
   GetResult r = Get("counter", kMaxSequenceNumber);
   ASSERT_TRUE(r.found);
   EXPECT_EQ(kThreads * kIncrementsPerThread, std::stoi(r.value));
+}
+
+// Concurrent storm over every mutating path, then the skip list's structure
+// check: plain Adds of distinct keys, Algorithm-3 increments of a few hot
+// counters (each round also makes one deliberately stale attempt, which
+// must conflict), and weakly consistent scans throughout.
+TEST_F(MemTableTest, ConcurrentStormKeepsStructure) {
+  constexpr int kAdders = 4;
+  constexpr int kRmwThreads = 4;
+  constexpr int kScanners = 2;
+  constexpr int kPerAdder = 3000;
+  constexpr int kRmwRounds = 500;
+  constexpr int kHotKeys = 2;
+  std::atomic<uint64_t> ts{0};
+  auto hot_key = [](int h) { return "hot-" + std::to_string(h); };
+  for (int h = 0; h < kHotKeys; h++) {
+    mem_->Add(ts.fetch_add(1) + 1, kTypeValue, hot_key(h), "0");
+  }
+
+  std::atomic<int> stale_wins{0};
+  std::atomic<bool> done{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kAdders; t++) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerAdder; i++) {
+        mem_->Add(ts.fetch_add(1) + 1, kTypeValue,
+                  "key-" + std::to_string(t) + "-" + std::to_string(i), "v");
+      }
+    });
+  }
+  for (int t = 0; t < kRmwThreads; t++) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRmwRounds; i++) {
+        const std::string key = hot_key((i + t) % kHotKeys);
+        while (true) {
+          GetResult r{false, Status::OK(), "", 0};
+          LookupKey lkey(key, kMaxSequenceNumber);
+          r.found = mem_->Get(lkey, &r.value, &r.status, &r.seq);
+          ASSERT_TRUE(r.found);
+          if (mem_->AddIfNoConflict(ts.fetch_add(1) + 1, kTypeValue, key,
+                                    std::to_string(std::stoi(r.value) + 1), r.seq)) {
+            break;
+          }
+        }
+        // Forced conflict: read_seq 0 claims the key was absent, but its
+        // first version has been present since before the storm.
+        if (mem_->AddIfNoConflict(ts.fetch_add(1) + 1, kTypeValue, key, "stale", 0)) {
+          stale_wins.fetch_add(1);
+        }
+      }
+    });
+  }
+  std::vector<std::thread> scanners;
+  for (int t = 0; t < kScanners; t++) {
+    scanners.emplace_back([&] {
+      do {
+        std::unique_ptr<Iterator> iter(mem_->NewIterator());
+        std::string last;
+        int hot_seen = 0;
+        for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+          const std::string k = iter->key().ToString();
+          ASSERT_TRUE(last.empty() || icmp_.Compare(last, k) < 0) << "scan out of order";
+          if (ExtractUserKey(iter->key()).starts_with("hot-") &&
+              (last.empty() || ExtractUserKey(Slice(last)) != ExtractUserKey(iter->key()))) {
+            hot_seen++;
+          }
+          last = k;
+        }
+        ASSERT_EQ(kHotKeys, hot_seen) << "scan missed a stable hot key";
+      } while (!done.load());
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  done = true;
+  for (auto& th : scanners) {
+    th.join();
+  }
+
+  EXPECT_EQ(0, stale_wins.load()) << "a stale conditional insert went in";
+  EXPECT_EQ("", mem_->CheckStructure());
+  int total = 0;
+  for (int h = 0; h < kHotKeys; h++) {
+    GetResult r = Get(hot_key(h), kMaxSequenceNumber);
+    ASSERT_TRUE(r.found);
+    total += std::stoi(r.value);
+  }
+  EXPECT_EQ(kRmwThreads * kRmwRounds, total) << "an increment was lost";
+  EXPECT_EQ(static_cast<size_t>(kHotKeys + kAdders * kPerAdder + kRmwThreads * kRmwRounds),
+            mem_->NumEntries());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <set>
 #include <thread>
 #include <vector>
@@ -30,6 +32,18 @@ struct U64Comparator {
 };
 
 typedef ConcurrentSkipList<const char*, U64Comparator> TestList;
+
+// U64Comparator that counts its calls; the list holds a copy of the
+// comparator, so the count lives behind a pointer.
+struct CountingComparator {
+  uint64_t* calls;
+  int operator()(const char* a, const char* b) const {
+    ++*calls;
+    return U64Comparator()(a, b);
+  }
+};
+
+uint64_t GroupOf(const char* key) { return DecodeFixed64(key) >> 32; }
 
 class SkipListTest : public ::testing::Test {
  protected:
@@ -69,6 +83,7 @@ TEST_F(SkipListTest, InsertAndLookup) {
     }
   }
   EXPECT_EQ(keys.size(), list.ApproxCount());
+  EXPECT_EQ("", list.CheckStructure());
 
   for (uint64_t i = 0; i < R; i++) {
     EXPECT_EQ(keys.count(i) == 1, list.Contains(MakeKey(i))) << i;
@@ -131,6 +146,7 @@ TEST_F(SkipListTest, ConcurrentInsertAllVisible) {
     th.join();
   }
   EXPECT_EQ(static_cast<size_t>(kThreads * kPerThread), list.ApproxCount());
+  EXPECT_EQ("", list.CheckStructure());
 
   // Every key present, in exact sorted order with no gaps.
   TestList::Iterator iter(&list);
@@ -249,6 +265,166 @@ TEST_F(SkipListTest, ConditionalInsertRaceOneWinner) {
     }
     ASSERT_LE(winners.load(), 1) << "two conditional inserts won the same race";
     ASSERT_EQ(winners.load() == 1 ? 1u : 0u, list.ApproxCount());
+  }
+}
+
+// Concurrent storm over every mutating path, then a full structure check:
+// plain inserts of distinct keys, Algorithm-3 conditional inserts on a few
+// hot keys with forced conflicts, and weakly consistent scans throughout.
+// Hot-key entries are (group << 32 | version); a conditional insert
+// conflicts when its successor belongs to the same group, i.e. when a newer
+// version of that hot key is already present.
+TEST_F(SkipListTest, ConcurrentStormKeepsStructure) {
+  TestList list(U64Comparator(), &arena_);
+  constexpr int kInserters = 4;
+  constexpr int kRmwThreads = 4;
+  constexpr int kScanners = 2;
+  constexpr uint64_t kPerInserter = 5000;
+  constexpr int kRmwRounds = 1000;
+  constexpr uint64_t kHotGroups = 2;
+  constexpr uint64_t kStable = 1000;  // present before and after the storm
+  // Plain keys live in group 0, hot keys in groups 1..kHotGroups.
+  for (uint64_t i = 0; i < kStable; i++) {
+    list.Insert(MakeKey(i * 2));
+  }
+  auto same_group_successor = [](const char* key) {
+    return [key](const char*, bool, const char* succ, bool succ_at_end) {
+      return !succ_at_end && GroupOf(succ) == GroupOf(key);
+    };
+  };
+
+  std::atomic<uint64_t> version{1};
+  std::atomic<int> forced_conflicts_lost{0};
+  std::atomic<bool> done{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kInserters; t++) {
+    threads.emplace_back([&, t] {
+      for (uint64_t i = 0; i < kPerInserter; i++) {
+        // Odd keys interleave with the stable even ones.
+        list.Insert(MakeKey((kStable + i * kInserters + t) * 2 + 1));
+      }
+    });
+  }
+  for (int t = 0; t < kRmwThreads; t++) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRmwRounds; i++) {
+        const uint64_t group = 1 + (i + t) % kHotGroups;
+        const uint64_t older = version.fetch_add(1);
+        // Algorithm 3: on a conflict or a lost CAS, retry with a fresh version.
+        while (true) {
+          const char* newer_key = MakeKey(group << 32 | version.fetch_add(1));
+          if (list.InsertIfNoConflict(newer_key, same_group_successor(newer_key))) {
+            break;
+          }
+        }
+        // Forced conflict: a newer version of the group is now present, so
+        // the successor of `older` is always in the group.
+        const char* older_key = MakeKey(group << 32 | older);
+        if (list.InsertIfNoConflict(older_key, same_group_successor(older_key))) {
+          forced_conflicts_lost.fetch_add(1);
+        }
+      }
+    });
+  }
+  std::atomic<int> scans{0};
+  std::vector<std::thread> scanners;
+  for (int t = 0; t < kScanners; t++) {
+    scanners.emplace_back([&] {
+      do {
+        TestList::Iterator iter(&list);
+        iter.SeekToFirst();
+        uint64_t next_stable = 0;
+        uint64_t last = 0;
+        bool first = true;
+        for (; iter.Valid(); iter.Next()) {
+          const uint64_t k = DecodeFixed64(iter.key());
+          ASSERT_TRUE(first || last < k) << "scan out of order at " << k;
+          first = false;
+          last = k;
+          if (k < kStable * 2 && (k & 1) == 0) {
+            ASSERT_EQ(next_stable, k) << "scan missed a stable element";
+            next_stable += 2;
+          }
+        }
+        ASSERT_EQ(kStable * 2, next_stable);
+        scans.fetch_add(1);
+      } while (!done.load());
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  done = true;
+  for (auto& th : scanners) {
+    th.join();
+  }
+
+  EXPECT_EQ(0, forced_conflicts_lost.load()) << "a stale conditional insert went in";
+  EXPECT_GE(scans.load(), kScanners);
+  EXPECT_EQ(kStable + kInserters * kPerInserter + kRmwThreads * kRmwRounds, list.ApproxCount());
+  EXPECT_EQ("", list.CheckStructure());
+  for (uint64_t i = 0; i < kInserters * kPerInserter; i++) {
+    ASSERT_TRUE(list.Contains(MakeKey((kStable + i) * 2 + 1))) << i;
+  }
+}
+
+// The checker itself must fail on a list that breaks an invariant: a
+// comparator flipped after inserting makes every level unsorted.
+TEST_F(SkipListTest, CheckStructureDetectsDisorder) {
+  bool flipped = false;
+  struct FlippableComparator {
+    const bool* flipped;
+    int operator()(const char* a, const char* b) const {
+      const int c = U64Comparator()(a, b);
+      return *flipped ? -c : c;
+    }
+  };
+  ConcurrentSkipList<const char*, FlippableComparator> list(FlippableComparator{&flipped}, &arena_);
+  for (uint64_t i = 0; i < 100; i++) {
+    list.Insert(MakeKey(i));
+  }
+  EXPECT_EQ("", list.CheckStructure());
+  flipped = true;
+  EXPECT_NE("", list.CheckStructure());
+}
+
+// Insert is O(log n): the upper levels are linked from the level-0
+// descent's splice, not by walking each level from the head. A walk from
+// the head costs hundreds of comparisons per insert at this size.
+TEST_F(SkipListTest, InsertComparisonsAreLogarithmic) {
+  constexpr uint64_t kKeys = 20000;
+  constexpr uint64_t kMaxComparisonsPerInsert = 64;
+  std::vector<uint64_t> random_order(kKeys);
+  for (uint64_t i = 0; i < kKeys; i++) {
+    random_order[i] = i;
+  }
+  Random rnd(301);
+  for (uint64_t i = kKeys - 1; i > 0; i--) {
+    std::swap(random_order[i], random_order[rnd.Uniform(static_cast<int>(i + 1))]);
+  }
+  struct Case {
+    const char* name;
+    bool conditional;
+    bool random;
+  };
+  for (const Case& c : {Case{"Insert ascending", false, false}, Case{"Insert random", false, true},
+                        Case{"InsertIfNoConflict ascending", true, false}}) {
+    uint64_t calls = 0;
+    ConcurrentSkipList<const char*, CountingComparator> list(CountingComparator{&calls}, &arena_);
+    for (uint64_t i = 0; i < kKeys; i++) {
+      const char* key = MakeKey(c.random ? random_order[i] : i);
+      if (c.conditional) {
+        ASSERT_TRUE(list.InsertIfNoConflict(key, [](const char*, bool, const char*, bool) {
+          return false;
+        }));
+      } else {
+        list.Insert(key);
+      }
+    }
+    const double per_insert = static_cast<double>(calls) / kKeys;
+    EXPECT_LE(per_insert, kMaxComparisonsPerInsert) << c.name;
+    std::printf("%s: %.1f comparisons per insert\n", c.name, per_insert);
+    EXPECT_EQ("", list.CheckStructure()) << c.name;
   }
 }
 

@@ -14,12 +14,14 @@ std::string CompactionStats::ToString() const {
       continue;
     }
     std::snprintf(buf, sizeof(buf),
-                  "compact L%d: count=%llu moves=%llu read=%llu written=%llu micros=%llu\n", l,
-                  static_cast<unsigned long long>(n),
+                  "compact L%d: count=%llu moves=%llu read=%llu written=%llu micros=%llu "
+                  "sync_micros=%llu\n",
+                  l, static_cast<unsigned long long>(n),
                   static_cast<unsigned long long>(ls.trivial_moves.load(std::memory_order_relaxed)),
                   static_cast<unsigned long long>(ls.bytes_read.load(std::memory_order_relaxed)),
                   static_cast<unsigned long long>(ls.bytes_written.load(std::memory_order_relaxed)),
-                  static_cast<unsigned long long>(ls.micros.load(std::memory_order_relaxed)));
+                  static_cast<unsigned long long>(ls.micros.load(std::memory_order_relaxed)),
+                  static_cast<unsigned long long>(ls.sync_micros.load(std::memory_order_relaxed)));
     out.append(buf);
   }
   if (out.empty()) {
@@ -27,10 +29,13 @@ std::string CompactionStats::ToString() const {
   }
   const uint64_t flushes = flush_count.load(std::memory_order_relaxed);
   if (flushes > 0) {
-    std::snprintf(buf, sizeof(buf), "flush: count=%llu written=%llu micros=%llu write_amp=%.2f\n",
+    std::snprintf(buf, sizeof(buf),
+                  "flush: count=%llu written=%llu micros=%llu sync_micros=%llu write_amp=%.2f\n",
                   static_cast<unsigned long long>(flushes),
                   static_cast<unsigned long long>(flush_bytes_written.load(std::memory_order_relaxed)),
                   static_cast<unsigned long long>(flush_micros.load(std::memory_order_relaxed)),
+                  static_cast<unsigned long long>(
+                      flush_sync_micros.load(std::memory_order_relaxed)),
                   EstimatedWriteAmp());
     out.append(buf);
   }

@@ -24,6 +24,7 @@ class CompactionStats {
     std::atomic<uint64_t> bytes_read{0};     // input bytes (both levels)
     std::atomic<uint64_t> bytes_written{0};  // output bytes
     std::atomic<uint64_t> micros{0};         // wall time spent compacting
+    std::atomic<uint64_t> sync_micros{0};    // of which: output fdatasync
   };
 
   LevelStats& level(int l) { return levels_[CheckLevel(l)]; }
@@ -51,6 +52,7 @@ class CompactionStats {
   std::atomic<uint64_t> flush_count{0};
   std::atomic<uint64_t> flush_bytes_written{0};  // level-0 output bytes
   std::atomic<uint64_t> flush_micros{0};
+  std::atomic<uint64_t> flush_sync_micros{0};  // of which: output fdatasync
 
   // (flush + compaction bytes written) / flushed bytes; 0 until the first
   // flush lands. The classic estimate of how many times the store rewrites

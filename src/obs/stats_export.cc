@@ -577,6 +577,7 @@ void VisitLevels(StatsVisitor* v, StorageEngine& engine) {
     v->Counter("bytes_read", ls.bytes_read.load(std::memory_order_relaxed));
     v->Counter("bytes_written", ls.bytes_written.load(std::memory_order_relaxed));
     v->Counter("micros", ls.micros.load(std::memory_order_relaxed));
+    v->Counter("sync_micros", ls.sync_micros.load(std::memory_order_relaxed));
     // Input-selection decisions of the active CompactionPolicy at this
     // input level (DESIGN.md "Compaction policies").
     v->Counter("picker_picks", ps.picks.load(std::memory_order_relaxed));
@@ -593,6 +594,7 @@ void VisitLevels(StatsVisitor* v, StorageEngine& engine) {
   v->Counter("count", cstats.flush_count.load(std::memory_order_relaxed));
   v->Counter("bytes_written", cstats.flush_bytes_written.load(std::memory_order_relaxed));
   v->Counter("micros", cstats.flush_micros.load(std::memory_order_relaxed));
+  v->Counter("sync_micros", cstats.flush_sync_micros.load(std::memory_order_relaxed));
   v->EndGroup();
   v->GaugeF64("write_amp", cstats.EstimatedWriteAmp());
 }

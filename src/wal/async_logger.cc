@@ -26,8 +26,8 @@ AsyncLogger::~AsyncLogger() { Close(); }
 void AsyncLogger::AddRecordAsync(std::string record) {
   enqueued_.fetch_add(1, std::memory_order_relaxed);
   queue_.Enqueue(Entry{std::move(record), nullptr});
-  // Wake the logger only when it might be parked; a relaxed check keeps the
-  // hot path to an enqueue plus one load.
+  // Every record wakes the logger, parked or not: the hot path is an
+  // enqueue plus one notify_one().
   wake_cv_.notify_one();
 }
 

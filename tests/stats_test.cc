@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/baselines/factory.h"
+#include "src/lsm/dbformat.h"
 #include "src/obs/metrics.h"
 #include "src/obs/rpc_stats.h"
 #include "src/obs/stats_reporter.h"
@@ -494,6 +495,48 @@ TEST_P(StatsJsonTest, IteratorAndRmwSeriesRecord) {
   EXPECT_GE(NumberAt(json, "\"iter_next\":{", "count"), 200.0);
   EXPECT_GE(NumberAt(json, "\"rmw\":{", "count"), 1.0);
   EXPECT_EQ(NumberAt(json, "\"counters\"", "rmw_total"), 1);
+}
+
+// The output fdatasync of flushes and compactions is timed apart from the
+// stage's wall time, as "sync_micros" beside "micros" in the flush group
+// and in every levels[] entry.
+TEST_P(StatsJsonTest, FlushAndCompactionSyncTimeExported) {
+  Options options;
+  options.write_buffer_size = 64 * 1024;
+  options.l0_compaction_trigger = 2;
+  std::unique_ptr<DB> db = OpenFresh(options);
+  WriteOptions wo;
+  const std::string value(200, 'v');
+  // Scattered keys, so level-0 files overlap and compactions rewrite them
+  // rather than moving files down.
+  for (uint64_t i = 0; i < 6000; i++) {
+    char key[32];
+    snprintf(key, sizeof(key), "k%08llu",
+             static_cast<unsigned long long>((i * 2654435761u) % 100000));
+    ASSERT_TRUE(db->Put(wo, key, value).ok());
+  }
+  db->WaitForMaintenance();
+
+  std::string json = db->GetProperty("clsm.stats.json");
+  JsonChecker checker(json);
+  EXPECT_TRUE(checker.Valid()) << json;
+  ASSERT_GE(NumberAt(json, "\"flush\":{", "count"), 1.0) << json;
+  const double flush_sync = NumberAt(json, "\"flush\":{", "sync_micros");
+  EXPECT_GT(flush_sync, 0.0) << json;
+  EXPECT_LE(flush_sync, NumberAt(json, "\"flush\":{", "micros"));
+
+  double compaction_written = 0;
+  double compaction_sync = 0;
+  for (int level = 0; level < kNumLevels; level++) {
+    const std::string anchor = "\"level\":" + std::to_string(level) + ",";
+    const double sync = NumberAt(json, anchor, "sync_micros");
+    ASSERT_GE(sync, 0.0) << "level " << level << ": " << json;
+    EXPECT_LE(sync, NumberAt(json, anchor, "micros")) << "level " << level;
+    compaction_written += NumberAt(json, anchor, "bytes_written");
+    compaction_sync += sync;
+  }
+  ASSERT_GT(compaction_written, 0.0) << json;
+  EXPECT_GT(compaction_sync, 0.0) << json;
 }
 
 // A KvService attaches its request stats late; every variant exports them

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <vector>
@@ -191,6 +192,46 @@ TEST(Crc32cTest, Values) {
 TEST(Crc32cTest, Extend) {
   EXPECT_EQ(crc32c::Value("hello world", 11),
             crc32c::Extend(crc32c::Value("hello ", 6), "world", 5));
+}
+
+// Extend dispatches to the SSE4.2 path where the CPU has it; it must agree
+// with the portable table loop bit for bit. Every length up to one block
+// plus a tail, at every start offset within an 8-byte word, covers both the
+// word loop and the byte tail from every alignment. On a CPU without SSE4.2
+// this compares the portable path with itself.
+TEST(Crc32cTest, AcceleratedMatchesPortable) {
+  constexpr size_t kMaxLen = 4100;
+  constexpr size_t kAlignments = 8;
+  Random rnd(301);
+  std::string buf(kMaxLen + kAlignments, '\0');
+  for (char& c : buf) {
+    c = static_cast<char>(rnd.Uniform(256));
+  }
+  for (size_t offset = 0; offset < kAlignments; offset++) {
+    const char* data = buf.data() + offset;
+    for (size_t n = 0; n <= kMaxLen; n++) {
+      ASSERT_EQ(crc32c::internal::ExtendPortable(0, data, n), crc32c::Value(data, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
+
+  // Extend chained across random split points equals the CRC of the whole.
+  for (int trial = 0; trial < 200; trial++) {
+    const size_t n = rnd.Uniform(kMaxLen + 1);
+    const char* data = buf.data() + rnd.Uniform(kAlignments);
+    const uint32_t whole = crc32c::internal::ExtendPortable(0, data, n);
+    uint32_t crc = 0;
+    uint32_t portable = 0;
+    size_t pos = 0;
+    while (pos < n) {
+      const size_t piece = 1 + rnd.Uniform(static_cast<int>(std::min<size_t>(n - pos, 600)));
+      crc = crc32c::Extend(crc, data + pos, piece);
+      portable = crc32c::internal::ExtendPortable(portable, data + pos, piece);
+      pos += piece;
+    }
+    ASSERT_EQ(whole, crc) << "trial " << trial << " length " << n;
+    ASSERT_EQ(whole, portable) << "trial " << trial << " length " << n;
+  }
 }
 
 TEST(Crc32cTest, Mask) {

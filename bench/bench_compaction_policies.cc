@@ -1,6 +1,6 @@
-// Compaction-policy sweep: the amplification grid of the two
-// CompactionPolicy shapes. Every policy × workload cell opens a fresh
-// cLSM store with deliberately small file/level targets (so hundreds of
+// Compaction sweep: the amplification grid of the leveled picker
+// (DESIGN.md "Compaction picking") over three workloads. Every workload
+// cell opens a fresh cLSM store with deliberately small file/level targets (so hundreds of
 // picker decisions happen in seconds), runs a deterministic single-writer
 // workload, waits for maintenance to quiesce, and reads the amplification
 // triple off the stats document:
@@ -12,9 +12,8 @@
 //   read-amp   sorted-run count a point lookup may touch: L0 files plus
 //              one per non-empty deeper level.
 //
-// Policies: leveled (LevelDB-lineage heuristics), tiered (similar-size L0
-// run merges, leveled below). Workloads: fillseq
-// (ascending unique keys — the trivial-move showcase), fillrandom
+// Workloads: fillseq (ascending unique keys — the trivial-move showcase),
+// fillrandom
 // (uniform-random unique keys), zipfian_overwrite (preload then skewed
 // overwrite — the write-amp regime the heuristics target).
 //
@@ -87,11 +86,6 @@ uint64_t Sum(const std::vector<uint64_t>& v) {
   return total;
 }
 
-struct PolicyUnderTest {
-  const char* name;
-  CompactionPolicyKind kind;
-};
-
 struct CellResult {
   std::string policy;
   std::string workload;
@@ -117,9 +111,8 @@ constexpr size_t kValueSize = 256;
 
 // Small targets so the sweep exercises many picker decisions per second:
 // ~1K entries per memtable, 64K output files, a 4-file level 1.
-Options CellOptions(CompactionPolicyKind kind) {
+Options CellOptions() {
   Options options;
-  options.compaction_policy = kind;
   options.write_buffer_size = 256 * 1024;
   options.target_file_size = 64 * 1024;
   options.level1_max_bytes = 256 * 1024;
@@ -128,15 +121,14 @@ Options CellOptions(CompactionPolicyKind kind) {
   return options;
 }
 
-CellResult RunCell(const PolicyUnderTest& policy, const std::string& workload,
-                   uint64_t num_keys, uint64_t overwrite_ops) {
+CellResult RunCell(const std::string& workload, uint64_t num_keys, uint64_t overwrite_ops) {
   CellResult result;
-  result.policy = policy.name;
+  result.policy = "leveled";
   result.workload = workload;
 
   const std::string dir = FreshDbDir("cpolicy-" + result.policy + "-" + workload);
   DB* raw = nullptr;
-  Status s = OpenDb(DbVariant::kClsm, CellOptions(policy.kind), dir, &raw);
+  Status s = OpenDb(DbVariant::kClsm, CellOptions(), dir, &raw);
   if (!s.ok()) {
     fprintf(stderr, "open failed: %s\n", s.ToString().c_str());
     exit(1);
@@ -150,7 +142,7 @@ CellResult RunCell(const PolicyUnderTest& policy, const std::string& workload,
   // Quiesce maintenance after every memtable's worth of puts. Pacing the
   // single writer this way makes each cell's flush/compaction sequence
   // (and so its amplification) a deterministic function of the picker, not
-  // of scheduler timing — without it the policy gap drowns in +-10%
+  // of scheduler timing — without it a picker change drowns in +-10%
   // run-to-run noise from compactions racing the writer.
   const uint64_t pace = 1000;
   auto put = [&](uint64_t k) {
@@ -265,32 +257,25 @@ int main() {
     num_keys = std::max<uint64_t>(1000, overwrite_ops / 6);
   }
 
-  const PolicyUnderTest policies[] = {
-      {"leveled", CompactionPolicyKind::kLeveled},
-      {"tiered", CompactionPolicyKind::kTiered},
-  };
   const char* workloads[] = {"fillseq", "fillrandom", "zipfian_overwrite"};
 
   PrintFigureHeader("CompactionPolicies",
-                    "write/space/read amplification, policy x workload sweep", config);
+                    "write/space/read amplification of the leveled picker per workload", config);
   printf("%llu distinct keys, %llu overwrite ops, single writer, %zuB values\n\n",
          static_cast<unsigned long long>(num_keys),
          static_cast<unsigned long long>(overwrite_ops), kValueSize);
 
   std::vector<CellResult> cells;
   for (const char* workload : workloads) {
-    for (const PolicyUnderTest& policy : policies) {
-      CellResult c = RunCell(policy, workload, num_keys, overwrite_ops);
-      printf(
-          "%-18s %-17s  wamp %6.2f  samp %5.2f  ramp %4.0f  %7.0f ops/s  "
-          "(expand %llu, splits %llu, moves blocked %llu)\n",
-          c.workload.c_str(), c.policy.c_str(), c.write_amp, c.space_amp, c.read_amp,
-          c.ops_per_sec, static_cast<unsigned long long>(c.picker_expansions),
-          static_cast<unsigned long long>(c.picker_output_splits),
-          static_cast<unsigned long long>(c.picker_trivial_moves_blocked));
-      cells.push_back(std::move(c));
-    }
-    printf("\n");
+    CellResult c = RunCell(workload, num_keys, overwrite_ops);
+    printf(
+        "%-18s %-17s  wamp %6.2f  samp %5.2f  ramp %4.0f  %7.0f ops/s  "
+        "(expand %llu, splits %llu, moves blocked %llu)\n",
+        c.workload.c_str(), c.policy.c_str(), c.write_amp, c.space_amp, c.read_amp,
+        c.ops_per_sec, static_cast<unsigned long long>(c.picker_expansions),
+        static_cast<unsigned long long>(c.picker_output_splits),
+        static_cast<unsigned long long>(c.picker_trivial_moves_blocked));
+    cells.push_back(std::move(c));
   }
 
   int rc = system("mkdir -p bench_results");

@@ -598,7 +598,7 @@ Status StorageEngine::DoCompactionWork(Compaction* c, SequenceNumber smallest_sn
         // exceeding the snapshot's timestamp).
         drop = true;
       } else if (ikey.type == kTypeDeletion && ikey.sequence <= smallest_snapshot &&
-                 c->can_drop_tombstones() && c->IsBaseLevelForKey(ikey.user_key)) {
+                 c->IsBaseLevelForKey(ikey.user_key)) {
         // The deletion marker is invisible to all snapshots and there is no
         // older version underneath it to resurrect: drop the marker itself.
         drop = true;

@@ -1,10 +1,10 @@
 #include "src/lsm/version_set.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <map>
 
-#include "src/lsm/compaction_policy.h"
 #include "src/lsm/filename.h"
 #include "src/obs/perf_context.h"
 #include "src/table/merging_iterator.h"
@@ -20,8 +20,6 @@ int64_t TotalFileSize(const std::vector<FileRef>& files) {
   }
   return sum;
 }
-
-uint64_t VersionSet::MaxFileSizeForLevel(int level) const { return options_->target_file_size; }
 
 double MaxBytesForLevel(const Options& options, int level) {
   // level-0 is scored by file count, so this is only used for level >= 1.
@@ -435,14 +433,9 @@ VersionSet::VersionSet(const std::string& dbname, const Options* options,
       last_sequence_(0),
       log_number_(0),
       current_(nullptr),
-      delete_unreferenced_files_(true),
-      policy_(CompactionPolicy::Create(*options)) {
+      delete_unreferenced_files_(true) {
   current_.store(new Version(this), std::memory_order_release);
 }
-
-const CompactionPickerStats& VersionSet::picker_stats() const { return policy_->stats(); }
-
-const char* VersionSet::compaction_policy_name() const { return policy_->Name(); }
 
 VersionSet::~VersionSet() {
   // All files are live at shutdown; keep them.
@@ -866,6 +859,134 @@ void VersionSet::GetOverlappingInputs(Version* v, int level, const InternalKey* 
   }
 }
 
+Compaction* VersionSet::NewCompaction(int level) {
+  Compaction* c = new Compaction(options_, &icmp_, level);
+  c->picker_stats_ = &picker_stats_.levels[level];
+  picker_stats_.levels[level].picks.fetch_add(1, std::memory_order_relaxed);
+  return c;
+}
+
+void VersionSet::SetCompactPointer(Compaction* c, const InternalKey& largest) {
+  // Updated right away rather than waiting for the VersionEdit to be
+  // applied: the caller holds pick_mutex_ and at most one compaction per
+  // level is in flight, so no other picker can observe a torn value.
+  compact_pointer_[c->level()] = largest.Encode().ToString();
+  c->edit_.SetCompactPointer(c->level(), largest);
+}
+
+Compaction* VersionSet::PickFromLevel(Version* v) {
+  // Best-scoring level whose job would be disjoint from every in-flight
+  // one. A job at level L reads L and L+1, so both must be free.
+  int level = -1;
+  double best_score = 0;
+  for (int l = 0; l < kNumLevels - 1; l++) {
+    if (v->level_scores_[l] >= 1 && !level_busy_[l] && !level_busy_[l + 1] &&
+        v->level_scores_[l] > best_score) {
+      level = l;
+      best_score = v->level_scores_[l];
+    }
+  }
+  if (level < 0 || v->files_[level].empty()) {
+    return nullptr;
+  }
+  assert(level + 1 < kNumLevels);
+  Compaction* c = NewCompaction(level);
+
+  // Pick the first file that comes after compact_pointer_[level].
+  const std::string& cursor = compact_pointer_[level];
+  for (const FileRef& f : v->files_[level]) {
+    if (cursor.empty() || icmp_.Compare(f->largest.Encode(), cursor) > 0) {
+      c->inputs_[0].push_back(f);
+      break;
+    }
+  }
+  if (c->inputs_[0].empty()) {
+    // Wrap-around to the beginning of the key space.
+    c->inputs_[0].push_back(v->files_[level][0]);
+  }
+
+  c->input_version_ = v;  // transfers the caller's reference
+
+  // Files in level 0 may overlap each other, so pick up all overlapping
+  // ones (discarding and re-deriving inputs_[0] from the seed's range).
+  if (level == 0) {
+    InternalKey smallest, largest;
+    GetRange(c->inputs_[0], &smallest, &largest);
+    GetOverlappingInputs(v, 0, &smallest, &largest, &c->inputs_[0]);
+    assert(!c->inputs_[0].empty());
+  }
+
+  SetupOtherInputs(c);
+  return c;
+}
+
+void VersionSet::SetupOtherInputs(Compaction* c) {
+  const int level = c->level();
+  Version* v = c->input_version_;
+  std::vector<FileRef>& inputs0 = c->inputs_[0];
+  std::vector<FileRef>& inputs1 = c->inputs_[1];
+  CompactionPickerLevelStats& stats = picker_stats_.levels[level];
+  InternalKey smallest, largest;
+  GetRange(inputs0, &smallest, &largest);
+
+  GetOverlappingInputs(v, level + 1, &smallest, &largest, &inputs1);
+
+  // Full key range covered by this compaction.
+  InternalKey all_start, all_limit;
+  GetRange2(inputs0, inputs1, &all_start, &all_limit);
+
+  // Input expansion: grow inputs_[0] with level-L files that fit under the
+  // already-selected level-L+1 range, as long as (a) that does not pull in
+  // more level-L+1 data and (b) total input bytes stay under the expansion
+  // limit. More data rewritten per L+1 pass at the same L+1 read cost =
+  // lower write amplification. Safe against in-flight jobs: level L and
+  // L+1 were both verified free, and only jobs owning a level remove its
+  // files, so every file seen here is unowned.
+  if (!inputs1.empty()) {
+    std::vector<FileRef> expanded0;
+    GetOverlappingInputs(v, level, &all_start, &all_limit, &expanded0);
+    const int64_t inputs1_size = TotalFileSize(inputs1);
+    const int64_t expanded0_size = TotalFileSize(expanded0);
+    const int64_t expansion_limit = static_cast<int64_t>(
+        options_->expanded_compaction_factor * static_cast<double>(options_->target_file_size));
+    if (expanded0.size() > inputs0.size() && inputs1_size + expanded0_size < expansion_limit) {
+      InternalKey new_start, new_limit;
+      GetRange(expanded0, &new_start, &new_limit);
+      std::vector<FileRef> expanded1;
+      GetOverlappingInputs(v, level + 1, &new_start, &new_limit, &expanded1);
+      if (expanded1.size() == inputs1.size()) {
+        smallest = new_start;
+        largest = new_limit;
+        inputs0 = std::move(expanded0);
+        inputs1 = std::move(expanded1);
+        GetRange2(inputs0, inputs1, &all_start, &all_limit);
+        stats.expansions.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  }
+
+  // Grandparent seeding: snapshot the files two levels down overlapping the
+  // compaction range. Metadata only — never a merge input, so a busy
+  // level+2 is fine (the snapshot is an admittedly stale heuristic then).
+  if (c->output_level() + 1 < kNumLevels) {
+    GetOverlappingInputs(v, c->output_level() + 1, &all_start, &all_limit, &c->grandparents_);
+    const int64_t gp_bytes = TotalFileSize(c->grandparents_);
+    if (gp_bytes > 0) {
+      stats.grandparent_bytes.fetch_add(static_cast<uint64_t>(gp_bytes),
+                                        std::memory_order_relaxed);
+    }
+    // Count refused trivial moves at pick time (once per job, not once per
+    // IsTrivialMove() call): this job has the single-file/no-merge shape
+    // but the guard will force a rewrite.
+    if (inputs0.size() == 1 && inputs1.empty() &&
+        static_cast<uint64_t>(gp_bytes) > c->max_grandparent_overlap_bytes_) {
+      stats.trivial_moves_blocked.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+  SetCompactPointer(c, largest);
+}
+
 Compaction* VersionSet::PickCompaction() {
   std::lock_guard<std::mutex> pick_lock(pick_mutex_);
   // Pin the version first (epoch-protected): the flush thread or another
@@ -875,7 +996,7 @@ Compaction* VersionSet::PickCompaction() {
   // release their levels (under pick_mutex_) strictly after installing
   // their edit.
   Version* v = GetCurrent();
-  Compaction* c = policy_->Pick(this, v);
+  Compaction* c = PickFromLevel(v);
   if (c == nullptr) {
     v->Unref();
     return nullptr;
@@ -930,13 +1051,10 @@ Iterator* VersionSet::MakeInputIterator(Compaction* c) {
   return result;
 }
 
-Compaction::Compaction(const Options* options, const InternalKeyComparator* icmp, int level,
-                       int output_level)
+Compaction::Compaction(const Options* options, const InternalKeyComparator* icmp, int level)
     : options_(options),
       icmp_(icmp),
       level_(level),
-      output_level_(output_level),
-      max_output_file_size_(options->target_file_size),
       max_grandparent_overlap_bytes_(static_cast<uint64_t>(
           options->max_grandparent_overlap_factor *
           static_cast<double>(options->target_file_size))),
@@ -985,11 +1103,8 @@ bool Compaction::IsTrivialMove() const {
   // range: parking the file there manufactures one future compaction whose
   // read set is the whole range (the spike the output-splitting bound
   // exists to prevent), so past the bound the file is rewritten into
-  // bounded pieces instead. An intra-level tiered merge is never a move.
+  // bounded pieces instead.
   if (num_input_files(0) != 1 || num_input_files(1) != 0) {
-    return false;
-  }
-  if (output_level_ == level_) {
     return false;
   }
   return TotalFileSize(grandparents_) <= static_cast<int64_t>(max_grandparent_overlap_bytes_);
@@ -1024,7 +1139,7 @@ bool Compaction::ShouldStopBefore(const Slice& internal_key) {
 void Compaction::AddInputDeletions(VersionEdit* edit) {
   for (int which = 0; which < 2; which++) {
     for (size_t i = 0; i < inputs_[which].size(); i++) {
-      edit->RemoveFile(which == 0 ? level_ : output_level_, inputs_[which][i]->number);
+      edit->RemoveFile(level_ + which, inputs_[which][i]->number);
     }
   }
 }
@@ -1032,7 +1147,7 @@ void Compaction::AddInputDeletions(VersionEdit* edit) {
 bool Compaction::IsBaseLevelForKey(const Slice& user_key) {
   // Maybe use binary search to find right entry instead of linear search?
   const Comparator* user_cmp = input_version_->vset_->icmp_.user_comparator();
-  for (int lvl = output_level_ + 1; lvl < kNumLevels; lvl++) {
+  for (int lvl = output_level() + 1; lvl < kNumLevels; lvl++) {
     const std::vector<FileRef>& files = input_version_->files_[lvl];
     while (level_ptrs_[lvl] < files.size()) {
       FileMetaData* f = files[level_ptrs_[lvl]].get();

@@ -30,13 +30,26 @@
 namespace clsm {
 
 class Compaction;
-class CompactionPolicy;
 class VersionSet;
-struct CompactionPickerLevelStats;
-struct CompactionPickerStats;
 struct Options;
 
 using FileRef = std::shared_ptr<FileMetaData>;
+
+// Monotonic input-selection counters for one level, exported as the
+// picker_* fields of each clsm.stats.json levels[] entry and as clsm_*
+// Prometheus families. Written under pick_mutex_ (plus output_splits from
+// the worker running the job); read lock-free by stats exporters.
+struct CompactionPickerLevelStats {
+  std::atomic<uint64_t> picks{0};             // jobs picked with this input level
+  std::atomic<uint64_t> expansions{0};        // inputs_[0] grown under the byte limit
+  std::atomic<uint64_t> output_splits{0};     // outputs cut at grandparent boundaries
+  std::atomic<uint64_t> trivial_moves_blocked{0};  // moves refused by the guard
+  std::atomic<uint64_t> grandparent_bytes{0};      // overlap seeded at pick time
+};
+
+struct CompactionPickerStats {
+  CompactionPickerLevelStats levels[kNumLevels];
+};
 
 // Sum of file_size over a file list.
 int64_t TotalFileSize(const std::vector<FileRef>& files);
@@ -77,7 +90,6 @@ class Version : public RefCounted {
  private:
   friend class VersionSet;
   friend class Compaction;
-  friend class CompactionPolicy;
 
   explicit Version(VersionSet* vset) : vset_(vset), compaction_score_(-1), compaction_level_(-1) {}
   ~Version() override;
@@ -134,21 +146,18 @@ class VersionSet {
 
   uint64_t LogNumber() const { return log_number_.load(std::memory_order_acquire); }
 
-  // Pick inputs for a new compaction; nullptr if none needed OR if every
-  // level needing compaction is already owned by an in-flight job. Input
-  // selection is delegated to the CompactionPolicy chosen by
-  // Options::compaction_policy (src/lsm/compaction_policy.h). Caller owns
-  // the returned object (which pins the input version and files); the
-  // job's levels stay excluded from picking until the object is destroyed,
-  // so concurrent compactions never share an input file. Thread-safe.
+  // Pick inputs for a new leveled compaction (DESIGN.md "Compaction
+  // picking"); nullptr if none needed OR if every level needing compaction
+  // is already owned by an in-flight job. Caller owns the returned object
+  // (which pins the input version and files); the job's levels stay
+  // excluded from picking until the object is destroyed, so concurrent
+  // compactions never share an input file. Thread-safe.
   Compaction* PickCompaction();
 
-  // Cumulative input-selection counters of the active policy (per level:
-  // picks, expansions, output splits, blocked trivial moves, grandparent
-  // bytes). Lock-free reads; exported in "clsm.stats.json" / Prometheus.
-  const CompactionPickerStats& picker_stats() const;
-  // Display name of the active policy ("leveled", "tiered").
-  const char* compaction_policy_name() const;
+  // Cumulative input-selection counters (per level: picks, expansions,
+  // output splits, blocked trivial moves, grandparent bytes). Lock-free
+  // reads; exported in "clsm.stats.json" / Prometheus.
+  const CompactionPickerStats& picker_stats() const { return picker_stats_; }
 
   // Number of picked-but-not-yet-released compactions.
   int NumInFlightCompactions() const {
@@ -190,13 +199,10 @@ class VersionSet {
 
   std::string LevelSummary() const;
 
-  uint64_t MaxFileSizeForLevel(int level) const;
-
  private:
   class Builder;
   friend class Version;
   friend class Compaction;
-  friend class CompactionPolicy;
 
   // Wrap a FileMetaData so that when the last Version referencing it dies,
   // the underlying table file is deleted (unless disabled).
@@ -212,6 +218,30 @@ class VersionSet {
                  InternalKey* smallest, InternalKey* largest);
   void GetOverlappingInputs(Version* v, int level, const InternalKey* begin,
                             const InternalKey* end, std::vector<FileRef>* inputs);
+
+  // Input selection, called with pick_mutex_ held and `v` pinned by the
+  // caller. Only levels whose level_busy_ flags are clear are picked —
+  // together with "a job owns its input and output level until
+  // destruction" this keeps concurrent jobs disjoint by construction
+  // (grandparent metadata two levels down is exempt: it is a read-only
+  // heuristic snapshot, never a merge input). On success the returned
+  // job's input_version_ has taken the caller's reference; on nullptr the
+  // caller unrefs.
+  //
+  // PickFromLevel: best-scoring free level, seeded after its compact
+  // pointer; nullptr if nothing is pickable.
+  Compaction* PickFromLevel(Version* v);
+  // Completes a job whose inputs_[0] is chosen: selects inputs_[1], then
+  // expands inputs_[0] under the expanded-byte limit and seeds
+  // grandparents_; finally advances the compact pointer.
+  void SetupOtherInputs(Compaction* c);
+  // Allocates a job for level -> level + 1, wires its stats block to the
+  // level's picker counters and bumps `picks`.
+  Compaction* NewCompaction(int level);
+  // Advances c's input level's round-robin cursor to `largest` (both the
+  // live copy under pick_mutex_ and the job's edit, so the cursor survives
+  // restarts via the manifest).
+  void SetCompactPointer(Compaction* c, const InternalKey& largest);
 
   // Registers c's levels/files as in-flight (pick_mutex_ held) /
   // releases them (called from ~Compaction).
@@ -259,9 +289,7 @@ class VersionSet {
   // Guarded by pick_mutex_.
   std::string compact_pointer_[kNumLevels];
 
-  // Input-selection strategy (Options::compaction_policy). Invoked only
-  // under pick_mutex_; owns the cumulative picker stats.
-  std::unique_ptr<CompactionPolicy> policy_;
+  CompactionPickerStats picker_stats_;
 };
 
 // A compaction in progress (or picked and about to run).
@@ -273,10 +301,9 @@ class Compaction {
   Compaction& operator=(const Compaction&) = delete;
 
   // Level being compacted: inputs_[0] from level(), inputs_[1] from
-  // output_level(). Leveled compactions output to level()+1; a tiered
-  // intra-level merge has output_level() == level().
+  // output_level() == level() + 1, where every output lands.
   int level() const { return level_; }
-  int output_level() const { return output_level_; }
+  int output_level() const { return level_ + 1; }
 
   VersionEdit* edit() { return &edit_; }
 
@@ -289,7 +316,7 @@ class Compaction {
   // Numbers of every input file (both levels), for disjointness checks.
   std::vector<uint64_t> InputFileNumbers() const;
 
-  uint64_t MaxOutputFileSize() const { return max_output_file_size_; }
+  uint64_t MaxOutputFileSize() const { return options_->target_file_size; }
 
   // True if the compaction can be implemented by moving a single input file
   // one level down without merging. Guarded: a move whose grandparent
@@ -305,37 +332,24 @@ class Compaction {
   // non-decreasing order; state resets for the next output on return true.
   bool ShouldStopBefore(const Slice& internal_key);
 
-  // False for intra-level (tiered) merges: sibling runs outside the input
-  // set may hold older versions of a key, so a deletion marker must
-  // survive even when IsBaseLevelForKey would allow dropping it.
-  bool can_drop_tombstones() const { return can_drop_tombstones_; }
-
   // Add all inputs as deletions to *edit.
   void AddInputDeletions(VersionEdit* edit);
 
   // True if all data for user_key at levels deeper than output_level() is
-  // absent, so a deletion marker surviving to output_level() may be dropped
-  // (subject to can_drop_tombstones()).
+  // absent, so a deletion marker surviving to output_level() may be dropped.
   bool IsBaseLevelForKey(const Slice& user_key);
 
   void ReleaseInputs();
 
  private:
   friend class VersionSet;
-  friend class CompactionPolicy;
 
-  // Limits (max_output_file_size_, max_grandparent_overlap_bytes_) derive
-  // from *options; policies may override them per job after construction.
-  Compaction(const Options* options, const InternalKeyComparator* icmp, int level,
-             int output_level);
+  Compaction(const Options* options, const InternalKeyComparator* icmp, int level);
 
   const Options* const options_;
   const InternalKeyComparator* const icmp_;
   int level_;
-  int output_level_;
-  uint64_t max_output_file_size_;
   uint64_t max_grandparent_overlap_bytes_;
-  bool can_drop_tombstones_ = true;
   VersionSet* vset_ = nullptr;  // for in-flight release at destruction
   Version* input_version_;
   VersionEdit edit_;
@@ -351,9 +365,8 @@ class Compaction {
   bool seen_key_ = false;         // some output key has been observed
   int64_t overlapped_bytes_ = 0;  // overlap accumulated on current output
 
-  // Per-level picker counter block of the policy that built this job (null
-  // for policy-less test constructions); ShouldStopBefore bumps
-  // output_splits here.
+  // Per-level picker counter block of the VersionSet that built this job;
+  // ShouldStopBefore bumps output_splits here.
   CompactionPickerLevelStats* picker_stats_ = nullptr;
 
   // State for IsBaseLevelForKey: position in each deeper level.

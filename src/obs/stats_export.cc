@@ -1,14 +1,15 @@
 #include "src/obs/stats_export.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <vector>
 
 #include "src/core/stats.h"
 #include "src/lsm/bg_error.h"
-#include "src/lsm/compaction_policy.h"
 #include "src/lsm/dbformat.h"
 #include "src/lsm/storage_engine.h"
 #include "src/lsm/version_set.h"
@@ -173,7 +174,7 @@ class PrometheusVisitor : public StatsVisitor {
   void GaugeF64(const char* name, double v) override { Scalar(name, "gauge", F64(v)); }
   void Text(const char* name, const char* value) override {
     // Info-style: the string rides as a label on a constant-1 gauge, e.g.
-    // clsm_compaction_policy{db="clsm",compaction_policy="leveled"} 1.
+    // clsm_errors_bg_severity{db="clsm",bg_severity="none"} 1.
     std::string labels = BaseLabels();
     labels += ',';
     labels += PrometheusSanitizeName(name);
@@ -333,8 +334,9 @@ class PrometheusVisitor : public StatsVisitor {
 //
 // Pass 1 (AggregateStatsVisitor): walk every shard's traversal and fold
 // each metric, keyed by its path in the snapshot tree, into one
-// accumulator — counters/integer gauges sum, float gauges average,
-// enum-text keeps the common value, histograms merge. Pass 2
+// accumulator — counters/integer gauges sum (except the severity code,
+// which takes the worst member's), float gauges average, enum-text keeps
+// the common value, histograms merge. Pass 2
 // (RollupReplayVisitor): walk shard 0's traversal again for its structure
 // only, emitting the aggregated value at every node through a JsonVisitor.
 
@@ -382,7 +384,16 @@ class PathedVisitor : public StatsVisitor {
 class AggregateStatsVisitor : public PathedVisitor {
  public:
   void Counter(const char* name, uint64_t v) override { AddU64(name, v); }
-  void GaugeU64(const char* name, uint64_t v) override { AddU64(name, v); }
+  void GaugeU64(const char* name, uint64_t v) override {
+    if (std::strcmp(name, "bg_severity_code") == 0) {
+      // A ladder position, not a quantity: the rollup reports the worst
+      // member (as /health does) so it stays on the 0-3 ladder.
+      MetricAgg& a = agg_[Key(name)];
+      a.u64 = std::max(a.u64, v);
+      return;
+    }
+    AddU64(name, v);
+  }
   void GaugeI64(const char* name, int64_t v) override {
     MetricAgg& a = agg_[Key(name)];
     a.i64 = InProcessGroup() ? v : a.i64 + v;
@@ -563,7 +574,6 @@ void VisitLevels(StatsVisitor* v, StorageEngine& engine) {
   const CompactionStats& cstats = *engine.compaction_stats();
   VersionSet* versions = engine.versions();
   const CompactionPickerStats& picker = versions->picker_stats();
-  v->Text("compaction_policy", versions->compaction_policy_name());
   v->BeginLevelArray("levels");
   for (int l = 0; l < kNumLevels; l++) {
     const CompactionStats::LevelStats& ls = cstats.level(l);
@@ -578,8 +588,8 @@ void VisitLevels(StatsVisitor* v, StorageEngine& engine) {
     v->Counter("bytes_written", ls.bytes_written.load(std::memory_order_relaxed));
     v->Counter("micros", ls.micros.load(std::memory_order_relaxed));
     v->Counter("sync_micros", ls.sync_micros.load(std::memory_order_relaxed));
-    // Input-selection decisions of the active CompactionPolicy at this
-    // input level (DESIGN.md "Compaction policies").
+    // Input-selection decisions of the picker at this input level
+    // (DESIGN.md "Compaction picking").
     v->Counter("picker_picks", ps.picks.load(std::memory_order_relaxed));
     v->Counter("picker_expansions", ps.expansions.load(std::memory_order_relaxed));
     v->Counter("picker_output_splits", ps.output_splits.load(std::memory_order_relaxed));

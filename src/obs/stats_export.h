@@ -154,8 +154,9 @@ std::string BuildStatsPrometheus(const StatsJsonSource& src);
 //   {"db":<db>,"shard_count":N,
 //    "rollup":{...the clsm.stats.json schema, aggregated...},
 //    "shards":[{...shard 0's clsm.stats.json...}, ...]}
-// Aggregation is per metric path: counters and integer gauges sum, float
-// gauges average, enum-text fields keep their common value (or "mixed"),
+// Aggregation is per metric path: counters and integer gauges sum (but
+// errors.bg_severity_code takes the worst member's code), float gauges
+// average, enum-text fields keep their common value (or "mixed"),
 // latency histograms merge bucket-by-bucket — so rollup percentiles are
 // true cross-shard percentiles, not averages of percentiles. The "process"
 // block describes the one shared process, so it is carried through rather

@@ -64,13 +64,6 @@ Status ShardedClsm::Open(const Options& options, const ShardedOptions& sopt,
 
   std::vector<std::unique_ptr<DB>> shards;
   for (int i = 0; i < sopt.shards; i++) {
-    if (!sopt.shard_policies.empty()) {
-      // Per-shard compaction policy (round-robin over the supplied list):
-      // a write-heavy member can run tiered merging while its siblings
-      // stay leveled.
-      shard_options.compaction_policy =
-          sopt.shard_policies[static_cast<size_t>(i) % sopt.shard_policies.size()];
-    }
     DB* raw = nullptr;
     Status s = opener(shard_options, dbname + "/" + sopt.subdir_prefix + std::to_string(i), &raw);
     if (!s.ok()) {

@@ -63,12 +63,6 @@ struct ShardedOptions {
   bool split_resources = false;
   // DB::Name() of the wrapper and the db="..." label of its exposition.
   std::string name = "sharded-clsm";
-  // Per-member compaction policy assignment. Empty (default) leaves every
-  // member on Options::compaction_policy; otherwise member i runs
-  // shard_policies[i % size()] — so {kTiered} makes every shard tiered,
-  // and {kTiered, kLeveled} alternates. The stats rollup renders the
-  // cross-shard "compaction_policy" text as the common value or "mixed".
-  std::vector<CompactionPolicyKind> shard_policies;
 };
 
 class ShardedClsm final : public DB {

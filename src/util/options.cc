@@ -14,15 +14,6 @@ void Options::Sanitize() {
   // picker does not model, so reset to the LevelDB-equivalent defaults.
   if (!(max_grandparent_overlap_factor > 0.0)) max_grandparent_overlap_factor = 10.0;
   if (!(expanded_compaction_factor > 0.0)) expanded_compaction_factor = 25.0;
-
-  // Tiered merges need at least two runs, a max width no smaller than the
-  // min, and a size ratio > 1 (at exactly 1 only byte-identical runs would
-  // ever merge).
-  if (tiered_min_merge_width < 2) tiered_min_merge_width = 2;
-  if (tiered_max_merge_width < tiered_min_merge_width)
-    tiered_max_merge_width = tiered_min_merge_width;
-  if (!(tiered_size_ratio >= 1.1)) tiered_size_ratio = 2.0;
-  if (tiered_max_run_bytes == 0) tiered_max_run_bytes = level1_max_bytes;
 }
 
 }  // namespace clsm

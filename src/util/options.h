@@ -23,22 +23,6 @@ class EventListener;
 class Snapshot;
 class BlockCache;
 
-// Compaction input-selection strategy (see src/lsm/compaction_policy.h and
-// DESIGN.md "Compaction policies").
-//  * kLeveled (default): leveled compaction with the LevelDB write-amp
-//    heuristics — grandparent-overlap seeding, bounded input expansion,
-//    output splitting at grandparent boundaries, and a trivial-move guard
-//    that refuses to drop a file onto an unboundedly wide range two levels
-//    down.
-//  * kTiered: size-tiered level-0 run merging for write-heavy shards —
-//    similar-sized L0 runs merge into one bigger L0 run without reading
-//    any L1 data; runs promote into L1 (and deeper levels stay leveled)
-//    only once a merged run would exceed tiered_max_run_bytes.
-enum class CompactionPolicyKind : int {
-  kLeveled = 0,
-  kTiered = 1,
-};
-
 struct Options {
   // Comparator used to order user keys. Must outlive the DB.
   const Comparator* comparator = nullptr;  // nullptr => BytewiseComparator()
@@ -66,7 +50,6 @@ struct Options {
 
   // Target size of compaction output files (every level shares one target).
   uint64_t target_file_size = 2 * 1024 * 1024;
-  int num_levels = 7;
   // Total-bytes target of level 1; level L targets
   // level1_max_bytes * level_size_multiplier^(L-1).
   uint64_t level1_max_bytes = 10 * 1024 * 1024;
@@ -75,9 +58,14 @@ struct Options {
   // permanently over target and pin the compaction scores at max).
   double level_size_multiplier = 10.0;
 
-  // --- compaction picking (src/lsm/compaction_policy) ---
-
-  CompactionPolicyKind compaction_policy = CompactionPolicyKind::kLeveled;
+  // --- compaction picking (VersionSet::PickCompaction) ---
+  //
+  // One leveled picker with the LevelDB write-amp heuristics (DESIGN.md
+  // "Compaction picking"): grandparent-overlap seeding, bounded input
+  // expansion, output splitting at grandparent boundaries, and a
+  // trivial-move guard that refuses to drop a file onto an unboundedly
+  // wide range two levels down. The tree depth is the compile-time
+  // kNumLevels (src/lsm/dbformat.h).
 
   // Byte budget knobs of the leveled heuristics, expressed as multiples of
   // target_file_size (matching LevelDB's kMaxGrandParentOverlapBytes and
@@ -94,16 +82,6 @@ struct Options {
   double max_grandparent_overlap_factor = 10.0;
   double expanded_compaction_factor = 25.0;
 
-  // Tiered policy (kTiered) knobs. A merge step picks between
-  // tiered_min_merge_width and tiered_max_merge_width level-0 runs whose
-  // sizes stay within tiered_size_ratio of the smallest picked run; a
-  // merged run that would exceed tiered_max_run_bytes (0 => use
-  // level1_max_bytes) is promoted into level 1 instead ("lazy leveling" —
-  // deeper levels stay leveled).
-  int tiered_min_merge_width = 2;
-  int tiered_max_merge_width = 8;
-  double tiered_size_ratio = 2.0;
-  uint64_t tiered_max_run_bytes = 0;
   // Number of L0 files that triggers a compaction into L1. It is also
   // where the write controller's L0 debt starts.
   int l0_compaction_trigger = 4;

@@ -84,22 +84,10 @@ std::vector<SweepCase> SweepCases() {
     c.options.level_size_multiplier = 0.5;
     c.options.max_grandparent_overlap_factor = -1.0;
     c.options.expanded_compaction_factor = 0.0;
-    c.options.tiered_min_merge_width = 0;
-    c.options.tiered_max_merge_width = -3;
-    c.options.tiered_size_ratio = 0.0;
     cases.push_back(c);
   }
   {
     SweepCase c{"leveled_policy_small_files", Options()};
-    c.options.write_buffer_size = 16 * 1024;
-    c.options.target_file_size = 16 * 1024;
-    c.options.level1_max_bytes = 48 * 1024;
-    c.options.l0_compaction_trigger = 2;
-    cases.push_back(c);
-  }
-  {
-    SweepCase c{"tiered_policy", Options()};
-    c.options.compaction_policy = CompactionPolicyKind::kTiered;
     c.options.write_buffer_size = 16 * 1024;
     c.options.target_file_size = 16 * 1024;
     c.options.level1_max_bytes = 48 * 1024;

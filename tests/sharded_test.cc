@@ -5,7 +5,9 @@
 // (the CI tsan job runs this binary).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -18,6 +20,7 @@
 #include "src/core/write_batch.h"
 #include "src/server/http_client.h"
 #include "src/shard/sharded_clsm.h"
+#include "src/util/fault_env.h"
 #include "tests/test_util.h"
 
 namespace clsm {
@@ -31,6 +34,17 @@ uint64_t JsonU64(const std::string& json, const std::string& name) {
     return 0;
   }
   return std::strtoull(json.c_str() + pos + needle.size(), nullptr, 10);
+}
+
+// First string value following `"name":` ("" if absent).
+std::string JsonText(const std::string& json, const std::string& name) {
+  const std::string needle = "\"" + name + "\":\"";
+  size_t pos = json.find(needle);
+  if (pos == std::string::npos) {
+    return "";
+  }
+  pos += needle.size();
+  return json.substr(pos, json.find('"', pos) - pos);
 }
 
 class ShardedTest : public ::testing::Test {
@@ -296,6 +310,80 @@ TEST_F(ShardedTest, StatsRollupSumsShards) {
   // ResetStats fans out to every member.
   db->ResetStats();
   EXPECT_EQ(0u, JsonU64(db->GetProperty("clsm.stats.json"), "puts_total"));
+}
+
+// errors.bg_severity_code is a ladder position (0 none .. 3 fatal), not a
+// quantity: the rollup reports the worst member's code, as /health does,
+// where a sum would leave the ladder. The bg_severity text reads "mixed"
+// while members disagree and the common value once they agree.
+TEST_F(ShardedTest, StatsRollupTakesWorstBackgroundSeverity) {
+  // One fault env per member, so each injected failure lands on a chosen
+  // shard. Declared before the DB, which runs on them until destroyed.
+  FaultInjectionEnv envs[2] = {FaultInjectionEnv(Env::Default()),
+                               FaultInjectionEnv(Env::Default())};
+  ShardedOptions sopt;
+  sopt.shards = 2;
+  DB* raw = nullptr;
+  ASSERT_TRUE(ShardedClsm::Open(
+                  options_, sopt, dir_.path() + "/bgsev",
+                  [&envs](const Options& o, const std::string& d, DB** out) {
+                    Options member = o;
+                    member.env = &envs[d.back() - '0'];  // dir ends in the shard index
+                    return OpenDb(DbVariant::kClsm, member, d, out);
+                  },
+                  &raw)
+                  .ok());
+  std::unique_ptr<DB> db(raw);
+  ShardedClsm* sharded = AsSharded(db.get());
+  WriteOptions wo;
+
+  // Arms one Sync failure on member s and churns writes routed to it until
+  // the flush boundary hits the failure and the member latches an error.
+  auto latch = [&](int s) {
+    DB* member = sharded->shard(s);
+    envs[s].FailSyncs(1);
+    for (int i = 0; i < 200000 && member->GetProperty("clsm.background-error") == "OK"; i++) {
+      const std::string key = "churn" + std::to_string(i);
+      if (sharded->ShardFor(key) == static_cast<size_t>(s) &&
+          !db->Put(wo, key, std::string(64, 'c')).ok()) {
+        break;
+      }
+    }
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (member->GetProperty("clsm.background-error") == "OK" &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_NE("OK", member->GetProperty("clsm.background-error"));
+  };
+  auto member_code = [&](int s) {
+    return JsonU64(sharded->shard(s)->GetProperty("clsm.stats.json"), "bg_severity_code");
+  };
+
+  // The rollup document comes first in the sharded stats JSON, so the
+  // first match of each field is the rollup's.
+  std::string json = db->GetProperty("clsm.stats.json");
+  EXPECT_EQ(0u, JsonU64(json, "bg_severity_code"));
+  EXPECT_EQ("none", JsonText(json, "bg_severity"));
+
+  latch(0);
+  ASSERT_GE(member_code(0), 1u);
+  EXPECT_EQ(0u, member_code(1));
+  json = db->GetProperty("clsm.stats.json");
+  EXPECT_EQ(member_code(0), JsonU64(json, "bg_severity_code"));
+  EXPECT_EQ("mixed", JsonText(json, "bg_severity"));
+
+  latch(1);
+  ASSERT_GE(member_code(1), 1u);
+  json = db->GetProperty("clsm.stats.json");
+  EXPECT_EQ(std::max(member_code(0), member_code(1)), JsonU64(json, "bg_severity_code"));
+  const std::string member0 = JsonText(sharded->shard(0)->GetProperty("clsm.stats.json"),
+                                       "bg_severity");
+  const std::string member1 = JsonText(sharded->shard(1)->GetProperty("clsm.stats.json"),
+                                       "bg_severity");
+  EXPECT_EQ(member0 == member1 ? member0 : "mixed", JsonText(json, "bg_severity"));
+  envs[0].Heal();
+  envs[1].Heal();
 }
 
 TEST_F(ShardedTest, AdminSurfaceServesRollupAndShardLabels) {

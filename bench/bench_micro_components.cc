@@ -3,7 +3,8 @@
 // exclusive lock, the Active timestamp set, the MPSC logging queue and the
 // concurrent arena. These quantify the "multiprocessor-friendly data
 // structures" claim (§1) at the component level. BM_Crc32c times the
-// checksum every WAL record and table block pays.
+// checksum every WAL record and table block pays; BM_TableBuild the table
+// output every flush and compaction writes.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -20,8 +21,10 @@
 #include "src/sync/active_set.h"
 #include "src/sync/shared_exclusive_lock.h"
 #include "src/sync/time_counter.h"
+#include "src/table/table_builder.h"
 #include "src/util/coding.h"
 #include "src/util/crc32c.h"
+#include "src/util/env.h"
 #include "src/util/random.h"
 
 namespace clsm {
@@ -283,6 +286,59 @@ void BM_Crc32c(benchmark::State& state) {
 BENCHMARK_TEMPLATE(BM_Crc32c, crc32c::Extend)->Name("BM_Crc32c/dispatched")->Arg(280)->Arg(4096);
 BENCHMARK_TEMPLATE(BM_Crc32c, crc32c::internal::ExtendPortable)
     ->Name("BM_Crc32c/portable")->Arg(280)->Arg(4096);
+
+// One 2 MiB table of 8 B keys and 256 B values, built into a file from
+// Env::Default() and fdatasync'ed, as a flush or compaction writes it
+// (including kernel writeback started every 1 MiB): the table-build layer
+// of the merge throughput that bounds sustained ingest.
+void BM_TableBuild(benchmark::State& state) {
+  constexpr uint64_t kTableBytes = 2 << 20;
+  constexpr uint64_t kWritebackBytes = 1 << 20;
+  Env* env = Env::Default();
+  const std::string dir = "/tmp/clsm-bench-table-build";
+  env->CreateDir(dir);
+  const std::string fname = dir + "/000001.sst";
+  Options options;
+  std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(options.bloom_bits_per_key));
+  const std::string value(256, 'v');
+  uint64_t bytes = 0;
+  for (auto _ : state) {
+    std::unique_ptr<WritableFile> file;
+    if (!env->NewWritableFile(fname, &file).ok()) {
+      state.SkipWithError("cannot create the table file");
+      break;
+    }
+    TableBuilder builder(options, BytewiseComparator(), policy.get(), file.get());
+    uint64_t next_writeback = kWritebackBytes;
+    char key[8];
+    for (uint64_t i = 0; builder.FileSize() < kTableBytes; i++) {
+      for (int b = 0; b < 8; b++) {
+        key[b] = static_cast<char>(i >> (56 - 8 * b));  // big-endian: sorted
+      }
+      builder.Add(Slice(key, sizeof(key)), value);
+      if (builder.FileSize() >= next_writeback) {
+        file->StartWriteback();
+        next_writeback = builder.FileSize() + kWritebackBytes;
+      }
+    }
+    Status s = builder.Finish();
+    if (s.ok()) {
+      s = file->Sync();
+    }
+    if (s.ok()) {
+      s = file->Close();
+    }
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      break;
+    }
+    bytes += builder.FileSize();
+  }
+  env->RemoveFile(fname);
+  env->RemoveDir(dir);
+  state.SetBytesProcessed(static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_TableBuild)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_ConcurrentArenaAllocate(benchmark::State& state) {
   static ConcurrentArena* arena = nullptr;

@@ -342,18 +342,99 @@ Version* StorageEngine::AddVersionIterators(const ReadOptions& options,
   return v;
 }
 
-namespace {
+// One flush or compaction output table. The builder's blocks collect in the
+// file's 64 KiB buffer and leave in large writes; every kWritebackBytes the
+// kernel is asked to start writing what has been appended, so the closing
+// fdatasync waits only for the tail. A table that is never finished, or
+// whose Finish fails, has its file removed: a failed attempt leaves no
+// unreferenced .sst behind. One table at a time; reusable after Finish.
+class StorageEngine::TableOutput {
+ public:
+  // sync_micros accumulates the closing fdatasync's time, so the sync share
+  // of the stage is readable from its stats.
+  TableOutput(StorageEngine* engine, std::atomic<uint64_t>* sync_micros)
+      : engine_(engine), sync_micros_(sync_micros) {}
+  TableOutput(const TableOutput&) = delete;
+  TableOutput& operator=(const TableOutput&) = delete;
+  // Abandons an unfinished table and removes its file.
+  ~TableOutput() {
+    if (builder_ != nullptr) {
+      builder_->Abandon();
+      builder_.reset();
+      file_.reset();
+      engine_->RemoveFileTracked(TableFileName(engine_->dbname_, meta_.number));
+    }
+  }
 
-// Syncs a finished flush or compaction output and adds the time taken to
-// *micros, so the fdatasync share of the stage is readable from its stats.
-Status TimedSync(WritableFile* file, std::atomic<uint64_t>* micros) {
-  const uint64_t t0 = MonotonicNanos();
-  Status s = file->Sync();
-  micros->fetch_add((MonotonicNanos() - t0) / 1000, std::memory_order_relaxed);
-  return s;
-}
+  bool is_open() const { return builder_ != nullptr; }
+  uint64_t FileSize() const { return builder_->FileSize(); }
 
-}  // namespace
+  // Creates table file `number`. REQUIRES: !is_open().
+  Status Open(uint64_t number) {
+    assert(!is_open());
+    meta_ = FileMetaData();
+    meta_.number = number;
+    Status s = engine_->env_->NewWritableFile(TableFileName(engine_->dbname_, number), &file_);
+    if (s.ok()) {
+      builder_ = std::make_unique<TableBuilder>(engine_->options_, &engine_->icmp_,
+                                                engine_->filter_policy_.get(), file_.get());
+      writeback_status_ = Status::OK();
+      next_writeback_ = kWritebackBytes;
+    }
+    return s;
+  }
+
+  // REQUIRES: is_open(); key after every key added since Open.
+  void Add(const Slice& key, const Slice& value) {
+    if (builder_->NumEntries() == 0) {
+      meta_.smallest.DecodeFrom(key);
+    }
+    meta_.largest.DecodeFrom(key);
+    builder_->Add(key, value);
+    if (builder_->FileSize() >= next_writeback_ && writeback_status_.ok()) {
+      writeback_status_ = file_->StartWriteback();
+      next_writeback_ = builder_->FileSize() + kWritebackBytes;
+    }
+  }
+
+  // Completes the table, fdatasyncs and closes it. On success *meta
+  // describes the durable file; on failure the file is removed.
+  // REQUIRES: is_open().
+  Status Finish(FileMetaData* meta) {
+    Status s = builder_->Finish();
+    if (s.ok()) {
+      s = writeback_status_;  // a failed writeback lost buffered bytes
+    }
+    if (s.ok()) {
+      meta_.file_size = builder_->FileSize();
+      const uint64_t t0 = MonotonicNanos();
+      s = file_->Sync();
+      sync_micros_->fetch_add((MonotonicNanos() - t0) / 1000, std::memory_order_relaxed);
+    }
+    if (s.ok()) {
+      s = file_->Close();
+    }
+    builder_.reset();
+    file_.reset();
+    if (s.ok()) {
+      *meta = meta_;
+    } else {
+      engine_->RemoveFileTracked(TableFileName(engine_->dbname_, meta_.number));
+    }
+    return s;
+  }
+
+ private:
+  static constexpr uint64_t kWritebackBytes = 1 << 20;
+
+  StorageEngine* const engine_;
+  std::atomic<uint64_t>* const sync_micros_;
+  FileMetaData meta_;
+  std::unique_ptr<WritableFile> file_;
+  std::unique_ptr<TableBuilder> builder_;
+  Status writeback_status_;
+  uint64_t next_writeback_ = 0;
+};
 
 Status StorageEngine::BuildTable(Iterator* iter, FileMetaData* meta,
                                  SequenceNumber smallest_snapshot) {
@@ -363,15 +444,11 @@ Status StorageEngine::BuildTable(Iterator* iter, FileMetaData* meta,
     return Status::OK();  // empty: caller checks file_size == 0
   }
 
-  std::string fname = TableFileName(dbname_, meta->number);
-  std::unique_ptr<WritableFile> file;
-  Status s = env_->NewWritableFile(fname, &file);
+  TableOutput out(this, &compaction_stats_.flush_sync_micros);
+  Status s = out.Open(meta->number);
   if (!s.ok()) {
     return s;
   }
-
-  TableBuilder builder(options_, &icmp_, filter_policy_.get(), file.get());
-  meta->smallest.DecodeFrom(iter->key());
   // The compactions' obsolete-version rule: skip a version when the entry
   // before it, the newer version of the same key, is at or below
   // smallest_snapshot. Slices into the memtable stay valid for the loop.
@@ -388,29 +465,11 @@ Status StorageEngine::BuildTable(Iterator* iter, FileMetaData* meta,
       }
     }
     key = iter->key();
-    builder.Add(key, iter->value());
+    out.Add(key, iter->value());
   }
-  if (!key.empty()) {
-    meta->largest.DecodeFrom(key);
-  }
-
-  s = builder.Finish();
+  s = iter->status();
   if (s.ok()) {
-    meta->file_size = builder.FileSize();
-    assert(meta->file_size > 0);
-  }
-
-  if (s.ok()) {
-    s = TimedSync(file.get(), &compaction_stats_.flush_sync_micros);
-  }
-  if (s.ok()) {
-    s = file->Close();
-  }
-  if (s.ok()) {
-    s = iter->status();
-  }
-  if (!s.ok() || meta->file_size == 0) {
-    RemoveFileTracked(fname);
+    s = out.Finish(meta);
   }
   return s;
 }
@@ -536,28 +595,15 @@ Status StorageEngine::DoCompactionWork(Compaction* c, SequenceNumber smallest_sn
   bool has_current_user_key = false;
   SequenceNumber last_sequence_for_key = kMaxSequenceNumber;
 
-  std::unique_ptr<WritableFile> outfile;
-  std::unique_ptr<TableBuilder> builder;
-  FileMetaData output_meta;
+  // An output a failure cuts short is removed when `out` goes out of scope.
+  TableOutput out(this, &compaction_stats_.level(c->level()).sync_micros);
   std::vector<FileMetaData> outputs;
-
   auto finish_output = [&]() -> Status {
-    if (builder == nullptr) {
-      return Status::OK();
-    }
-    Status fs = builder->Finish();
+    FileMetaData meta;
+    Status fs = out.Finish(&meta);
     if (fs.ok()) {
-      output_meta.file_size = builder->FileSize();
-      fs = TimedSync(outfile.get(), &compaction_stats_.level(c->level()).sync_micros);
+      outputs.push_back(meta);
     }
-    if (fs.ok()) {
-      fs = outfile->Close();
-    }
-    if (fs.ok() && output_meta.file_size > 0) {
-      outputs.push_back(output_meta);
-    }
-    builder.reset();
-    outfile.reset();
     return fs;
   };
 
@@ -569,7 +615,7 @@ Status StorageEngine::DoCompactionWork(Compaction* c, SequenceNumber smallest_sn
     // (output_level+1) files passes the configured bound, so no single
     // output file manufactures an oversized future compaction one level
     // down.
-    if (builder != nullptr && c->ShouldStopBefore(key)) {
+    if (out.is_open() && c->ShouldStopBefore(key)) {
       s = finish_output();
       if (!s.ok()) {
         break;
@@ -608,23 +654,15 @@ Status StorageEngine::DoCompactionWork(Compaction* c, SequenceNumber smallest_sn
     }
 
     if (!drop) {
-      // Open output file if necessary.
-      if (builder == nullptr) {
-        output_meta = FileMetaData();
-        output_meta.number = versions_->NewFileNumber();
-        std::string fname = TableFileName(dbname_, output_meta.number);
-        s = env_->NewWritableFile(fname, &outfile);
+      if (!out.is_open()) {
+        s = out.Open(versions_->NewFileNumber());
         if (!s.ok()) {
           break;
         }
-        builder = std::make_unique<TableBuilder>(options_, &icmp_, filter_policy_.get(),
-                                                 outfile.get());
-        output_meta.smallest.DecodeFrom(key);
       }
-      output_meta.largest.DecodeFrom(key);
-      builder->Add(key, input->value());
+      out.Add(key, input->value());
 
-      if (builder->FileSize() >= c->MaxOutputFileSize()) {
+      if (out.FileSize() >= c->MaxOutputFileSize()) {
         s = finish_output();
         if (!s.ok()) {
           break;
@@ -636,12 +674,8 @@ Status StorageEngine::DoCompactionWork(Compaction* c, SequenceNumber smallest_sn
   if (s.ok()) {
     s = input->status();
   }
-  if (s.ok()) {
+  if (s.ok() && out.is_open()) {
     s = finish_output();
-  } else if (builder != nullptr) {
-    builder->Abandon();
-    builder.reset();
-    outfile.reset();
   }
   input.reset();
 

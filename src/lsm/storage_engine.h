@@ -175,6 +175,8 @@ class StorageEngine {
   const std::string& dbname() const { return dbname_; }
 
  private:
+  class TableOutput;
+
   Status NewDB();
   Status RecoverLogFile(uint64_t log_number, MemTable* mem, SequenceNumber* max_seq);
   Status BuildTable(Iterator* iter, FileMetaData* meta, SequenceNumber smallest_snapshot);

@@ -102,10 +102,11 @@ void TableBuilder::Flush() {
     return;
   }
   assert(!r->pending_index_entry);
+  // The block stays in the file's buffer: the writer, not the builder,
+  // decides when bytes reach the OS, so blocks leave in large writes.
   WriteBlock(&r->data_block, &r->pending_handle);
   if (ok()) {
     r->pending_index_entry = true;
-    r->status = r->file->Flush();
   }
   if (r->filter_block != nullptr) {
     r->filter_block->StartBlock(r->offset);

@@ -18,7 +18,8 @@ class BlockBuilder;
 class TableBuilder {
  public:
   // filter_policy may be null (no filter block). Does not take ownership of
-  // file; caller must Sync/Close after Finish().
+  // file; caller must Sync/Close after Finish(). The builder only appends:
+  // when buffered bytes reach the OS is up to the file and its caller.
   TableBuilder(const Options& options, const Comparator* comparator,
                const FilterPolicy* filter_policy, WritableFile* file);
 
@@ -30,9 +31,6 @@ class TableBuilder {
 
   // REQUIRES: key is after any previously added key in comparator order.
   void Add(const Slice& key, const Slice& value);
-
-  // Writes any buffered data block to the file (advanced use).
-  void Flush();
 
   Status status() const;
 
@@ -47,6 +45,8 @@ class TableBuilder {
 
  private:
   bool ok() const { return status().ok(); }
+  // Appends the pending data block to the file (no file Flush).
+  void Flush();
   void WriteBlock(BlockBuilder* block, class BlockHandle* handle);
   void WriteRawBlock(const Slice& data, BlockHandle* handle);
 

@@ -58,13 +58,18 @@ class PosixRandomAccessFile final : public RandomAccessFile {
   ~PosixRandomAccessFile() override { ::close(fd_); }
 
   Status Read(uint64_t offset, size_t n, Slice* result, char* scratch) const override {
-    ::ssize_t read_size = ::pread(fd_, scratch, n, static_cast<off_t>(offset));
-    if (read_size < 0) {
-      *result = Slice(scratch, 0);
-      return PosixError(fname_, errno);
+    while (true) {
+      ::ssize_t read_size = ::pread(fd_, scratch, n, static_cast<off_t>(offset));
+      if (read_size < 0) {
+        if (errno == EINTR) {
+          continue;
+        }
+        *result = Slice(scratch, 0);
+        return PosixError(fname_, errno);
+      }
+      *result = Slice(scratch, read_size);
+      return Status::OK();
     }
-    *result = Slice(scratch, read_size);
-    return Status::OK();
   }
 
  private:
@@ -74,7 +79,7 @@ class PosixRandomAccessFile final : public RandomAccessFile {
 
 class PosixWritableFile final : public WritableFile {
  public:
-  PosixWritableFile(std::string fname, int fd) : fname_(std::move(fname)), fd_(fd), pos_(0) {}
+  PosixWritableFile(std::string fname, int fd) : fname_(std::move(fname)), fd_(fd) {}
   ~PosixWritableFile() override {
     if (fd_ >= 0) {
       Close();
@@ -129,6 +134,22 @@ class PosixWritableFile final : public WritableFile {
     return Status::OK();
   }
 
+  Status StartWriteback() override {
+    Status s = FlushBuffer();
+    if (!s.ok()) {
+      return s;
+    }
+#ifdef __linux__
+    // Advisory: an error here leaves the bytes dirty for Sync to write,
+    // and Sync reports any real I/O error.
+    ::sync_file_range(fd_, static_cast<off_t>(writeback_offset_),
+                      static_cast<off_t>(file_offset_ - writeback_offset_),
+                      SYNC_FILE_RANGE_WRITE);
+#endif
+    writeback_offset_ = file_offset_;
+    return Status::OK();
+  }
+
  private:
   Status FlushBuffer() {
     Status s = WriteUnbuffered(buf_, pos_);
@@ -147,6 +168,7 @@ class PosixWritableFile final : public WritableFile {
       }
       data += write_result;
       size -= write_result;
+      file_offset_ += write_result;
     }
     return Status::OK();
   }
@@ -155,7 +177,9 @@ class PosixWritableFile final : public WritableFile {
   const std::string fname_;
   int fd_;
   char buf_[kBufSize];
-  size_t pos_;
+  size_t pos_ = 0;                 // bytes buffered in buf_
+  uint64_t file_offset_ = 0;       // bytes handed to write()
+  uint64_t writeback_offset_ = 0;  // bytes handed to sync_file_range
 };
 
 class PosixEnv final : public Env {

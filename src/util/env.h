@@ -38,6 +38,11 @@ class WritableFile {
   virtual Status Close() = 0;
   virtual Status Flush() = 0;
   virtual Status Sync() = 0;
+  // Hands buffered bytes to the OS and starts writing every byte appended so
+  // far to the device, without waiting for it. Not a durability point: only
+  // Sync makes bytes durable; this only leaves less for the next Sync to
+  // wait for. Writers of large files call it periodically.
+  virtual Status StartWriteback() { return Status::OK(); }
 };
 
 class Env {

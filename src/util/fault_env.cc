@@ -50,6 +50,16 @@ class FaultInjectionEnv::FaultyWritableFile final : public WritableFile {
     }
     return base_->Flush();
   }
+  // Forwarded like Flush: writeback moves no bytes into the synced extent.
+  Status StartWriteback() override {
+    if (env_->CheckCrash()) {
+      return PowerOff("StartWriteback");
+    }
+    if (env_->ShouldFailWrite()) {
+      return Status::IOError("injected fault: StartWriteback");
+    }
+    return base_->StartWriteback();
+  }
   Status Sync() override {
     if (env_->CheckCrash()) {
       return PowerOff("Sync");

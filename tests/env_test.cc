@@ -49,6 +49,43 @@ TEST_F(EnvTest, LargeBufferedWrites) {
   EXPECT_EQ(expected, contents);
 }
 
+TEST_F(EnvTest, WritebackAcrossBufferBoundaries) {
+  // Appends of 1 B, 4 KiB+5, 64 KiB and 3 MiB straddle the 64 KiB write
+  // buffer and the 1 MiB writeback cadence that table output uses; the file
+  // must read back exactly as appended.
+  constexpr uint64_t kWritebackBytes = 1 << 20;
+  std::string fname = dir_.path() + "/wb";
+  std::unique_ptr<WritableFile> wf;
+  ASSERT_TRUE(env_->NewWritableFile(fname, &wf).ok());
+  ASSERT_TRUE(wf->StartWriteback().ok());  // nothing written yet
+  std::string expected;
+  uint64_t next_writeback = kWritebackBytes;
+  for (int round = 0; round < 2; round++) {
+    for (size_t size : {size_t{1}, size_t{4096 + 5}, size_t{64 * 1024}, size_t{3 << 20}}) {
+      const int reps = size < 64 * 1024 ? 40 : 2;
+      for (int r = 0; r < reps; r++) {
+        std::string chunk(size, '\0');
+        for (size_t i = 0; i < size; i++) {
+          chunk[i] = static_cast<char>((expected.size() + i) * 131 % 251);
+        }
+        ASSERT_TRUE(wf->Append(chunk).ok());
+        expected += chunk;
+        if (expected.size() >= next_writeback) {
+          ASSERT_TRUE(wf->StartWriteback().ok());
+          next_writeback = expected.size() + kWritebackBytes;
+        }
+      }
+      ASSERT_TRUE(wf->Sync().ok());
+    }
+  }
+  ASSERT_TRUE(wf->Close().ok());
+
+  std::string contents;
+  ASSERT_TRUE(ReadFileToString(env_, fname, &contents).ok());
+  ASSERT_EQ(expected.size(), contents.size());
+  EXPECT_TRUE(expected == contents);
+}
+
 TEST_F(EnvTest, RandomAccessRead) {
   std::string fname = dir_.path() + "/ra";
   ASSERT_TRUE(WriteStringToFileSync(env_, "0123456789abcdef", fname).ok());

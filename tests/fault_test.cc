@@ -3,10 +3,16 @@
 // must never corrupt data that was already durable.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstring>
 #include <memory>
+#include <sstream>
+#include <thread>
 
 #include "src/baselines/factory.h"
 #include "src/core/clsm_db.h"
+#include "src/lsm/filename.h"
 #include "src/util/fault_env.h"
 #include "tests/test_util.h"
 
@@ -111,6 +117,108 @@ TEST_F(FaultTest, SyncWriteReportsInjectedError) {
   }
   EXPECT_FALSE(s.ok()) << "injected WAL failure was swallowed";
   fault_env_.Heal();
+}
+
+// Arms write failures for the first `failures` merging compactions, from
+// their start to their end, so each of those jobs fails part-way through
+// writing its output. Nothing else writes while they run (the store takes
+// no writes then), so only compactions fail.
+class FailFirstCompactions final : public EventListener {
+ public:
+  FailFirstCompactions(FaultInjectionEnv* env, int failures) : env_(env), to_fail_(failures) {}
+
+  void OnCompactionBegin(const CompactionJobInfo& info) override {
+    if (!info.trivial_move && to_fail_.fetch_sub(1) > 0) {
+      env_->FailAfterWrites(8);
+    }
+  }
+  void OnCompactionEnd(const CompactionJobInfo&) override { env_->Heal(); }
+  void OnBackgroundError(const BackgroundErrorInfo& info) override {
+    if (info.reason == BgErrorReason::kCompaction) {
+      failed_.fetch_add(1);
+    }
+  }
+
+  int failed() const { return failed_.load(); }
+
+ private:
+  FaultInjectionEnv* env_;
+  std::atomic<int> to_fail_;
+  std::atomic<int> failed_{0};
+};
+
+TEST_F(FaultTest, FailedCompactionsLeaveNoTableFiles) {
+  const std::string dbname = dir_.path() + "/db";
+  // Overlapping level-0 tables (at least two; how many depends on when the
+  // memtable rolls), with compaction held off.
+  options_.l0_compaction_trigger = 100;
+  {
+    auto db = Open();
+    WriteOptions wo;
+    const std::string value(100, 'v');
+    for (int i = 0; i < 16000; i++) {
+      ASSERT_TRUE(db->Put(wo, "key" + std::to_string(i * 7919 % 16000), value).ok());
+    }
+    db->WaitForMaintenance();
+  }
+
+  // Reopen with a low trigger: the level-0 merge starts on its own and its
+  // first three attempts fail mid-output.
+  options_.l0_compaction_trigger = 2;
+  auto listener = std::make_shared<FailFirstCompactions>(&fault_env_, 3);
+  options_.listeners.push_back(listener);
+  auto db = Open();
+  db->WaitForMaintenance();
+
+  auto level_files = [&](int* level0) {
+    std::istringstream in(db->GetProperty("clsm.levels").substr(strlen("files[")));
+    int total = 0;
+    int n;
+    for (int level = 0; in >> n; level++) {
+      if (level == 0) {
+        *level0 = n;
+      }
+      total += n;
+    }
+    return total;
+  };
+  auto table_files_on_disk = [&] {
+    std::vector<std::string> children;
+    EXPECT_TRUE(fault_env_.GetChildren(dbname, &children).ok());
+    int count = 0;
+    for (const std::string& name : children) {
+      uint64_t number;
+      FileType type;
+      if (ParseFileName(name, &number, &type) && type == kTableFile) {
+        count++;
+      }
+    }
+    return count;
+  };
+
+  // Wait for the retry that succeeds (level 0 drained), then for the disk
+  // to settle on exactly the tables the current version references.
+  int live = 0;
+  int on_disk = -1;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    int level0 = -1;
+    live = level_files(&level0);
+    on_disk = table_files_on_disk();
+    if (listener->failed() >= 3 && level0 == 0 && on_disk == live) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(3, listener->failed());
+  EXPECT_GT(live, 0);
+  EXPECT_EQ(live, on_disk) << "failed compactions left table files behind";
+
+  ReadOptions ro;
+  std::string v;
+  for (int i = 0; i < 16000; i += 397) {
+    EXPECT_TRUE(db->Get(ro, "key" + std::to_string(i), &v).ok()) << i;
+  }
 }
 
 TEST_F(FaultTest, RecoveryAfterFaultyRun) {

@@ -290,6 +290,79 @@ TEST_F(TableRoundTripTest, BuildOpenIterateGet) {
   EXPECT_GT(usage_after, 0u);
 }
 
+// Forwards to a real file and counts the Flush calls made on it.
+class CountingWritableFile final : public WritableFile {
+ public:
+  explicit CountingWritableFile(std::unique_ptr<WritableFile> base) : base_(std::move(base)) {}
+
+  Status Append(const Slice& data) override { return base_->Append(data); }
+  Status Close() override { return base_->Close(); }
+  Status Flush() override {
+    flushes++;
+    return base_->Flush();
+  }
+  Status Sync() override { return base_->Sync(); }
+
+  int flushes = 0;
+
+ private:
+  std::unique_ptr<WritableFile> base_;
+};
+
+TEST_F(TableRoundTripTest, BuilderLeavesFlushingToTheFile) {
+  // A multi-MiB table of 4 KiB blocks: the builder only appends, so the
+  // file's buffer, not one write per block, decides when bytes leave.
+  Options options;
+  std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(10));
+  std::map<std::string, std::string> model;
+  Random rnd(301);
+  for (int i = 0; i < 14000; i++) {
+    char key[32];
+    std::snprintf(key, sizeof(key), "k%08d", i);
+    std::string value(256, '\0');
+    for (char& c : value) {
+      c = static_cast<char>('a' + rnd.Uniform(26));
+    }
+    model[key] = value;
+  }
+
+  std::string fname = dir_.path() + "/stream.sst";
+  {
+    std::unique_ptr<WritableFile> base;
+    ASSERT_TRUE(env_->NewWritableFile(fname, &base).ok());
+    CountingWritableFile file(std::move(base));
+    TableBuilder builder(options, BytewiseComparator(), policy.get(), &file);
+    for (const auto& [k, v] : model) {
+      builder.Add(k, v);
+    }
+    ASSERT_TRUE(builder.Finish().ok());
+    ASSERT_GT(builder.FileSize(), 3u << 20);
+    EXPECT_EQ(0, file.flushes);
+    ASSERT_TRUE(file.Sync().ok());
+    ASSERT_TRUE(file.Close().ok());
+  }
+
+  uint64_t file_size;
+  ASSERT_TRUE(env_->GetFileSize(fname, &file_size).ok());
+  std::unique_ptr<RandomAccessFile> file;
+  ASSERT_TRUE(env_->NewRandomAccessFile(fname, &file).ok());
+  Table* table_raw = nullptr;
+  ASSERT_TRUE(Table::Open(options, BytewiseComparator(), policy.get(), nullptr, file.get(),
+                          file_size, &table_raw)
+                  .ok());
+  std::unique_ptr<Table> table(table_raw);
+  std::unique_ptr<Iterator> iter(table->NewIterator(ReadOptions()));
+  iter->SeekToFirst();
+  for (const auto& [k, v] : model) {
+    ASSERT_TRUE(iter->Valid());
+    ASSERT_EQ(k, iter->key().ToString());
+    ASSERT_EQ(v, iter->value().ToString());
+    iter->Next();
+  }
+  EXPECT_FALSE(iter->Valid());
+  EXPECT_TRUE(iter->status().ok());
+}
+
 TEST_F(TableRoundTripTest, CorruptFooterIsRejected) {
   std::string fname = dir_.path() + "/bad.sst";
   ASSERT_TRUE(WriteStringToFileSync(env_, std::string(2000, 'g'), fname).ok());

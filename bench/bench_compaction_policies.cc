@@ -212,7 +212,10 @@ CellResult RunCell(const std::string& workload, uint64_t num_keys, uint64_t over
       result.read_amp += 1;
     }
   }
-  result.compactions = Sum(ExtractAllCounters(stats, "compactions"));
+  // counters.compactions, the total, leads the document; the per-level
+  // "compactions" that follow it are its parts, not further jobs.
+  const std::vector<uint64_t> compactions = ExtractAllCounters(stats, "compactions");
+  result.compactions = compactions.empty() ? 0 : compactions.front();
   result.trivial_moves = Sum(ExtractAllCounters(stats, "trivial_moves"));
   result.picker_picks = Sum(ExtractAllCounters(stats, "picker_picks"));
   result.picker_expansions = Sum(ExtractAllCounters(stats, "picker_expansions"));

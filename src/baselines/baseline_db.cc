@@ -16,7 +16,7 @@ void BaselineDbBase::StartMaintenance(SequenceNumber recovered_seq) {
 }
 
 Status BaselineDbBase::Put(const WriteOptions& options, const Slice& key, const Slice& value) {
-  stats_.Bump(stats_.puts_total);
+  stats_.Add(DbCounter::kPutsTotal);
   const uint64_t t0 = StartOp();
   WriteBatch batch;
   batch.Put(key, value);
@@ -31,7 +31,7 @@ Status BaselineDbBase::Put(const WriteOptions& options, const Slice& key, const 
 }
 
 Status BaselineDbBase::Delete(const WriteOptions& options, const Slice& key) {
-  stats_.Bump(stats_.deletes_total);
+  stats_.Add(DbCounter::kDeletesTotal);
   const uint64_t t0 = StartOp();
   WriteBatch batch;
   batch.Delete(key);
@@ -46,7 +46,7 @@ Status BaselineDbBase::Delete(const WriteOptions& options, const Slice& key) {
 }
 
 Status BaselineDbBase::Write(const WriteOptions& options, WriteBatch* updates) {
-  stats_.Bump(stats_.batches_total);
+  stats_.Add(DbCounter::kBatchesTotal);
   const uint64_t t0 = StartOp();
   uint32_t batch_bytes = 0;
   for (const WriteBatch::Op& op : updates->ops()) {
@@ -225,7 +225,7 @@ void BaselineDbBase::RollMemTableLocked() {
   imm_logger_.reset(old_logger);
   log_number_ = fresh_log;
   imm_exists_.store(true, std::memory_order_release);
-  stats_.Bump(stats_.memtable_rolls);
+  stats_.Add(DbCounter::kMemtableRolls);
   engine_.listeners().NotifyMemtableRoll(old_mem->ApproximateMemoryUsage());
 }
 
@@ -288,7 +288,7 @@ Status BaselineDbBase::GetLatestLocked(const Slice& key, std::string* value) {
 }
 
 Status BaselineDbBase::Get(const ReadOptions& options, const Slice& key, std::string* value) {
-  stats_.Bump(stats_.gets_total);
+  stats_.Add(DbCounter::kGetsTotal);
   const uint64_t t0 = StartOp();
   const SequenceNumber seq = ReadTimestamp(options, last_sequence_.load(std::memory_order_acquire));
   MemTable* mem;
@@ -298,7 +298,7 @@ Status BaselineDbBase::Get(const ReadOptions& options, const Slice& key, std::st
 }
 
 Iterator* BaselineDbBase::NewIterator(const ReadOptions& options) {
-  stats_.Bump(stats_.iterators_created);
+  stats_.Add(DbCounter::kIteratorsCreated);
   const SequenceNumber seq = ReadTimestamp(options, last_sequence_.load(std::memory_order_acquire));
   IterState* state = new IterState;
   RefComponents(&state->mem, &state->imm);
@@ -309,7 +309,7 @@ Iterator* BaselineDbBase::NewIterator(const ReadOptions& options) {
 const Snapshot* BaselineDbBase::GetSnapshot() {
   // LevelDB-style: writes are serialized, so the published last sequence is
   // itself a consistent cut — no Active-set machinery needed.
-  stats_.Bump(stats_.snapshots_acquired);
+  stats_.Add(DbCounter::kSnapshotsAcquired);
   std::lock_guard<std::mutex> l(mutex_);
   return snapshots_.New(last_sequence_.load(std::memory_order_acquire));
 }
@@ -321,7 +321,7 @@ Status BaselineDbBase::ReadModifyWrite(const WriteOptions& options, const Slice&
   if (performed != nullptr) {
     *performed = false;
   }
-  stats_.Bump(stats_.rmw_total);
+  stats_.Add(DbCounter::kRmwTotal);
   if (engine_.bg_error()->writes_blocked()) {
     return engine_.bg_error()->status();
   }

@@ -38,7 +38,7 @@ class HyperStyleDb final : public BaselineDbBase {
     // This fast path bypasses BaselineDbBase::Put/WriteLocked, so it keeps
     // its own books: the same op counters and latency series every other
     // variant records.
-    stats_.Bump(type == kTypeValue ? stats_.puts_total : stats_.deletes_total);
+    stats_.Add(type == kTypeValue ? DbCounter::kPutsTotal : DbCounter::kDeletesTotal);
     ScopedLatency probe(metrics_on_ ? &registry_ : nullptr,
                         type == kTypeValue ? OpMetric::kPut : OpMetric::kDelete);
     // Slow path only when backpressure may apply: take the global mutex and

@@ -35,7 +35,7 @@ class StripedRmwDb final : public BaselineDbBase {
     if (performed != nullptr) {
       *performed = false;
     }
-    stats_.Bump(stats_.rmw_total);
+    stats_.Add(DbCounter::kRmwTotal);
     ScopedLatency probe(metrics_on_ ? &registry_ : nullptr, OpMetric::kRmw);
     // Read-compute-write is atomic for this key because every writer of the
     // key serializes on the same stripe.

@@ -53,7 +53,7 @@ SequenceNumber ClsmDb::GetTS(uint64_t n) {
     active_.Add(ts);
     if (ts <= snap_time_.load(std::memory_order_seq_cst)) {
       active_.Remove(ts);
-      stats_.Bump(stats_.getts_rollbacks);
+      stats_.Add(DbCounter::kGettsRollbacks);
       // Back off before redrawing: on few cores a hot rollback loop starves
       // the very scanner whose snapTime advance we are trying to clear.
       backoff.Pause();
@@ -227,19 +227,19 @@ Status ClsmDb::LogAndRelease(const WriteOptions& options, SequenceNumber first, 
 }
 
 Status ClsmDb::Put(const WriteOptions& options, const Slice& key, const Slice& value) {
-  stats_.Bump(stats_.puts_total);
+  stats_.Add(DbCounter::kPutsTotal);
   const WriteOp op{kTypeValue, key, value};
   return Commit(options, DbOpType::kPut, &op, 1);
 }
 
 Status ClsmDb::Delete(const WriteOptions& options, const Slice& key) {
-  stats_.Bump(stats_.deletes_total);
+  stats_.Add(DbCounter::kDeletesTotal);
   const WriteOp op{kTypeDeletion, key, Slice()};
   return Commit(options, DbOpType::kDelete, &op, 1);
 }
 
 Status ClsmDb::Write(const WriteOptions& options, WriteBatch* updates) {
-  stats_.Bump(stats_.batches_total);
+  stats_.Add(DbCounter::kBatchesTotal);
   if (updates->Count() == 0) {
     return Status::OK();  // nothing to order or log
   }
@@ -257,12 +257,12 @@ Status ClsmDb::Get(const ReadOptions& options, const Slice& key, std::string* va
     EpochGuard guard(*engine_.epochs());
     RefMemTables(&mem, &imm);
   }
-  stats_.Bump(stats_.gets_total);
+  stats_.Add(DbCounter::kGetsTotal);
   return GetPinned(options, key, ReadTimestamp(options, kMaxSequenceNumber), mem, imm, value, t0);
 }
 
 Iterator* ClsmDb::NewIterator(const ReadOptions& options) {
-  stats_.Bump(stats_.iterators_created);
+  stats_.Add(DbCounter::kIteratorsCreated);
   while (true) {
     IterState* state = new IterState;
     {
@@ -291,7 +291,7 @@ Iterator* ClsmDb::NewIterator(const ReadOptions& options) {
 const Snapshot* ClsmDb::GetSnapshot() {
   // Algorithm 2, getSnap. The shared lock excludes the beforeMerge hook, so
   // installing the handle cannot race with the merge observing the list.
-  stats_.Bump(stats_.snapshots_acquired);
+  stats_.Add(DbCounter::kSnapshotsAcquired);
   lock_.LockShared();
   SequenceNumber ts = AcquireScanTimestamp();
   const Snapshot* s = snapshots_.New(ts);
@@ -333,7 +333,7 @@ Status ClsmDb::ReadModifyWrite(const WriteOptions& options, const Slice& key,
   if (performed != nullptr) {
     *performed = false;
   }
-  stats_.Bump(stats_.rmw_total);
+  stats_.Add(DbCounter::kRmwTotal);
   if (engine_.bg_error()->writes_blocked()) {
     return engine_.bg_error()->status();
   }
@@ -368,7 +368,7 @@ Status ClsmDb::ReadModifyWrite(const WriteOptions& options, const Slice& key,
     std::optional<std::string> next = f(current_opt);
     if (!next.has_value()) {
       // User chose not to write; linearizes at the read.
-      stats_.Bump(stats_.rmw_noop);
+      stats_.Add(DbCounter::kRmwNoop);
       lock_.UnlockShared();
       break;
     }
@@ -388,7 +388,7 @@ Status ClsmDb::ReadModifyWrite(const WriteOptions& options, const Slice& key,
     // Conflict (Algorithm 3 lines 6/8/12): some concurrent operation
     // interfered between our read and our update. Retry; each retry implies
     // another operation made progress, preserving lock-freedom.
-    stats_.Bump(stats_.rmw_conflicts);
+    stats_.Add(DbCounter::kRmwConflicts);
     active_.Remove(tsn);
   }
   if (metrics_on_) {
@@ -418,7 +418,7 @@ void ClsmDb::RollMemTable() {
   }
   MemTable* fresh_mem = new MemTable(*engine_.icmp());
 
-  stats_.Bump(stats_.memtable_rolls);
+  stats_.Add(DbCounter::kMemtableRolls);
   lock_.LockExclusive();
   MemTable* old_mem = mem_.load(std::memory_order_relaxed);
   imm_.store(old_mem, std::memory_order_release);   // P'm <- Pm

@@ -107,10 +107,11 @@ class DB {
   }
 
   // Zero the interval-style observability state (DbStats counters, latency
-  // histograms, slow-op rate-limiter accounting) so periodic reporters can
-  // emit true deltas instead of since-process-start accumulations.
-  // Cumulative engine state (levels, write-amp, background errors) is NOT
-  // reset. Also reachable via GetProperty("clsm.stats.reset").
+  // histograms, slow-op rate-limiter accounting, attached rpc stats) so a
+  // scraper can start a fresh measurement window. Cumulative engine state
+  // (levels, compactions, flushes block, write-amp, background errors) is
+  // NOT reset. Also reachable via GetProperty("clsm.stats.reset") and the
+  // admin server's POST /control/stats/reset.
   virtual void ResetStats() {}
 
   // Block until background flushes/compactions have drained (test/bench

@@ -80,26 +80,8 @@ Status DbChassis::Init() {
   mem_.store(new MemTable(*engine_.icmp()), std::memory_order_release);
   StartMaintenance(max_seq);
   if (engine_.options().stats_dump_period_sec > 0) {
-    reporter_ = std::make_unique<StatsReporter>(
-        Name(), engine_.options().stats_dump_period_sec,
-        [this] {
-          ReporterCounters c;
-          c.writes = stats_.puts_total.load(std::memory_order_relaxed) +
-                     stats_.deletes_total.load(std::memory_order_relaxed);
-          c.gets = stats_.gets_total.load(std::memory_order_relaxed);
-          c.flushes = stats_.flushes.load(std::memory_order_relaxed);
-          c.compactions = engine_.compaction_stats()->TotalCompactions();
-          c.stall_micros = stats_.TotalStallMicros();
-          c.hard_stall_micros = stats_.stall_micros.load(std::memory_order_relaxed);
-          c.rate_delay_micros = stats_.rate_limit_delay_micros.load(std::memory_order_relaxed);
-          if (RpcServerStats* rpc = rpc_.stats()) {
-            c.rpc_requests = rpc->TotalRequests();
-          }
-          return c;
-        },
-        [this] { return GetProperty("clsm.stats.json"); },
-        engine_.options().stats_dump_deltas ? std::function<void()>([this] { ResetStats(); })
-                                            : std::function<void()>());
+    reporter_ = std::make_unique<StatsReporter>(Name(), engine_.options().stats_dump_period_sec,
+                                                [this] { return GetProperty("clsm.stats.json"); });
   }
   if (engine_.options().admin_port >= 0) {
     AdminHooks hooks;
@@ -171,7 +153,7 @@ void DbChassis::FinishOp(DbOpType op, const Slice& key, uint32_t value_size, OpO
     engine_.listeners().NotifyOperation(info);
   }
   if (slow_op_threshold_nanos_ != 0 && total_nanos >= slow_op_threshold_nanos_) {
-    stats_.Bump(stats_.slow_ops_total);
+    stats_.Add(DbCounter::kSlowOpsTotal);
     if (slow_op_limiter_.Admit(engine_.env()->NowMicros())) {
       // The record carries the PerfContext snapshot as-is; its `level`
       // field tells consumers whether the counters/timers were populated
@@ -185,9 +167,9 @@ void DbChassis::FinishOp(DbOpType op, const Slice& key, uint32_t value_size, OpO
       info.stalled = stalled;
       info.suppressed = slow_op_limiter_.suppressed();
       engine_.listeners().NotifySlowOperation(info);
-      stats_.Bump(stats_.slow_ops_reported);
+      stats_.Add(DbCounter::kSlowOpsReported);
     } else {
-      stats_.Bump(stats_.slow_ops_dropped);
+      stats_.Add(DbCounter::kSlowOpsDropped);
     }
   }
 }
@@ -199,12 +181,12 @@ Status DbChassis::GetPinned(const ReadOptions& options, const Slice& key, Sequen
   const uint64_t search_t0 = pt ? LatencyClock::Ticks() : 0;
   Status s;
   if (mem->Get(lkey, value, &s)) {
-    stats_.Bump(stats_.gets_from_mem);
+    stats_.Add(DbCounter::kGetsFromMem);
     if (pt) {
       tls_perf_context.mem_search_nanos += LatencyClock::ToNanos(LatencyClock::Ticks() - search_t0);
     }
   } else if (imm != nullptr && imm->Get(lkey, value, &s)) {
-    stats_.Bump(stats_.gets_from_imm);
+    stats_.Add(DbCounter::kGetsFromImm);
     if (pt) {
       tls_perf_context.mem_search_nanos += LatencyClock::ToNanos(LatencyClock::Ticks() - search_t0);
     }
@@ -214,7 +196,7 @@ Status DbChassis::GetPinned(const ReadOptions& options, const Slice& key, Sequen
       tls_perf_context.mem_search_nanos += LatencyClock::ToNanos(disk_t0 - search_t0);
     }
     s = engine_.Get(options, lkey, value);
-    stats_.Bump(stats_.gets_from_disk);
+    stats_.Add(DbCounter::kGetsFromDisk);
     if (pt) {
       tls_perf_context.disk_search_nanos += LatencyClock::ToNanos(LatencyClock::Ticks() - disk_t0);
     }
@@ -282,7 +264,7 @@ void DbChassis::FlushImmutable() {
       return;
     }
   }
-  stats_.Bump(stats_.flushes);
+  stats_.Add(DbCounter::kFlushes);
 
   // The flush edit persists the current timestamp: recovery restores it as
   // max(manifest last-sequence, replayed WAL timestamps).
@@ -318,13 +300,6 @@ std::string DbChassis::GetProperty(const Slice& property) {
   if (property == Slice("clsm.last-ts")) {
     return std::to_string(CurrentTimestamp());
   }
-  if (property == Slice("clsm.stats")) {
-    // Compactions are counted by the engine; mirror the total into the
-    // legacy counter so the "maintenance:" line stays truthful.
-    stats_.compactions.store(engine_.compaction_stats()->TotalCompactions(),
-                             std::memory_order_relaxed);
-    return stats_.ToString() + engine_.compaction_stats()->ToString();
-  }
   if (property == Slice("clsm.stats.json")) {
     return BuildStatsJson(StatsSource());
   }
@@ -338,7 +313,8 @@ std::string DbChassis::GetProperty(const Slice& property) {
     return "OK";
   }
   if (property == Slice("clsm.stall-micros")) {
-    return std::to_string(stats_.TotalStallMicros());
+    return std::to_string(stats_.Get(DbCounter::kStallMicros) +
+                          stats_.Get(DbCounter::kRateLimitDelayMicros));
   }
   if (property == Slice("clsm.l0-files")) {
     return std::to_string(engine_.NumLevelFiles(0));
@@ -370,10 +346,7 @@ bool DbChassis::FillStatsSource(StatsJsonSource* out) {
 
 StatsJsonSource DbChassis::StatsSource() {
   // The one place that knows which observability state feeds the stats
-  // exporters; clsm.stats.json and the admin server's /metrics render from
-  // it. Mirrors the engine's compaction total into the legacy counter.
-  stats_.compactions.store(engine_.compaction_stats()->TotalCompactions(),
-                           std::memory_order_relaxed);
+  // exporters; clsm.stats.json and the admin server's /metrics render from it.
   StatsJsonSource src;
   src.db = Name();
   src.counters = &stats_;

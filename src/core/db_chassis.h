@@ -6,7 +6,7 @@
 //  * lifecycle: recovery and WAL open, the maintenance thread's shutdown
 //    flag and condition variables, the ordered StopBackground, the
 //    teardown of the WAL and memory components;
-//  * observability: DbStats, the latency registry, the per-op attribution
+//  * observability: the DbStats counters, the latency registry, the per-op attribution
 //    prologue/epilogue (StartOp/FinishOp), the periodic reporter, the admin
 //    server, the rpc attachment, GetProperty and the stats exporters;
 //  * read plumbing: the Cm -> C'm -> Cd search and the pinned-component

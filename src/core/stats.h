@@ -1,13 +1,16 @@
-// Lightweight operation counters for observability and ablation studies.
-// All counters are relaxed atomics bumped on hot paths; reading them is
-// racy-by-design (monitoring data). Exposed via DB::GetProperty("clsm.stats").
+// Engine counters: the per-thread-sharded operation counters every DB
+// variant keeps (DbStats) and the storage engine's per-level compaction and
+// flush accounting (CompactionStats). Reads are racy-by-design monitoring
+// snapshots. Exported through VisitStats (src/obs/stats_export.h) as
+// clsm.stats.json and the admin server's /metrics.
 #ifndef CLSM_CORE_STATS_H_
 #define CLSM_CORE_STATS_H_
 
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <string>
+
+#include "src/obs/metrics.h"
 
 namespace clsm {
 
@@ -65,9 +68,6 @@ class CompactionStats {
     return static_cast<double>(flushed + TotalBytesWritten()) / static_cast<double>(flushed);
   }
 
-  // Multi-line per-level dump (levels with no activity are omitted).
-  std::string ToString() const;
-
  private:
   // An out-of-range level would silently corrupt the adjacent counters;
   // assert in debug builds and clamp to the deepest slot in release so the
@@ -80,65 +80,48 @@ class CompactionStats {
   LevelStats levels_[kMaxLevels];
 };
 
-class DbStats {
- public:
-  // --- read path ---
-  std::atomic<uint64_t> gets_total{0};
-  std::atomic<uint64_t> gets_from_mem{0};   // served by Cm
-  std::atomic<uint64_t> gets_from_imm{0};   // served by C'm
-  std::atomic<uint64_t> gets_from_disk{0};  // served by Cd
-
-  // --- write path ---
-  std::atomic<uint64_t> puts_total{0};
-  std::atomic<uint64_t> deletes_total{0};
-  std::atomic<uint64_t> batches_total{0};
-
-  // --- RMW (Algorithm 3) ---
-  std::atomic<uint64_t> rmw_total{0};
-  std::atomic<uint64_t> rmw_conflicts{0};  // retries due to detected conflicts
-  std::atomic<uint64_t> rmw_noop{0};       // user function returned nullopt
-
-  // --- snapshots / scans ---
-  std::atomic<uint64_t> snapshots_acquired{0};
-  std::atomic<uint64_t> iterators_created{0};
-  std::atomic<uint64_t> getts_rollbacks{0};  // getTS retried (ts <= snapTime)
-
-  // --- maintenance ---
-  std::atomic<uint64_t> memtable_rolls{0};
-  std::atomic<uint64_t> flushes{0};
-  std::atomic<uint64_t> compactions{0};
-  std::atomic<uint64_t> throttle_waits{0};  // put stalled by backpressure
-
-  // --- write stalls (backpressure in the put path) ---
-  std::atomic<uint64_t> stall_micros{0};     // time spent in hard stop waits
-  std::atomic<uint64_t> rate_limit_waits{0};   // write-controller admission delays
-  std::atomic<uint64_t> rate_limit_delay_micros{0};  // time spent in those delays
-
-  // --- slow-op structured logging (Options::slow_op_threshold_micros) ---
-  std::atomic<uint64_t> slow_ops_total{0};     // ops over the threshold
-  std::atomic<uint64_t> slow_ops_reported{0};  // of which dispatched to listeners
-  std::atomic<uint64_t> slow_ops_dropped{0};   // of which discarded by the rate limiter
-
-  uint64_t TotalStallMicros() const {
-    return stall_micros.load(std::memory_order_relaxed) +
-           rate_limit_delay_micros.load(std::memory_order_relaxed);
-  }
-
-  // Zero every counter (the DB::ResetStats interval-snapshot path). Relaxed
-  // stores; concurrent bumps may survive the sweep, which is acceptable for
-  // monitoring data.
-  void Reset();
-
-  void Bump(std::atomic<uint64_t>& counter) {
-    counter.fetch_add(1, std::memory_order_relaxed);
-  }
-  void Add(std::atomic<uint64_t>& counter, uint64_t delta) {
-    counter.fetch_add(delta, std::memory_order_relaxed);
-  }
-
-  // Multi-line human-readable dump.
-  std::string ToString() const;
+// The engine's operation counters, one ShardedCounters slot each. The
+// order is the export order; the counters from kFirstStallCounter on form
+// the "stall" group, the rest the "counters" group. Keep DbCounterName()
+// in sync.
+enum class DbCounter : int {
+  // read path
+  kGetsTotal = 0,
+  kGetsFromMem,   // served by Cm
+  kGetsFromImm,   // served by C'm
+  kGetsFromDisk,  // served by Cd
+  // write path
+  kPutsTotal,
+  kDeletesTotal,
+  kBatchesTotal,
+  // RMW (Algorithm 3)
+  kRmwTotal,
+  kRmwConflicts,  // retries due to detected conflicts
+  kRmwNoop,       // user function returned nullopt
+  // snapshots / scans
+  kSnapshotsAcquired,
+  kIteratorsCreated,
+  kGettsRollbacks,  // getTS retried (ts <= snapTime)
+  // maintenance
+  kMemtableRolls,
+  kFlushes,
+  kThrottleWaits,  // put stalled by backpressure
+  // slow-op structured logging (Options::slow_op_threshold_micros)
+  kSlowOpsTotal,     // ops over the threshold
+  kSlowOpsReported,  // of which dispatched to listeners
+  kSlowOpsDropped,   // of which discarded by the rate limiter
+  // write stalls (backpressure in the put path)
+  kStallMicros,           // time spent in hard stop waits
+  kRateLimitWaits,        // write-controller admission delays
+  kRateLimitDelayMicros,  // time spent in those delays
 };
+constexpr int kNumDbCounters = static_cast<int>(DbCounter::kRateLimitDelayMicros) + 1;
+constexpr DbCounter kFirstStallCounter = DbCounter::kStallMicros;
+
+// Stable machine-readable export name ("puts_total", "stall_micros", ...).
+const char* DbCounterName(DbCounter c);
+
+using DbStats = ShardedCounters<DbCounter, kNumDbCounters>;
 
 }  // namespace clsm
 

@@ -217,7 +217,7 @@ Status WriteThrottle::Gate(Client* client, uint64_t bytes, bool* stalled_out) {
       // stop threshold) attribute here: either way the put waited for
       // maintenance to make room.
       CLSM_PERF_TIMER_ADD(memtable_roll_wait_nanos, nanos);
-      stats_->Add(stats_->stall_micros, nanos / 1000);
+      stats_->Add(DbCounter::kStallMicros, nanos / 1000);
       engine_->listeners().NotifyStallEnd(stall_reason, nanos / 1000);
       stalled = false;
     }
@@ -245,7 +245,7 @@ Status WriteThrottle::Gate(Client* client, uint64_t bytes, bool* stalled_out) {
                            ? (imm ? StallReason::kMemtableFull : StallReason::kL0Stop)
                            : (l0_stuffed ? StallReason::kL0Stop : StallReason::kMemtableFull);
         stall_start_nanos = MonotonicNanos();
-        stats_->Bump(stats_->throttle_waits);
+        stats_->Add(DbCounter::kThrottleWaits);
         engine_->listeners().NotifyStallBegin(stall_reason);
       }
       if (l0_stuffed && !safety_noted) {
@@ -284,8 +284,8 @@ Status WriteThrottle::Gate(Client* client, uint64_t bytes, bool* stalled_out) {
         controller_.OnDelayStart();
         const uint64_t actual_nanos = client->DelaySleep(delay_nanos);
         controller_.OnDelayEnd(actual_nanos);
-        stats_->Bump(stats_->rate_limit_waits);
-        stats_->Add(stats_->rate_limit_delay_micros, actual_nanos / 1000);
+        stats_->Add(DbCounter::kRateLimitWaits);
+        stats_->Add(DbCounter::kRateLimitDelayMicros, actual_nanos / 1000);
         CLSM_PERF_TIMER_ADD(write_delay_nanos, actual_nanos);
         engine_->listeners().NotifyStallEnd(StallReason::kRateLimited, actual_nanos / 1000);
         continue;

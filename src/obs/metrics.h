@@ -1,11 +1,11 @@
-// Lock-free, per-thread-sharded latency metrics (the PR-2 observability
-// substrate). Hot paths pay one relaxed counter add plus one relaxed
-// histogram-bucket bump on a shard owned (statistically) by the calling
-// thread; aggregation merges every shard into a util/histogram for the
-// percentile series the paper's figures plot (p50/p95/p99/p999).
+// Lock-free, per-thread-sharded metrics (the observability substrate):
+// latency histograms and plain counters. Hot paths pay relaxed adds on a
+// shard owned (statistically) by the calling thread; aggregation merges
+// every shard — into a util/histogram for the percentile series the
+// paper's figures plot (p50/p95/p99/p999), or into one sum per counter.
 //
-// Units: all recorded values are wall-clock NANOSECONDS; exporters divide
-// by 1000 when presenting microseconds.
+// Units: all recorded latencies are wall-clock NANOSECONDS; exporters
+// divide by 1000 when presenting microseconds.
 #ifndef CLSM_OBS_METRICS_H_
 #define CLSM_OBS_METRICS_H_
 
@@ -122,8 +122,8 @@ struct HistogramCell {
 // The sharded latency-histogram primitive: kSeries series (indexed by the
 // enum Series), each kept once per shard so recording threads rarely share
 // a cache line. Record is wait-free (three relaxed adds); reads merge every
-// shard and are racy-by-design monitoring snapshots, like the DbStats
-// counters. StatsRegistry (engine ops and write-path phases) and
+// shard and are racy-by-design monitoring snapshots, like ShardedCounters
+// below. StatsRegistry (engine ops and write-path phases) and
 // RpcServerStats (per-opcode request latency) are both instances.
 template <typename Series, int kSeries>
 class ShardedHistograms {
@@ -171,6 +171,51 @@ class ShardedHistograms {
 
 // Latency of every public op and internal write-path phase.
 using StatsRegistry = ShardedHistograms<OpMetric, kNumOpMetrics>;
+
+// The sharded counter primitive: kCounters monotone counters (indexed by
+// the enum Counter), each kept once per shard so counting threads rarely
+// share a cache line. Add is one relaxed add on the calling thread's
+// shard; Get sums every shard at scrape time (a racy-by-design monitoring
+// snapshot, like the histograms). Always on: unlike the histograms it does
+// not depend on Options::latency_metrics. DbStats (engine counters) and
+// RpcServerStats (per-opcode bytes and responses) are both instances.
+template <typename Counter, int kCounters>
+class ShardedCounters {
+ public:
+  ShardedCounters() = default;
+  ShardedCounters(const ShardedCounters&) = delete;
+  ShardedCounters& operator=(const ShardedCounters&) = delete;
+
+  void Add(Counter c, uint64_t delta = 1) {
+    shards_[ThisThreadStatsShard()].v[static_cast<int>(c)].fetch_add(delta,
+                                                                     std::memory_order_relaxed);
+  }
+
+  uint64_t Get(Counter c) const {
+    uint64_t n = 0;
+    for (const Shard& shard : shards_) {
+      n += shard.v[static_cast<int>(c)].load(std::memory_order_relaxed);
+    }
+    return n;
+  }
+
+  // Relaxed stores; an Add racing the sweep may survive it, which is
+  // acceptable for monitoring data.
+  void Reset() {
+    for (Shard& shard : shards_) {
+      for (std::atomic<uint64_t>& c : shard.v) {
+        c.store(0, std::memory_order_relaxed);
+      }
+    }
+  }
+
+ private:
+  struct alignas(64) Shard {
+    std::atomic<uint64_t> v[kCounters] = {};
+  };
+
+  Shard shards_[kNumStatsShards];
+};
 
 // RAII latency probe: records the scope's duration into registry (no-op
 // when registry is null, so call sites need no branching).

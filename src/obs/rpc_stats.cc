@@ -45,31 +45,6 @@ const char* RpcStatusClassName(RpcStatusClass c) {
   return "unknown";
 }
 
-uint64_t RpcServerStats::BytesIn(RpcOp op) const {
-  uint64_t n = 0;
-  for (const CounterShard& s : counters_) {
-    n += s.ops[static_cast<int>(op)].bytes_in.load(std::memory_order_relaxed);
-  }
-  return n;
-}
-
-uint64_t RpcServerStats::BytesOut(RpcOp op) const {
-  uint64_t n = 0;
-  for (const CounterShard& s : counters_) {
-    n += s.ops[static_cast<int>(op)].bytes_out.load(std::memory_order_relaxed);
-  }
-  return n;
-}
-
-uint64_t RpcServerStats::Responses(RpcOp op, RpcStatusClass status) const {
-  uint64_t n = 0;
-  for (const CounterShard& s : counters_) {
-    n += s.ops[static_cast<int>(op)].responses[static_cast<int>(status)].load(
-        std::memory_order_relaxed);
-  }
-  return n;
-}
-
 uint64_t RpcServerStats::TotalRequests() const {
   uint64_t n = 0;
   for (int op = 0; op < kNumRpcOps; op++) {
@@ -105,15 +80,7 @@ uint64_t RpcServerStats::TotalErrors() const {
 
 void RpcServerStats::Reset() {
   latency_.Reset();
-  for (CounterShard& s : counters_) {
-    for (OpCounters& c : s.ops) {
-      c.bytes_in.store(0, std::memory_order_relaxed);
-      c.bytes_out.store(0, std::memory_order_relaxed);
-      for (auto& r : c.responses) {
-        r.store(0, std::memory_order_relaxed);
-      }
-    }
-  }
+  counters_.Reset();
   sheds.store(0, std::memory_order_relaxed);
   connections_total.store(0, std::memory_order_relaxed);
   slow_requests_total.store(0, std::memory_order_relaxed);

@@ -2,12 +2,12 @@
 // KV front end's per-request metrics. KvService threads record one
 // relaxed-add bundle per request — a sample in the per-opcode latency
 // ShardedHistograms (whose count is the request counter), byte counters
-// and a response-status counter — on the handling thread's stats shard;
-// exporters aggregate the shards into the `rpc` stats block and the
-// clsm_rpc_* Prometheus families. The same object carries the runtime
-// request-trace sampler state so the admin server can flip sampling on a
-// live service through the DB's late-bound handle (the service attaches
-// after the admin server is already up).
+// and a response-status counter in ShardedCounters — on the handling
+// thread's stats shard; exporters aggregate the shards into the `rpc`
+// stats block and the clsm_rpc_* Prometheus families. The same object
+// carries the runtime request-trace sampler state so the admin server can
+// flip sampling on a live service through the DB's late-bound handle (the
+// service attaches after the admin server is already up).
 //
 // Units: latencies are recorded in NANOSECONDS (the StatsRegistry
 // convention); exporters convert.
@@ -69,18 +69,19 @@ class RpcServerStats {
   void RecordRequest(RpcOp op, RpcStatusClass status, uint64_t latency_nanos,
                      uint64_t bytes_in, uint64_t bytes_out) {
     latency_.Record(op, latency_nanos);
-    OpCounters& c = counters_[ThisThreadStatsShard()].ops[static_cast<int>(op)];
-    c.bytes_in.fetch_add(bytes_in, std::memory_order_relaxed);
-    c.bytes_out.fetch_add(bytes_out, std::memory_order_relaxed);
-    c.responses[static_cast<int>(status)].fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(Slot(op, kBytesInSlot), bytes_in);
+    counters_.Add(Slot(op, kBytesOutSlot), bytes_out);
+    counters_.Add(Slot(op, kFirstResponseSlot + static_cast<int>(status)));
   }
 
   // --- aggregated reads (sum across shards) ---
 
   uint64_t Requests(RpcOp op) const { return latency_.Count(op); }
-  uint64_t BytesIn(RpcOp op) const;
-  uint64_t BytesOut(RpcOp op) const;
-  uint64_t Responses(RpcOp op, RpcStatusClass status) const;
+  uint64_t BytesIn(RpcOp op) const { return counters_.Get(Slot(op, kBytesInSlot)); }
+  uint64_t BytesOut(RpcOp op) const { return counters_.Get(Slot(op, kBytesOutSlot)); }
+  uint64_t Responses(RpcOp op, RpcStatusClass status) const {
+    return counters_.Get(Slot(op, kFirstResponseSlot + static_cast<int>(status)));
+  }
   uint64_t TotalRequests() const;
   uint64_t TotalBytesIn() const;
   uint64_t TotalBytesOut() const;
@@ -119,17 +120,16 @@ class RpcServerStats {
   std::atomic<uint32_t> trace_sample_ppm{0};
 
  private:
-  struct OpCounters {
-    std::atomic<uint64_t> bytes_in{0};
-    std::atomic<uint64_t> bytes_out{0};
-    std::atomic<uint64_t> responses[kNumRpcStatusClasses] = {};
-  };
-  struct alignas(64) CounterShard {
-    OpCounters ops[kNumRpcOps];
-  };
+  // Per-opcode counter slots: bytes in, bytes out, then one response
+  // counter per status class.
+  static constexpr int kBytesInSlot = 0;
+  static constexpr int kBytesOutSlot = 1;
+  static constexpr int kFirstResponseSlot = 2;
+  static constexpr int kSlotsPerOp = kFirstResponseSlot + kNumRpcStatusClasses;
+  static int Slot(RpcOp op, int slot) { return static_cast<int>(op) * kSlotsPerOp + slot; }
 
   ShardedHistograms<RpcOp, kNumRpcOps> latency_;
-  CounterShard counters_[kNumStatsShards];
+  ShardedCounters<int, kNumRpcOps * kSlotsPerOp> counters_;
 };
 
 }  // namespace clsm

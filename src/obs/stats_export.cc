@@ -508,35 +508,22 @@ class RollupReplayVisitor : public PathedVisitor {
   JsonVisitor json_;
 };
 
-void VisitCounters(StatsVisitor* v, const DbStats& s) {
+// One loop over the DbCounter name table: the "counters" group, then the
+// "stall" group from kFirstStallCounter on. The compaction total leads the
+// counters group; it is counted per level by the engine and read from there.
+void VisitCounters(StatsVisitor* v, const DbStats& s, StorageEngine* engine) {
   v->BeginGroup("counters");
-  v->Counter("gets_total", s.gets_total.load(std::memory_order_relaxed));
-  v->Counter("gets_from_mem", s.gets_from_mem.load(std::memory_order_relaxed));
-  v->Counter("gets_from_imm", s.gets_from_imm.load(std::memory_order_relaxed));
-  v->Counter("gets_from_disk", s.gets_from_disk.load(std::memory_order_relaxed));
-  v->Counter("puts_total", s.puts_total.load(std::memory_order_relaxed));
-  v->Counter("deletes_total", s.deletes_total.load(std::memory_order_relaxed));
-  v->Counter("batches_total", s.batches_total.load(std::memory_order_relaxed));
-  v->Counter("rmw_total", s.rmw_total.load(std::memory_order_relaxed));
-  v->Counter("rmw_conflicts", s.rmw_conflicts.load(std::memory_order_relaxed));
-  v->Counter("rmw_noop", s.rmw_noop.load(std::memory_order_relaxed));
-  v->Counter("snapshots_acquired", s.snapshots_acquired.load(std::memory_order_relaxed));
-  v->Counter("iterators_created", s.iterators_created.load(std::memory_order_relaxed));
-  v->Counter("getts_rollbacks", s.getts_rollbacks.load(std::memory_order_relaxed));
-  v->Counter("memtable_rolls", s.memtable_rolls.load(std::memory_order_relaxed));
-  v->Counter("flushes", s.flushes.load(std::memory_order_relaxed));
-  v->Counter("compactions", s.compactions.load(std::memory_order_relaxed));
-  v->Counter("throttle_waits", s.throttle_waits.load(std::memory_order_relaxed));
-  v->Counter("rate_limit_waits", s.rate_limit_waits.load(std::memory_order_relaxed));
-  v->Counter("slow_ops_total", s.slow_ops_total.load(std::memory_order_relaxed));
-  v->Counter("slow_ops_reported", s.slow_ops_reported.load(std::memory_order_relaxed));
-  v->Counter("slow_ops_dropped", s.slow_ops_dropped.load(std::memory_order_relaxed));
-  v->EndGroup();
-  v->BeginGroup("stall");
-  v->Counter("stall_micros", s.stall_micros.load(std::memory_order_relaxed));
-  v->Counter("rate_limit_waits", s.rate_limit_waits.load(std::memory_order_relaxed));
-  v->Counter("rate_limit_delay_micros",
-             s.rate_limit_delay_micros.load(std::memory_order_relaxed));
+  if (engine != nullptr) {
+    v->Counter("compactions", engine->compaction_stats()->TotalCompactions());
+  }
+  for (int i = 0; i < kNumDbCounters; i++) {
+    const DbCounter c = static_cast<DbCounter>(i);
+    if (c == kFirstStallCounter) {
+      v->EndGroup();
+      v->BeginGroup("stall");
+    }
+    v->Counter(DbCounterName(c), s.Get(c));
+  }
   v->EndGroup();
 }
 
@@ -717,7 +704,7 @@ void VisitProcess(StatsVisitor* v) {
 void VisitStats(const StatsJsonSource& src, StatsVisitor* v) {
   v->BeginSnapshot(src.db);
   if (src.counters != nullptr) {
-    VisitCounters(v, *src.counters);
+    VisitCounters(v, *src.counters, src.engine);
   }
   if (src.throttle != nullptr) {
     VisitWriteController(v, *src.throttle);

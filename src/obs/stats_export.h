@@ -22,12 +22,12 @@
 #include <string>
 #include <vector>
 
+#include "src/core/stats.h"
 #include "src/obs/metrics.h"
 
 namespace clsm {
 
 class ActiveTimestampSet;
-class DbStats;
 class Histogram;
 class RpcServerStats;
 class StorageEngine;
@@ -98,7 +98,8 @@ class StatsVisitor {
 // place that knows the full schema:
 // {
 //   "db": "clsm",
-//   "counters": { "puts_total": N, ... },            // every DbStats field
+//   "counters": { "compactions": N,                  // CompactionStats total
+//                 "gets_total": N, ... },            // DbCounter, by DbCounterName
 //   "stall": {"stall_micros":N,"rate_limit_waits":N,"rate_limit_delay_micros":N},
 //   "write_controller": {"rate_bytes_per_sec":N,
 //                        "effective_max_bytes_per_sec":N,

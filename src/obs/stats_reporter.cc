@@ -63,14 +63,8 @@ ReporterCounters CountersFromStatsJson(const std::string& json) {
 }
 
 StatsReporter::StatsReporter(std::string tag, unsigned period_sec,
-                             std::function<ReporterCounters()> counters_fn,
-                             std::function<std::string()> json_fn,
-                             std::function<void()> reset_fn)
-    : tag_(std::move(tag)),
-      period_sec_(period_sec),
-      counters_fn_(std::move(counters_fn)),
-      json_fn_(std::move(json_fn)),
-      reset_fn_(std::move(reset_fn)) {
+                             std::function<std::string()> json_fn)
+    : tag_(std::move(tag)), period_sec_(period_sec), json_fn_(std::move(json_fn)) {
   if (period_sec_ > 0) {
     thread_ = std::thread([this] { Loop(); });
   }
@@ -93,7 +87,7 @@ void StatsReporter::Stop() {
 }
 
 void StatsReporter::Loop() {
-  ReporterCounters prev = counters_fn_();
+  ReporterCounters prev = CountersFromStatsJson(json_fn_());
   auto prev_time = std::chrono::steady_clock::now();
   while (true) {
     {
@@ -102,21 +96,16 @@ void StatsReporter::Loop() {
         return;
       }
     }
-    const ReporterCounters cur = counters_fn_();
+    const std::string json = json_fn_();
+    const ReporterCounters cur = CountersFromStatsJson(json);
     const auto now = std::chrono::steady_clock::now();
     const double secs = std::chrono::duration<double>(now - prev_time).count();
     std::fprintf(stderr, "%s\n%s\n", FormatReporterLine(tag_, secs, cur, prev).c_str(),
-                 json_fn_().c_str());
+                 json.c_str());
     std::fflush(stderr);
     prev = cur;
     prev_time = now;
     dumps_.fetch_add(1, std::memory_order_relaxed);
-    if (reset_fn_) {
-      reset_fn_();
-      // The reset zeroed the live counters underneath the sampled values;
-      // resample so the next interval's deltas start from the new baseline.
-      prev = counters_fn_();
-    }
   }
 }
 

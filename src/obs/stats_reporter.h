@@ -7,6 +7,7 @@
 #ifndef CLSM_OBS_STATS_REPORTER_H_
 #define CLSM_OBS_STATS_REPORTER_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -38,32 +39,31 @@ struct ReporterCounters {
 std::string FormatReporterLine(const std::string& tag, double interval_secs,
                                const ReporterCounters& cur, const ReporterCounters& prev);
 
-// Recovers a ReporterCounters sample from a clsm.stats.json document (as
+// Recovers a ReporterCounters sample from a clsm.stats.json document (a
+// single DB's or a ShardedClsm rollup, as rendered by the reporter or
 // served by GET /stats), by first-occurrence key search — the sampled
 // keys all appear first inside the "counters"/"stall" groups, which lead
-// the document. Missing keys read 0.
+// the document, or the "rpc" block's leading total. Missing keys read 0.
+// The reporter's only sampler, so both monitors print identical lines.
 ReporterCounters CountersFromStatsJson(const std::string& json);
 
 class StatsReporter {
  public:
-  // tag: printed on every line (the variant name). counters_fn samples the
-  // live counters; json_fn renders the full snapshot. reset_fn, if set, runs
-  // after each dump (the Options::stats_dump_deltas mode: every interval's
-  // JSON then covers only that interval). All three run on the reporter
-  // thread and must stay valid until Stop()/destruction. period_sec == 0
-  // disables the reporter entirely: no thread is spawned and NumDumps()
-  // stays 0 (callers need not special-case construction).
-  StatsReporter(std::string tag, unsigned period_sec,
-                std::function<ReporterCounters()> counters_fn,
-                std::function<std::string()> json_fn,
-                std::function<void()> reset_fn = nullptr);
+  // tag: printed on every line (the variant name). json_fn renders the
+  // full clsm.stats.json snapshot; each tick prints it after the interval
+  // line, whose counters CountersFromStatsJson reads from that same
+  // document. json_fn runs on the reporter thread and must stay valid
+  // until Stop()/destruction. period_sec == 0 disables the reporter
+  // entirely: no thread is spawned and NumDumps() stays 0 (callers need not
+  // special-case construction).
+  StatsReporter(std::string tag, unsigned period_sec, std::function<std::string()> json_fn);
   ~StatsReporter();
 
   StatsReporter(const StatsReporter&) = delete;
   StatsReporter& operator=(const StatsReporter&) = delete;
 
   // Joins the thread; idempotent. Call before tearing down anything the
-  // callbacks read.
+  // callback reads.
   void Stop();
 
   uint64_t NumDumps() const { return dumps_; }
@@ -73,9 +73,7 @@ class StatsReporter {
 
   const std::string tag_;
   const unsigned period_sec_;
-  const std::function<ReporterCounters()> counters_fn_;
   const std::function<std::string()> json_fn_;
-  const std::function<void()> reset_fn_;
 
   std::mutex mutex_;
   std::condition_variable cv_;

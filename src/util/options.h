@@ -164,13 +164,6 @@ struct Options {
   // plus the full JSON stats snapshot to stderr every this-many seconds.
   unsigned stats_dump_period_sec = 0;
 
-  // When true the StatsReporter resets the DB's counters and latency
-  // histograms after every dump (via DB::ResetStats), so each reported
-  // snapshot covers exactly one interval instead of accumulating since
-  // process start. Off by default: a reset is visible to every other
-  // stats consumer (GetProperty, benches), so opting in is deliberate.
-  bool stats_dump_deltas = false;
-
   // Per-operation attribution depth (thread-local PerfContext; see
   // src/obs/perf_context.h for the cost model). Off by default; "counts"
   // bumps pure counters, "counts+timers" also records phase timers.

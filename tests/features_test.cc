@@ -3,7 +3,10 @@
 // thread (§5.3's reserved-thread configuration).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "src/core/clsm_db.h"
@@ -17,6 +20,19 @@ std::unique_ptr<DB> OpenClsm(const std::string& path, const Options& options) {
   Status s = ClsmDb::Open(options, path, &raw);
   EXPECT_TRUE(s.ok()) << s.ToString();
   return std::unique_ptr<DB>(raw);
+}
+
+// The value of counter `name` in db's clsm.stats.json counters group, or
+// -1 if absent.
+int64_t Counter(DB* db, const std::string& name) {
+  const std::string json = db->GetProperty("clsm.stats.json");
+  const size_t group = json.find("\"counters\":{");
+  const std::string needle = "\"" + name + "\":";
+  const size_t at = group == std::string::npos ? group : json.find(needle, group);
+  if (at == std::string::npos || at > json.find('}', group)) {
+    return -1;
+  }
+  return std::strtoll(json.c_str() + at + needle.size(), nullptr, 10);
 }
 
 TEST(StatsTest, CountersTrackOperations) {
@@ -41,13 +57,12 @@ TEST(StatsTest, CountersTrackOperations) {
   db->ReleaseSnapshot(snap);
   { std::unique_ptr<Iterator> it(db->NewIterator(ro)); }
 
-  std::string stats = db->GetProperty("clsm.stats");
-  EXPECT_NE(std::string::npos, stats.find("puts=10"));
-  EXPECT_NE(std::string::npos, stats.find("deletes=1"));
-  EXPECT_NE(std::string::npos, stats.find("total=5"));  // gets
-  EXPECT_NE(std::string::npos, stats.find("rmw: total=1"));
-  EXPECT_NE(std::string::npos, stats.find("snapshots: acquired=1"));
-  EXPECT_NE(std::string::npos, stats.find("iterators=1"));
+  EXPECT_EQ(10, Counter(db.get(), "puts_total"));
+  EXPECT_EQ(1, Counter(db.get(), "deletes_total"));
+  EXPECT_EQ(5, Counter(db.get(), "gets_total"));
+  EXPECT_EQ(1, Counter(db.get(), "rmw_total"));
+  EXPECT_EQ(1, Counter(db.get(), "snapshots_acquired"));
+  EXPECT_EQ(1, Counter(db.get(), "iterators_created"));
 }
 
 TEST(StatsTest, GetAttributionByComponent) {
@@ -69,10 +84,9 @@ TEST(StatsTest, GetAttributionByComponent) {
 
   ASSERT_TRUE(db->Get(ro, "fresh", &v).ok());
   ASSERT_TRUE(db->Get(ro, "old", &v).ok());
-  std::string stats = db->GetProperty("clsm.stats");
   // At least one get served from memory and one from disk.
-  EXPECT_EQ(std::string::npos, stats.find("mem=0 "));
-  EXPECT_EQ(std::string::npos, stats.find("disk=0\n"));
+  EXPECT_GE(Counter(db.get(), "gets_from_mem"), 1);
+  EXPECT_GE(Counter(db.get(), "gets_from_disk"), 1);
 }
 
 TEST(LinearizableSnapshotTest, SnapshotNeverInThePast) {
@@ -162,8 +176,7 @@ TEST(DedicatedFlushThreadTest, FunctionalUnderChurn) {
     }
   }
   EXPECT_GT(found, 50);
-  std::string stats = db->GetProperty("clsm.stats");
-  EXPECT_EQ(std::string::npos, stats.find("flushes=0")) << stats;
+  EXPECT_GE(Counter(db.get(), "flushes"), 1) << db->GetProperty("clsm.stats.json");
 }
 
 TEST(DedicatedFlushThreadTest, ConcurrentReadersAndWriters) {

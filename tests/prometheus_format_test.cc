@@ -77,9 +77,9 @@ TEST(PrometheusFormatTest, EscapeLabel) {
 
 TEST(PrometheusFormatTest, SyntheticSourceRendersTypedFamilies) {
   DbStats stats;
-  stats.Add(stats.puts_total, 42);
-  stats.Add(stats.gets_total, 17);
-  stats.Add(stats.stall_micros, 1234);
+  stats.Add(DbCounter::kPutsTotal, 42);
+  stats.Add(DbCounter::kGetsTotal, 17);
+  stats.Add(DbCounter::kStallMicros, 1234);
 
   StatsJsonSource src;
   src.db = "synthetic";
@@ -179,8 +179,8 @@ TEST(PrometheusFormatTest, HistogramBucketsAreCumulativeAndConsistent) {
 
 TEST(PrometheusFormatTest, JsonAndPrometheusAgreeOnOneTraversal) {
   DbStats stats;
-  stats.Add(stats.puts_total, 7);
-  stats.Add(stats.slow_ops_dropped, 3);
+  stats.Add(DbCounter::kPutsTotal, 7);
+  stats.Add(DbCounter::kSlowOpsDropped, 3);
 
   StatsJsonSource src;
   src.db = "agree";

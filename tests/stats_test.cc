@@ -1,11 +1,12 @@
-// Tests of the PR-2 observability substrate: the lock-free sharded
-// StatsRegistry, the structured JSON snapshot behind
+// Tests of the observability substrate: the lock-free sharded
+// StatsRegistry and ShardedCounters, the structured JSON snapshot behind
 // GetProperty("clsm.stats.json"), and the background StatsReporter.
 // Correctness bar: counters and histogram totals must match exactly under
 // multi-threaded load, the JSON must parse, and percentile series must be
 // monotone (p50 <= p95 <= p99 <= p999 <= max).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -14,11 +15,13 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/baselines/factory.h"
+#include "src/core/stats.h"
 #include "src/lsm/dbformat.h"
 #include "src/obs/metrics.h"
 #include "src/obs/rpc_stats.h"
@@ -353,6 +356,59 @@ TEST(StatsRegistryTest, OpMetricNamesAreStable) {
   EXPECT_STREQ(OpMetricName(OpMetric::kCompaction), "compaction");
 }
 
+// The sharded counter primitive: adds from many threads (landing on
+// several shards) sum exactly, and Reset zeroes every shard.
+TEST(ShardedCountersTest, EightThreadAddsSumExactlyAndResetZeroes) {
+  enum class Series : int { kA = 0, kB, kC };
+  ShardedCounters<Series, 3> counters;
+  constexpr int kThreads = 8;
+  constexpr uint64_t kPerThread = 100000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&counters, t] {
+      for (uint64_t i = 0; i < kPerThread; i++) {
+        counters.Add(Series::kA);
+        counters.Add(Series::kB, static_cast<uint64_t>(t) + 1);
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(counters.Get(Series::kA), kThreads * kPerThread);
+  EXPECT_EQ(counters.Get(Series::kB), kPerThread * (kThreads * (kThreads + 1) / 2));
+  EXPECT_EQ(counters.Get(Series::kC), 0u);
+
+  counters.Reset();
+  EXPECT_EQ(counters.Get(Series::kA), 0u);
+  EXPECT_EQ(counters.Get(Series::kB), 0u);
+  // Counting resumes from zero on every shard after the reset.
+  threads.clear();
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&counters] { counters.Add(Series::kC, 5); });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(counters.Get(Series::kA), 0u);
+  EXPECT_EQ(counters.Get(Series::kC), 5u * kThreads);
+}
+
+TEST(ShardedCountersTest, DbCounterNamesAreUniqueAndNonEmpty) {
+  // The stats export emits these strings as keys of one JSON object per
+  // group; a duplicate would emit the same key twice.
+  std::set<std::string> names;
+  for (int i = 0; i < kNumDbCounters; i++) {
+    const char* name = DbCounterName(static_cast<DbCounter>(i));
+    ASSERT_NE(name, nullptr) << i;
+    EXPECT_GT(std::strlen(name), 0u) << i;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate counter name " << name;
+  }
+  EXPECT_STREQ(DbCounterName(DbCounter::kPutsTotal), "puts_total");
+  EXPECT_STREQ(DbCounterName(DbCounter::kStallMicros), "stall_micros");
+  EXPECT_STREQ(DbCounterName(DbCounter::kRateLimitDelayMicros), "rate_limit_delay_micros");
+}
+
 // ---------------------------------------------------------------------------
 // DB-level JSON snapshot tests
 // ---------------------------------------------------------------------------
@@ -539,6 +595,50 @@ TEST_P(StatsJsonTest, FlushAndCompactionSyncTimeExported) {
   EXPECT_GT(compaction_sync, 0.0) << json;
 }
 
+// The keys of the object that opens at `"group":{` (a flat object of
+// scalars), sorted.
+std::vector<std::string> GroupKeys(const std::string& json, const std::string& group) {
+  std::vector<std::string> keys;
+  size_t at = json.find("\"" + group + "\":{");
+  if (at == std::string::npos) {
+    return keys;
+  }
+  const size_t end = json.find('}', at);
+  at += group.size() + 4;
+  while (at < end) {
+    const size_t close = json.find('"', at + 1);
+    keys.push_back(json.substr(at + 1, close - at - 1));
+    at = json.find(',', close);
+    if (at == std::string::npos || at > end) {
+      break;
+    }
+    at++;
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+// Golden key sets of the counters and stall groups, the same for cLSM and
+// every baseline. perfbench/run.py and the CI schema checks read these
+// keys (puts_total, gets_total, gets_from_disk, rmw_total, rmw_conflicts,
+// getts_rollbacks, ...); adding a counter means adding it here.
+TEST_P(StatsJsonTest, CounterAndStallKeySetsAreGolden) {
+  std::unique_ptr<DB> db = OpenFresh(Options());
+  ASSERT_TRUE(db->Put(WriteOptions(), "k", "v").ok());
+  const std::string json = db->GetProperty("clsm.stats.json");
+  std::vector<std::string> counters = {
+      "batches_total",     "compactions",      "deletes_total",  "flushes",
+      "gets_from_disk",    "gets_from_imm",    "gets_from_mem",  "gets_total",
+      "getts_rollbacks",   "iterators_created", "memtable_rolls", "puts_total",
+      "rmw_conflicts",     "rmw_noop",         "rmw_total",      "slow_ops_dropped",
+      "slow_ops_reported", "slow_ops_total",   "snapshots_acquired", "throttle_waits"};
+  std::sort(counters.begin(), counters.end());
+  EXPECT_EQ(GroupKeys(json, "counters"), counters) << json;
+  const std::vector<std::string> stall = {"rate_limit_delay_micros", "rate_limit_waits",
+                                          "stall_micros"};
+  EXPECT_EQ(GroupKeys(json, "stall"), stall) << json;
+}
+
 // A KvService attaches its request stats late; every variant exports them
 // as the "rpc" block and zeroes them with the rest of the interval state.
 TEST_P(StatsJsonTest, AttachedRpcStatsExportAndReset) {
@@ -572,16 +672,7 @@ INSTANTIATE_TEST_SUITE_P(AllVariants, StatsJsonTest,
 // ---------------------------------------------------------------------------
 
 TEST(StatsReporterTest, DumpsPeriodicallyAndStops) {
-  std::atomic<uint64_t> writes{0};
-  StatsReporter reporter(
-      "test", 1,
-      [&] {
-        ReporterCounters c;
-        c.writes = writes.load();
-        return c;
-      },
-      [] { return std::string("{}"); });
-  writes.store(123);
+  StatsReporter reporter("test", 1, [] { return std::string("{\"counters\":{\"puts_total\":123}}"); });
   // Periods are seconds; wait out at least one.
   for (int i = 0; i < 50 && reporter.NumDumps() == 0; i++) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -600,12 +691,15 @@ TEST(StatsReporterTest, DbIntegrationStartsAndStops) {
   DB* raw = nullptr;
   ASSERT_TRUE(OpenDb(DbVariant::kClsm, options, dir.path() + "/db", &raw).ok());
   std::unique_ptr<DB> db(raw);
+  // Write across at least one dump, then close mid-interval: destruction
+  // with a live reporter must neither hang nor race the reporter thread's
+  // render of the stats it reads — TSan covers this configuration.
   WriteOptions wo;
-  for (int i = 0; i < 100; i++) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(1500);
+  for (int i = 0; std::chrono::steady_clock::now() < deadline; i++) {
     ASSERT_TRUE(db->Put(wo, "k" + std::to_string(i), "v").ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  // Destruction with a live reporter must be clean (no use-after-free of
-  // the stats it samples) — TSan covers this configuration.
   db.reset();
 }
 

@@ -222,7 +222,6 @@ int main(int argc, char** argv) {
             flags.slow_log.c_str());
   }
   if (flags.stats) {
-    printf("--- internal stats ---\n%s", db->GetProperty("clsm.stats").c_str());
     printf("levels: %s\n", db->GetProperty("clsm.levels").c_str());
     printf("--- stats json ---\n%s\n", db->GetProperty("clsm.stats.json").c_str());
   }

@@ -5,7 +5,7 @@
 //   clsm_dump --table <file.sst>      dump one SSTable's entries
 //   clsm_dump --wal <file.log>        dump one WAL file's records
 //   clsm_dump --scan <dbdir>          full user-visible key dump
-//   clsm_dump --stats <dbdir>         internal stats, text + JSON forms
+//   clsm_dump --stats <dbdir>         level summary + clsm.stats.json
 //   clsm_dump --perf <dbdir>          probe reads with full attribution
 //   clsm_dump --trace <file.trace>    op mix / key skew / latency summary
 //   clsm_dump --watch SEC HOST:PORT   live delta lines from a running
@@ -215,9 +215,9 @@ int ScanAll(const char* dbdir) {
 }
 
 // Recovers the store (read-only-ish, like DumpOverview) and prints the
-// human-readable stats block plus the machine-readable JSON snapshot —
-// counters are near zero on a freshly opened store, but the level layout,
-// file counts and write-amp gauges reflect the on-disk state.
+// level summary plus the clsm.stats.json snapshot — counters are near
+// zero on a freshly opened store, but the level layout, file counts and
+// write-amp gauges reflect the on-disk state.
 int DumpStats(const char* dbdir) {
   Options options;
   options.create_if_missing = false;
@@ -228,7 +228,6 @@ int DumpStats(const char* dbdir) {
     return 1;
   }
   std::unique_ptr<DB> db(raw);
-  printf("--- clsm.stats ---\n%s", db->GetProperty("clsm.stats").c_str());
   printf("levels: %s\n", db->GetProperty("clsm.levels").c_str());
   printf("--- clsm.stats.json ---\n%s\n", db->GetProperty("clsm.stats.json").c_str());
   return 0;

@@ -61,7 +61,6 @@ Status OpenShardedDb(DbVariant variant, const Options& options, const std::strin
                      int shards, DB** dbptr) {
   ShardedOptions sopt;
   sopt.shards = shards;
-  sopt.name = std::string("sharded-") + VariantName(variant);
   return ShardedClsm::Open(
       options, sopt, dbname,
       [variant](const Options& o, const std::string& d, DB** out) {

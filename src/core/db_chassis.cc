@@ -90,7 +90,7 @@ Status DbChassis::Init() {
     hooks.perf_json = [this] { return GetProperty("clsm.perf.json"); };
     hooks.metrics_text = [this] { return BuildStatsPrometheus(StatsSource()); };
     hooks.reset_stats = [this] { ResetStats(); };
-    hooks.bg_error = engine_.bg_error();
+    hooks.bg_error = [this] { return engine_.bg_error(); };
     hooks.slow_ops = admin_slow_ring_.get();
     hooks.trace = admin_trace_.get();
     rpc_.AddAdminHooks(&hooks);

@@ -50,7 +50,6 @@ StorageEngine::StorageEngine(const Options& options, const std::string& dbname)
       listeners_(options.listeners) {
   options_.env = env_;
   options_.comparator = icmp_.user_comparator();
-  options_.Sanitize();
   if (options_.bloom_bits_per_key > 0) {
     user_filter_policy_.reset(NewBloomFilterPolicy(options_.bloom_bits_per_key));
     filter_policy_ = std::make_unique<InternalFilterPolicy>(user_filter_policy_.get());

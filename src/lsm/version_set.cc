@@ -13,6 +13,23 @@
 
 namespace clsm {
 
+namespace {
+
+// The leveled picker's shape, fixed by design (DESIGN.md "Compaction
+// picking"); the byte budgets are multiples of target_file_size and match
+// LevelDB's kMaxGrandParentOverlapBytes / kExpandedCompactionByteSizeLimit.
+// Per-level size fanout: level L targets level1_max_bytes * 10^(L-1).
+constexpr double kLevelSizeMultiplier = 10.0;
+// Bound on how much data two levels below a compaction's output one output
+// file may overlap: outputs are cut at grandparent boundaries past it, and
+// a single-file trivial move past it is rewritten instead.
+constexpr uint64_t kMaxGrandparentOverlapFactor = 10;
+// Total input bytes up to which inputs_[0] may grow with level-L neighbors
+// that fit under the already-selected level-L+1 range.
+constexpr uint64_t kExpandedCompactionFactor = 25;
+
+}  // namespace
+
 int64_t TotalFileSize(const std::vector<FileRef>& files) {
   int64_t sum = 0;
   for (const auto& f : files) {
@@ -25,7 +42,7 @@ double MaxBytesForLevel(const Options& options, int level) {
   // level-0 is scored by file count, so this is only used for level >= 1.
   double result = static_cast<double>(options.level1_max_bytes);
   for (int l = 1; l < level; l++) {
-    result *= options.level_size_multiplier;
+    result *= kLevelSizeMultiplier;
   }
   return result;
 }
@@ -947,8 +964,8 @@ void VersionSet::SetupOtherInputs(Compaction* c) {
     GetOverlappingInputs(v, level, &all_start, &all_limit, &expanded0);
     const int64_t inputs1_size = TotalFileSize(inputs1);
     const int64_t expanded0_size = TotalFileSize(expanded0);
-    const int64_t expansion_limit = static_cast<int64_t>(
-        options_->expanded_compaction_factor * static_cast<double>(options_->target_file_size));
+    const int64_t expansion_limit =
+        static_cast<int64_t>(kExpandedCompactionFactor * options_->target_file_size);
     if (expanded0.size() > inputs0.size() && inputs1_size + expanded0_size < expansion_limit) {
       InternalKey new_start, new_limit;
       GetRange(expanded0, &new_start, &new_limit);
@@ -1055,9 +1072,7 @@ Compaction::Compaction(const Options* options, const InternalKeyComparator* icmp
     : options_(options),
       icmp_(icmp),
       level_(level),
-      max_grandparent_overlap_bytes_(static_cast<uint64_t>(
-          options->max_grandparent_overlap_factor *
-          static_cast<double>(options->target_file_size))),
+      max_grandparent_overlap_bytes_(kMaxGrandparentOverlapFactor * options->target_file_size),
       input_version_(nullptr) {
   for (int i = 0; i < kNumLevels; i++) {
     level_ptrs_[i] = 0;

@@ -55,7 +55,7 @@ struct CompactionPickerStats {
 int64_t TotalFileSize(const std::vector<FileRef>& files);
 
 // Total-bytes target of `level` (level >= 1; level 0 is scored by file
-// count): level1_max_bytes * level_size_multiplier^(level-1).
+// count): level1_max_bytes * 10^(level-1).
 double MaxBytesForLevel(const Options& options, int level);
 
 // Returns files in `files` whose range may contain user_key.
@@ -320,16 +320,16 @@ class Compaction {
 
   // True if the compaction can be implemented by moving a single input file
   // one level down without merging. Guarded: a move whose grandparent
-  // (output_level()+1) overlap exceeds the configured bound is refused so a
+  // (output_level()+1) overlap exceeds the same bound is refused so a
   // wide file is rewritten into bounded pieces instead of parking an
   // oversized future compaction one level down.
   bool IsTrivialMove() const;
 
   // Output-splitting hook for DoCompactionWork: true when the current
   // output file should be finished before adding `internal_key`, because
-  // the accumulated overlap with grandparent files has exceeded
-  // max_grandparent_overlap_factor * target_file_size. Keys must be fed in
-  // non-decreasing order; state resets for the next output on return true.
+  // the accumulated overlap with grandparent files has exceeded 10 x
+  // target_file_size. Keys must be fed in non-decreasing order; state
+  // resets for the next output on return true.
   bool ShouldStopBefore(const Slice& internal_key);
 
   // Add all inputs as deletions to *edit.

@@ -11,12 +11,7 @@ namespace clsm {
 WriteControllerConfig WriteControllerConfig::FromOptions(const Options& options) {
   WriteControllerConfig config;
   config.min_rate = std::max<uint64_t>(1, options.min_write_rate);
-  config.max_rate =
-      options.max_write_rate != 0 ? options.max_write_rate : 512ull << 20;
-  config.auto_max = options.max_write_rate == 0;
-  if (config.max_rate < config.min_rate) {
-    config.max_rate = config.min_rate;
-  }
+  config.max_rate = std::max(config.min_rate, options.max_write_rate);
   config.gain = options.write_rate_gain;
   if (!(config.gain > 0.0)) {
     config.gain = 0.4;
@@ -73,34 +68,32 @@ void WriteController::UpdateRate(const DebtInputs& debt) {
   const double score = DebtScore(debt);
 
   std::lock_guard<std::mutex> l(mutex_);
-  // Auto ceiling: fold one drain-rate sample per window. Windows with no
-  // flush output are skipped rather than averaged in as zero — an idle or
-  // fully stalled interval says nothing about how fast the drain runs when
-  // it runs, and decaying toward zero would strangle the next burst.
+  // Calibrated ceiling: fold one drain-rate sample per window. Windows with
+  // no flush output are skipped rather than averaged in as zero — an idle
+  // or fully stalled interval says nothing about how fast the drain runs
+  // when it runs, and decaying toward zero would strangle the next burst.
   double max_rate = static_cast<double>(config_.max_rate);
-  if (config_.auto_max) {
-    if (now - drain_window_start_nanos_ >= kDrainWindowNanos) {
-      const uint64_t bytes = debt.flushed_bytes_total - drain_window_bytes_;
-      const double secs = static_cast<double>(now - drain_window_start_nanos_) / 1e9;
-      if (bytes > 0 && secs > 0.0) {
-        const double inst = static_cast<double>(bytes) / secs;
-        // Peak-hold, not a plain average: under throttling the flusher only
-        // drains what pacing admits, so averaging measures our own pace and
-        // the ceiling follows it down (the ratchet). Any window where the
-        // flusher ran flat-out exposes true capacity; hold that peak and
-        // bleed it slowly so a genuinely slower disk is still tracked.
-        drain_rate_ewma_ =
-            drain_rate_ewma_ <= 0.0 ? inst : std::max(inst, 0.9 * drain_rate_ewma_);
-        drain_rate_.store(static_cast<uint64_t>(drain_rate_ewma_),
-                          std::memory_order_relaxed);
-      }
-      drain_window_start_nanos_ = now;
-      drain_window_bytes_ = debt.flushed_bytes_total;
+  if (now - drain_window_start_nanos_ >= kDrainWindowNanos) {
+    const uint64_t bytes = debt.flushed_bytes_total - drain_window_bytes_;
+    const double secs = static_cast<double>(now - drain_window_start_nanos_) / 1e9;
+    if (bytes > 0 && secs > 0.0) {
+      const double inst = static_cast<double>(bytes) / secs;
+      // Peak-hold, not a plain average: under throttling the flusher only
+      // drains what pacing admits, so averaging measures our own pace and
+      // the ceiling follows it down (the ratchet). Any window where the
+      // flusher ran flat-out exposes true capacity; hold that peak and
+      // bleed it slowly so a genuinely slower disk is still tracked.
+      drain_rate_ewma_ =
+          drain_rate_ewma_ <= 0.0 ? inst : std::max(inst, 0.9 * drain_rate_ewma_);
+      drain_rate_.store(static_cast<uint64_t>(drain_rate_ewma_),
+                        std::memory_order_relaxed);
     }
-    if (drain_rate_ewma_ > 0.0) {
-      max_rate = std::min(max_rate, std::max(static_cast<double>(config_.min_rate),
-                                             kDrainHeadroom * drain_rate_ewma_));
-    }
+    drain_window_start_nanos_ = now;
+    drain_window_bytes_ = debt.flushed_bytes_total;
+  }
+  if (drain_rate_ewma_ > 0.0) {
+    max_rate = std::min(max_rate, std::max(static_cast<double>(config_.min_rate),
+                                           kDrainHeadroom * drain_rate_ewma_));
   }
   effective_max_.store(static_cast<uint64_t>(max_rate), std::memory_order_relaxed);
 

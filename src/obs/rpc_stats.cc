@@ -81,12 +81,6 @@ uint64_t RpcServerStats::TotalErrors() const {
 void RpcServerStats::Reset() {
   latency_.Reset();
   counters_.Reset();
-  sheds.store(0, std::memory_order_relaxed);
-  connections_total.store(0, std::memory_order_relaxed);
-  slow_requests_total.store(0, std::memory_order_relaxed);
-  slow_requests_reported.store(0, std::memory_order_relaxed);
-  slow_requests_suppressed.store(0, std::memory_order_relaxed);
-  trace_spans.store(0, std::memory_order_relaxed);
   // in_flight / connections_active are live gauges, not counters: leave
   // them alone so a mid-flight reset cannot strand them negative.
 }

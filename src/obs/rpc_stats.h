@@ -3,11 +3,12 @@
 // relaxed-add bundle per request — a sample in the per-opcode latency
 // ShardedHistograms (whose count is the request counter), byte counters
 // and a response-status counter in ShardedCounters — on the handling
-// thread's stats shard; exporters aggregate the shards into the `rpc`
-// stats block and the clsm_rpc_* Prometheus families. The same object
-// carries the runtime request-trace sampler state so the admin server can
-// flip sampling on a live service through the DB's late-bound handle (the
-// service attaches after the admin server is already up).
+// thread's stats shard (connection, shed, slow-request and trace-span
+// counts share the same ShardedCounters); exporters aggregate the shards
+// into the `rpc` stats block and the clsm_rpc_* Prometheus families. The
+// same object carries the runtime request-trace sampler state so the admin
+// server can flip sampling on a live service through the DB's late-bound
+// handle (the service attaches after the admin server is already up).
 //
 // Units: latencies are recorded in NANOSECONDS (the StatsRegistry
 // convention); exporters convert.
@@ -53,6 +54,18 @@ constexpr int kNumRpcStatusClasses = static_cast<int>(RpcStatusClass::kBadReques
 
 const char* RpcStatusClassName(RpcStatusClass c);
 
+// Cumulative serving-lifecycle counters (the gauges in_flight and
+// connections_active stay plain atomics).
+enum class RpcCounter : int {
+  kSheds = 0,       // connections refused at the cap
+  kConnections,     // accepted KV connections
+  kSlowRequests,    // over KvServiceConfig::slow_threshold_micros
+  kSlowReported,    // admitted by the rate limiter
+  kSlowSuppressed,  // over the per-second budget
+  kTraceSpans,      // sampled request spans emitted
+};
+constexpr int kNumRpcCounters = static_cast<int>(RpcCounter::kTraceSpans) + 1;
+
 // Thread-sharded counters + histograms for the serving path. All methods
 // are thread-safe; reads are racy-by-design monitoring snapshots, like
 // DbStats. The object is shared between the KvService that records into
@@ -97,7 +110,7 @@ class RpcServerStats {
 
   // Sampling probability in parts-per-million: 0 = tracing off,
   // >= 1'000'000 = trace every request. Seeded from
-  // Options::rpc_trace_sample_rate; POST /control/rpctrace/{start,stop}
+  // KvServiceConfig::trace_sample_rate; POST /control/rpctrace/{start,stop}
   // flips it on a live service.
   void SetTraceSamplePpm(uint32_t ppm) {
     trace_sample_ppm.store(ppm, std::memory_order_relaxed);
@@ -107,16 +120,13 @@ class RpcServerStats {
   // Per-request sampling decision (thread-local xorshift, no locks).
   bool SampleTrace();
 
-  // --- gauges and lifecycle counters (plain atomics, relaxed) ---
+  // --- lifecycle counters (sharded) and gauges (plain atomics, relaxed) ---
+
+  void Add(RpcCounter c) { counters_.Add(CounterSlot(c)); }
+  uint64_t Get(RpcCounter c) const { return counters_.Get(CounterSlot(c)); }
 
   std::atomic<int64_t> in_flight{0};           // requests between decode start and response write
   std::atomic<int64_t> connections_active{0};  // live KV connections
-  std::atomic<uint64_t> connections_total{0};  // accepted KV connections
-  std::atomic<uint64_t> sheds{0};              // connections refused at the cap
-  std::atomic<uint64_t> slow_requests_total{0};       // over rpc_slow_threshold_micros
-  std::atomic<uint64_t> slow_requests_reported{0};    // admitted by the rate limiter
-  std::atomic<uint64_t> slow_requests_suppressed{0};  // over the per-second budget
-  std::atomic<uint64_t> trace_spans{0};               // sampled request spans emitted
   std::atomic<uint32_t> trace_sample_ppm{0};
 
  private:
@@ -127,9 +137,11 @@ class RpcServerStats {
   static constexpr int kFirstResponseSlot = 2;
   static constexpr int kSlotsPerOp = kFirstResponseSlot + kNumRpcStatusClasses;
   static int Slot(RpcOp op, int slot) { return static_cast<int>(op) * kSlotsPerOp + slot; }
+  // The lifecycle counters follow the per-opcode slots.
+  static int CounterSlot(RpcCounter c) { return kNumRpcOps * kSlotsPerOp + static_cast<int>(c); }
 
   ShardedHistograms<RpcOp, kNumRpcOps> latency_;
-  ShardedCounters<int, kNumRpcOps * kSlotsPerOp> counters_;
+  ShardedCounters<int, kNumRpcOps * kSlotsPerOp + kNumRpcCounters> counters_;
 };
 
 }  // namespace clsm

@@ -648,16 +648,14 @@ void VisitRpcBlock(StatsVisitor* v, const RpcServerStats& r) {
   v->Counter("bytes_in_total", r.TotalBytesIn());
   v->Counter("bytes_out_total", r.TotalBytesOut());
   v->Counter("errors_total", r.TotalErrors());
-  v->Counter("sheds_total", r.sheds.load(std::memory_order_relaxed));
-  v->Counter("connections_total", r.connections_total.load(std::memory_order_relaxed));
+  v->Counter("sheds_total", r.Get(RpcCounter::kSheds));
+  v->Counter("connections_total", r.Get(RpcCounter::kConnections));
   v->GaugeI64("in_flight", r.in_flight.load(std::memory_order_relaxed));
   v->GaugeI64("connections_active", r.connections_active.load(std::memory_order_relaxed));
-  v->Counter("slow_requests_total", r.slow_requests_total.load(std::memory_order_relaxed));
-  v->Counter("slow_requests_reported",
-             r.slow_requests_reported.load(std::memory_order_relaxed));
-  v->Counter("slow_requests_suppressed",
-             r.slow_requests_suppressed.load(std::memory_order_relaxed));
-  v->Counter("trace_spans_total", r.trace_spans.load(std::memory_order_relaxed));
+  v->Counter("slow_requests_total", r.Get(RpcCounter::kSlowRequests));
+  v->Counter("slow_requests_reported", r.Get(RpcCounter::kSlowReported));
+  v->Counter("slow_requests_suppressed", r.Get(RpcCounter::kSlowSuppressed));
+  v->Counter("trace_spans_total", r.Get(RpcCounter::kTraceSpans));
   v->GaugeF64("trace_sample_rate", static_cast<double>(r.TraceSamplePpm()) / 1e6);
   v->BeginGroup("op");
   for (int m = 0; m < kNumRpcOps; m++) {
@@ -816,7 +814,7 @@ std::string PrometheusSanitizeName(const std::string& name) {
     }
   }
   if (out.empty()) {
-    out = "_";
+    out.push_back('_');
   }
   return out;
 }

@@ -156,10 +156,7 @@ HttpResponse AdminServer::Handle(const HttpRequest& req) {
     if (!get) {
       return Text(405, "method not allowed\n");
     }
-    const BackgroundErrorState* bg = hooks_.bg_error;
-    if (bg == nullptr && hooks_.bg_error_pick) {
-      bg = hooks_.bg_error_pick();  // worst shard, or null when all healthy
-    }
+    const BackgroundErrorState* bg = hooks_.bg_error ? hooks_.bg_error() : nullptr;
     if (bg == nullptr || bg->ok()) {
       return Json(200, "{\"status\":\"ok\",\"db\":\"" + hooks_.db_name + "\"}");
     }

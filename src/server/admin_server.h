@@ -65,16 +65,14 @@ struct AdminHooks {
 
   std::function<void()> reset_stats;  // POST /control/stats/reset
 
-  // Borrowed; must outlive the server (the owning DB guarantees this).
-  const BackgroundErrorState* bg_error = nullptr;  // GET /health
-  SlowOpRingListener* slow_ops = nullptr;          // GET /slowops
-  TraceController* trace = nullptr;                // POST /control/trace/*
+  // GET /health: the background-error state to report — a single engine's,
+  // or the worst latched member's for a multi-instance DB. Null (hook or
+  // result) reports healthy.
+  std::function<const BackgroundErrorState*()> bg_error;
 
-  // Multi-instance alternative to bg_error: returns the member state with
-  // the worst latched severity (null when all healthy). ShardedClsm wires
-  // this so /health reports degraded as soon as ANY shard latches.
-  // Consulted only when bg_error is null.
-  std::function<const BackgroundErrorState*()> bg_error_pick;
+  // Borrowed; must outlive the server (the owning DB guarantees this).
+  SlowOpRingListener* slow_ops = nullptr;  // GET /slowops
+  TraceController* trace = nullptr;        // POST /control/trace/*
 
   // Serving-tier request-trace sampling (POST /control/rpctrace/{start,
   // stop}) and Chrome-trace ring dump (GET /rpctrace). rpctrace_set flips

@@ -152,7 +152,7 @@ KvService::KvService(DB* db, const KvServiceConfig& config)
       slow_limiter_(config.slow_max_per_sec),
       tcp_([this](int fd) { HandleConnection(fd); },
            [this](int fd) {
-             stats_->sheds.fetch_add(1, std::memory_order_relaxed);
+             stats_->Add(RpcCounter::kSheds);
              KvResponse shed;
              shed.status = kKvError;
              shed.message = "server connection limit reached";
@@ -285,7 +285,7 @@ void KvService::ExecuteRequest(const KvRequest& req, KvResponse* resp,
 }
 
 void KvService::HandleConnection(int fd) {
-  stats_->connections_total.fetch_add(1, std::memory_order_relaxed);
+  stats_->Add(RpcCounter::kConnections);
   stats_->connections_active.fetch_add(1, std::memory_order_relaxed);
 
   // Per-connection snapshot table. Ids are connection-local and never
@@ -361,7 +361,7 @@ void KvService::HandleConnection(int fd) {
     if (ctx.traced) {
       trace_->AppendSpanEnd("rpc.write", out.size());
       trace_->AppendSpanEnd("rpc.req", ctx.request_id);
-      stats_->trace_spans.fetch_add(1, std::memory_order_relaxed);
+      stats_->Add(RpcCounter::kTraceSpans);
     }
     ctx.written_nanos = MonotonicNanos();
 
@@ -371,16 +371,16 @@ void KvService::HandleConnection(int fd) {
 
     if (slow_threshold_nanos_ != 0 &&
         ctx.written_nanos - ctx.start_nanos >= slow_threshold_nanos_) {
-      stats_->slow_requests_total.fetch_add(1, std::memory_order_relaxed);
+      stats_->Add(RpcCounter::kSlowRequests);
       const uint64_t now_micros = Env::Default()->NowMicros();
       if (slow_limiter_.Admit(now_micros)) {
-        stats_->slow_requests_reported.fetch_add(1, std::memory_order_relaxed);
+        stats_->Add(RpcCounter::kSlowReported);
         if (slow_ring_ != nullptr) {
           slow_ring_->Append(
               SlowRpcRequestToJson(ctx, perf, now_micros, slow_limiter_.suppressed()));
         }
       } else {
-        stats_->slow_requests_suppressed.fetch_add(1, std::memory_order_relaxed);
+        stats_->Add(RpcCounter::kSlowSuppressed);
       }
     }
 

@@ -16,9 +16,9 @@
 // the clsm_rpc_* Prometheus families), emits sampled request spans into
 // the shared Chrome-trace ring (decode/db/encode/write phases interleaved
 // with engine flush/compaction events), and captures requests over
-// rpc_slow_threshold_micros as structured slow-request records — with the
-// handling thread's PerfContext snapshot embedded — into the slow-op ring
-// behind GET /slowops.
+// KvServiceConfig::slow_threshold_micros as structured slow-request
+// records — with the handling thread's PerfContext snapshot embedded —
+// into the slow-op ring behind GET /slowops.
 #ifndef CLSM_SERVER_KV_SERVICE_H_
 #define CLSM_SERVER_KV_SERVICE_H_
 
@@ -39,20 +39,18 @@ namespace clsm {
 struct KvRequest;
 struct KvResponse;
 
-// Serving-tier knobs, mapped from the Options::rpc_* fields by callers
-// that hold the DB's Options (tools/clsm_server does).
+// Serving-tier knobs (tools/clsm_server fills them from its flags).
 struct KvServiceConfig {
   // Concurrent-connection ceiling; <= 0 means unbounded.
   int max_connections = 0;
   // Requests slower than this (socket-to-socket) emit a slow-request
-  // record; 0 disables capture. Mirrors Options::rpc_slow_threshold_micros.
+  // record; 0 disables capture.
   uint64_t slow_threshold_micros = 0;
   // Rate bound on slow-request records per second (excess counted as
   // suppressed). Mirrors Options::slow_op_max_per_sec.
   uint32_t slow_max_per_sec = 32;
   // Initial request-trace sampling probability in [0, 1]; runtime-
   // adjustable via POST /control/rpctrace/{start,stop} once attached.
-  // Mirrors Options::rpc_trace_sample_rate.
   double trace_sample_rate = 0.0;
   // Chrome-trace ring sampled request spans are pushed into. Register the
   // same listener in Options::listeners to land server spans and engine

@@ -1,7 +1,5 @@
 #include "src/shard/sharded_clsm.h"
 
-#include <algorithm>
-
 #include "src/core/write_batch.h"
 #include "src/lsm/bg_error.h"
 #include "src/lsm/storage_engine.h"
@@ -30,8 +28,8 @@ void ReleaseCompositeSnapshot(void* db, void* snapshot) {
 
 }  // namespace
 
-ShardedClsm::ShardedClsm(std::string name, std::vector<std::unique_ptr<DB>> shards)
-    : name_(std::move(name)), shards_(std::move(shards)) {}
+ShardedClsm::ShardedClsm(std::vector<std::unique_ptr<DB>> shards)
+    : shards_(std::move(shards)), name_(std::string("sharded-") + shards_[0]->Name()) {}
 
 ShardedClsm::~ShardedClsm() {
   // The admin server's handlers walk the shards; stop it first.
@@ -55,23 +53,17 @@ Status ShardedClsm::Open(const Options& options, const ShardedOptions& sopt,
   // Likewise one periodic reporter at most — N interleaved stderr dumps
   // are noise. Benches wanting per-shard dumps configure members directly.
   shard_options.stats_dump_period_sec = 0;
-  if (sopt.split_resources) {
-    shard_options.write_buffer_size = std::max<size_t>(
-        64 << 10, options.write_buffer_size / static_cast<size_t>(sopt.shards));
-    shard_options.block_cache_size =
-        options.block_cache_size / static_cast<size_t>(sopt.shards);
-  }
 
   std::vector<std::unique_ptr<DB>> shards;
   for (int i = 0; i < sopt.shards; i++) {
     DB* raw = nullptr;
-    Status s = opener(shard_options, dbname + "/" + sopt.subdir_prefix + std::to_string(i), &raw);
+    Status s = opener(shard_options, dbname + "/shard" + std::to_string(i), &raw);
     if (!s.ok()) {
       return s;
     }
     shards.emplace_back(raw);
   }
-  auto* db = new ShardedClsm(sopt.name, std::move(shards));
+  auto* db = new ShardedClsm(std::move(shards));
   Status s = db->StartAdmin(options);
   if (!s.ok()) {
     delete db;
@@ -99,7 +91,7 @@ Status ShardedClsm::StartAdmin(const Options& options) {
   hooks.reset_stats = [this] { ResetStats(); };
   // /health reports degraded as soon as ANY shard latches a background
   // error; the worst severity wins the payload.
-  hooks.bg_error_pick = [this]() -> const BackgroundErrorState* {
+  hooks.bg_error = [this]() -> const BackgroundErrorState* {
     const BackgroundErrorState* worst = nullptr;
     for (auto& shard : shards_) {
       StatsJsonSource src;
@@ -137,8 +129,8 @@ std::vector<StatsJsonSource> ShardedClsm::ShardStatsSources() {
 }
 
 size_t ShardedClsm::ShardFor(const Slice& key) const {
-  // Same golden-ratio seed the old PartitionedDb used, so reopened "part"
-  // directories keep routing the same keys to the same members.
+  // The seed is part of the on-disk contract: a reopened store must route
+  // every key to the member that holds it.
   return Hash(key, 0x9e3779b9) % shards_.size();
 }
 

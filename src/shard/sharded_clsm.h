@@ -9,7 +9,7 @@
 // maintenance parallelism multiplies with the shard count.
 //
 // What distinguishes this layer from naive partitioning (the §2.2
-// drawbacks the old PartitionedDb deliberately exhibited):
+// drawbacks that bench_fig1_partitioning's hand-split stores exhibit):
 //
 //  * Atomic cross-shard snapshot cut. Writers hold cut_lock_ in shared
 //    mode for the duration of each write; GetSnapshot takes it exclusively
@@ -30,8 +30,11 @@
 //    carries a shard="i" label. The wrapper runs the only admin server;
 //    member admin ports are forced off.
 //
-// Members open under dbname/<prefix>0..N-1 via an injected opener (the
-// variant factory lives above this layer), so any DB variant shards.
+// Members open under dbname/shard0..N-1 via an injected opener (the
+// variant factory lives above this layer), so any DB variant shards. Every
+// member gets the full configured budget (write buffer, block cache): the
+// deployment posture where shards are sized individually. The wrapper is
+// named "sharded-" + the members' Name(), e.g. "sharded-clsm".
 #ifndef CLSM_SHARD_SHARDED_CLSM_H_
 #define CLSM_SHARD_SHARDED_CLSM_H_
 
@@ -53,16 +56,6 @@ using ShardOpener =
 
 struct ShardedOptions {
   int shards = 1;
-  // Member directories are dbname/<subdir_prefix><i>. "part" keeps the
-  // on-disk layout of pre-existing PartitionedDb stores reopenable.
-  std::string subdir_prefix = "shard";
-  // True reproduces the static resource split of paper §2.2 (write buffer
-  // and block cache divided by N — what PartitionedDb models). False
-  // (default) gives every shard the configured budget, the deployment
-  // posture where shards are sized individually.
-  bool split_resources = false;
-  // DB::Name() of the wrapper and the db="..." label of its exposition.
-  std::string name = "sharded-clsm";
 };
 
 class ShardedClsm final : public DB {
@@ -101,13 +94,13 @@ class ShardedClsm final : public DB {
  private:
   struct CompositeSnapshot;
 
-  ShardedClsm(std::string name, std::vector<std::unique_ptr<DB>> shards);
+  explicit ShardedClsm(std::vector<std::unique_ptr<DB>> shards);
 
   Status StartAdmin(const Options& options);
   std::vector<StatsJsonSource> ShardStatsSources();
 
-  const std::string name_;
   std::vector<std::unique_ptr<DB>> shards_;
+  const std::string name_;  // DB::Name() and the db="..." exposition label
 
   // The snapshot-cut lock: writes shared, cuts exclusive (see file
   // comment). Iterators and reads never take it — member snapshots carry

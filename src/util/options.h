@@ -50,37 +50,10 @@ struct Options {
 
   // Target size of compaction output files (every level shares one target).
   uint64_t target_file_size = 2 * 1024 * 1024;
-  // Total-bytes target of level 1; level L targets
-  // level1_max_bytes * level_size_multiplier^(L-1).
+  // Total-bytes target of level 1; level L targets level1_max_bytes *
+  // 10^(L-1). The fanout and the picker's byte budgets are fixed design
+  // choices, not knobs (DESIGN.md "Compaction picking").
   uint64_t level1_max_bytes = 10 * 1024 * 1024;
-  // Per-level size fanout. Sanitize() clamps values below 1.5 back to the
-  // default (a fanout at or below 1 would make every deeper level
-  // permanently over target and pin the compaction scores at max).
-  double level_size_multiplier = 10.0;
-
-  // --- compaction picking (VersionSet::PickCompaction) ---
-  //
-  // One leveled picker with the LevelDB write-amp heuristics (DESIGN.md
-  // "Compaction picking"): grandparent-overlap seeding, bounded input
-  // expansion, output splitting at grandparent boundaries, and a
-  // trivial-move guard that refuses to drop a file onto an unboundedly
-  // wide range two levels down. The tree depth is the compile-time
-  // kNumLevels (src/lsm/dbformat.h).
-
-  // Byte budget knobs of the leveled heuristics, expressed as multiples of
-  // target_file_size (matching LevelDB's kMaxGrandParentOverlapBytes and
-  // kExpandedCompactionByteSizeLimit at the defaults):
-  //  * max_grandparent_overlap_factor bounds how much data two levels below
-  //    a compaction's output one output file may overlap — outputs are cut
-  //    early at grandparent boundaries, and a single-file trivial move is
-  //    refused (rewritten instead) past the bound.
-  //  * expanded_compaction_factor caps the total input bytes up to which
-  //    the picker may grow inputs_[0] with level-L neighbors that fit under
-  //    the already-selected level-L+1 range (more data merged per L+1
-  //    rewrite, i.e. lower write amplification).
-  // Sanitize() resets non-positive values to the defaults.
-  double max_grandparent_overlap_factor = 10.0;
-  double expanded_compaction_factor = 25.0;
 
   // Number of L0 files that triggers a compaction into L1. It is also
   // where the write controller's L0 debt starts.
@@ -96,14 +69,11 @@ struct Options {
 
   // Rate clamp for the controller, bytes/sec of admitted user write payload.
   // The floor keeps writers trickling even at full debt (progress feeds the
-  // feedback loop). 0 for max means "calibrate to the disk": the controller
-  // measures flush drain rate over 500 ms windows and caps admission at 2x
-  // a peak-hold estimate (bounded above by a 512 MiB/s internal ceiling). A
-  // nonzero value pins the ceiling and disables calibration — note a fixed
-  // ceiling far above the host's drain capacity makes the controller a
-  // near-no-op, and one far below it caps throughput.
+  // feedback loop). The ceiling calibrates itself to the disk: the
+  // controller measures flush drain rate over 500 ms windows and caps
+  // admission at 2x a peak-hold estimate, never above max_write_rate.
   uint64_t min_write_rate = 1 << 20;    // 1 MiB/s
-  uint64_t max_write_rate = 0;          // 0 => drain-calibrated ceiling
+  uint64_t max_write_rate = 512 << 20;  // 512 MiB/s
 
   // Smoothing gain in (0, 1]: each refresh moves the current rate this
   // fraction of the way toward the debt-derived target. Lower = smoother
@@ -183,24 +153,6 @@ struct Options {
   // pathological tail cannot turn the listener into its own bottleneck.
   uint32_t slow_op_max_per_sec = 32;
 
-  // --- serving-tier observability (consumed by a KvService mounted on
-  //     this DB; no effect on the embedded engine itself) ---
-
-  // If > 0, RPC requests whose socket-to-socket handling time exceeds this
-  // many microseconds emit one structured slow-request record (request id,
-  // opcode, status, key-prefix hash, per-phase timers, the handling
-  // thread's PerfContext snapshot) into the slow-op ring behind
-  // GET /slowops — rate-bounded by slow_op_max_per_sec, like engine
-  // slow-ops. 0 disables capture (requests are never timed against it).
-  uint64_t rpc_slow_threshold_micros = 0;
-
-  // Probability in [0, 1] that one RPC request is traced: a sampled
-  // request emits decode/db/encode/write phase spans into the shared
-  // Chrome trace_event ring (TraceEventListener), interleaving server
-  // spans with engine flush/compaction events on one timeline. Runtime-
-  // adjustable on a live service via POST /control/rpctrace/{start,stop}.
-  double rpc_trace_sample_rate = 0.0;
-
   // --- admin server (src/server) ---
 
   // TCP port of the embedded admin/metrics HTTP server (GET /metrics,
@@ -228,12 +180,6 @@ struct Options {
   // omitting the Active-set adjustment, at the cost of waiting out
   // in-flight puts). Off by default, matching the paper's evaluation.
   bool linearizable_snapshots = false;
-
-  // Clamps out-of-range tuning knobs back to safe values (documented on
-  // each field). StorageEngine calls this on its private copy at open, so
-  // a misconfigured sweep degrades to defaults instead of wedging
-  // compaction; callers constructing engines directly may also call it.
-  void Sanitize();
 };
 
 struct ReadOptions {

@@ -339,7 +339,7 @@ TEST_F(AdminServerTest, RpcTraceControlEndpoints) {
   ASSERT_TRUE(c.Get("traced", &v).ok());
 
   // The sampled request spans come back through the Chrome-trace dump.
-  ASSERT_TRUE(WaitFor([&] { return service.stats()->trace_spans.load() == 2; }));
+  ASSERT_TRUE(WaitFor([&] { return service.stats()->Get(RpcCounter::kTraceSpans) == 2; }));
   body = Get(port, "/rpctrace", &code);
   ASSERT_EQ(200, code);
   EXPECT_NE(std::string::npos, body.find("\"rpc.req\"")) << body.substr(0, 400);
@@ -368,7 +368,7 @@ TEST_F(AdminServerTest, SlowRpcRequestsSurfaceInSlowOpsWithPerf) {
   // RPC slow records land in the same ring /slowops serves, tagged
   // "rpc":true, with the request envelope, phase timers, and the handling
   // thread's PerfContext snapshot embedded.
-  ASSERT_TRUE(WaitFor([&] { return service.stats()->slow_requests_total.load() == 2; }));
+  ASSERT_TRUE(WaitFor([&] { return service.stats()->Get(RpcCounter::kSlowRequests) == 2; }));
   const int port = AdminPort(db.get());
   int code = 0;
   const std::string body = Get(port, "/slowops", &code);

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -17,6 +19,7 @@
 #include "src/baselines/factory.h"
 #include "src/obs/event_listener.h"
 #include "src/obs/trace_listener.h"
+#include "src/util/env.h"
 #include "tests/test_util.h"
 
 namespace clsm {
@@ -80,6 +83,84 @@ class CollectingListener : public EventListener {
 
   mutable std::mutex mutex_;
   std::vector<Event> events_;
+};
+
+// A latch that opens once and stays open. Waiters give up after `limit`
+// so a store that never stalls fails the test's assertions instead of
+// hanging it.
+class Gate {
+ public:
+  void Open() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  void Wait(std::chrono::milliseconds limit) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait_for(lock, limit, [this] { return open_; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+// Forwards to Env::Default(), but creating a table file (.sst) waits for
+// the gate: flushes cannot finish until the gate opens, so writers that
+// fill the memtable behind a pending immutable one must stall.
+class TableGateEnv final : public Env {
+ public:
+  explicit TableGateEnv(Gate* gate) : base_(Env::Default()), gate_(gate) {}
+
+  Status NewSequentialFile(const std::string& fname,
+                           std::unique_ptr<SequentialFile>* result) override {
+    return base_->NewSequentialFile(fname, result);
+  }
+  Status NewRandomAccessFile(const std::string& fname,
+                             std::unique_ptr<RandomAccessFile>* result) override {
+    return base_->NewRandomAccessFile(fname, result);
+  }
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    const std::string suffix = ".sst";
+    if (fname.size() >= suffix.size() &&
+        fname.compare(fname.size() - suffix.size(), suffix.size(), suffix) == 0) {
+      gate_->Wait(std::chrono::seconds(30));
+    }
+    return base_->NewWritableFile(fname, result);
+  }
+  bool FileExists(const std::string& fname) override { return base_->FileExists(fname); }
+  Status GetChildren(const std::string& dir, std::vector<std::string>* result) override {
+    return base_->GetChildren(dir, result);
+  }
+  Status RemoveFile(const std::string& fname) override { return base_->RemoveFile(fname); }
+  Status CreateDir(const std::string& dirname) override { return base_->CreateDir(dirname); }
+  Status RemoveDir(const std::string& dirname) override { return base_->RemoveDir(dirname); }
+  Status GetFileSize(const std::string& fname, uint64_t* file_size) override {
+    return base_->GetFileSize(fname, file_size);
+  }
+  Status RenameFile(const std::string& src, const std::string& target) override {
+    return base_->RenameFile(src, target);
+  }
+  uint64_t NowMicros() override { return base_->NowMicros(); }
+
+ private:
+  Env* base_;
+  Gate* gate_;
+};
+
+// Opens `rolled` at the first memtable roll and `stalled` at the first
+// stall.
+class OpenGatesOnRollAndStall : public EventListener {
+ public:
+  OpenGatesOnRollAndStall(Gate* rolled, Gate* stalled) : rolled_(rolled), stalled_(stalled) {}
+  void OnMemtableRoll(uint64_t) override { rolled_->Open(); }
+  void OnStallBegin(StallReason) override { stalled_->Open(); }
+
+ private:
+  Gate* rolled_;
+  Gate* stalled_;
 };
 
 class EventListenerTest : public ::testing::TestWithParam<DbVariant> {
@@ -170,16 +251,29 @@ TEST_P(EventListenerTest, StallEventsBracketOnWriterThread) {
   options.write_buffer_size = 32 * 1024;
   options.target_file_size = 32 * 1024;
   options.l0_safety_cap = 8;
+  // Hold the first flush until some writer stalls, and hold the writers
+  // halfway until the first roll. Racing the maintenance thread, writers
+  // could otherwise finish before it rolls (cLSM puts overfill Cm while
+  // the roll is pending) or after it flushed each immutable memtable, and
+  // never find Cm full behind a pending C'm.
+  Gate rolled;
+  Gate stalled;
+  TableGateEnv env(&stalled);
+  options.env = &env;
+  options.listeners.push_back(std::make_shared<OpenGatesOnRollAndStall>(&rolled, &stalled));
   std::unique_ptr<DB> db = OpenFresh(options);
 
   constexpr int kThreads = 4;
   std::vector<std::thread> writers;
   for (int t = 0; t < kThreads; t++) {
-    writers.emplace_back([&db, t] {
+    writers.emplace_back([&db, &rolled, t] {
       WriteOptions wo;
       std::string value(512, 'w');
       char key[32];
       for (int i = 0; i < 1000; i++) {
+        if (i == 500) {
+          rolled.Wait(std::chrono::seconds(30));
+        }
         snprintf(key, sizeof(key), "s%02d-%06d", t, i);
         ASSERT_TRUE(db->Put(wo, key, value).ok());
       }
@@ -212,7 +306,8 @@ TEST_P(EventListenerTest, StallEventsBracketOnWriterThread) {
     EXPECT_EQ(seq.size() % 2, 0u) << "unterminated stall on a writer thread";
     total_stalls += seq.size() / 2;
   }
-  // 2MB through a 32KB buffer with triggers at 2/4 must have stalled.
+  // 1MB into a 32KB buffer behind an immutable memtable whose flush waits
+  // for a stall.
   EXPECT_GE(total_stalls, 1u);
 }
 

@@ -395,7 +395,7 @@ TEST_F(KvServiceTest, RpcStatsCountRequestsStatusesAndBytes) {
   // Connection gauges: both clients counted; the service attached its
   // stats to the DB, so the sharded stats rollup document carries the
   // "rpc" block with these counters.
-  EXPECT_GE(stats.connections_total.load(), 2u);
+  EXPECT_GE(stats.Get(RpcCounter::kConnections), 2u);
   const std::string json = db_->GetProperty("clsm.stats.json");
   EXPECT_NE(std::string::npos, json.find("\"rpc\":{")) << json.substr(0, 400);
   EXPECT_NE(std::string::npos, json.find("\"requests_total\":7")) << json.substr(0, 400);
@@ -431,9 +431,9 @@ TEST(KvServiceObservability, SlowRequestCaptureAndTraceSpans) {
 
   const RpcServerStats& stats = *service->stats();
   ASSERT_TRUE(WaitFor([&] {
-    return stats.slow_requests_total.load() == 2 && stats.trace_spans.load() == 2;
+    return stats.Get(RpcCounter::kSlowRequests) == 2 && stats.Get(RpcCounter::kTraceSpans) == 2;
   }));
-  EXPECT_GE(stats.slow_requests_reported.load(), 1u);
+  EXPECT_GE(stats.Get(RpcCounter::kSlowReported), 1u);
   EXPECT_EQ(1'000'000u, stats.TraceSamplePpm());
 
   // Sampled spans landed in the shared Chrome-trace ring: the request

@@ -67,26 +67,6 @@ std::vector<SweepCase> SweepCases() {
     cases.push_back(c);
   }
   {
-    // Steep fanout with a tiny level-1 target: levels fill (and spill
-    // deeper) fast, exercising MaxBytesForLevel's multiplier plumbing.
-    SweepCase c{"steep_fanout", Options()};
-    c.options.write_buffer_size = 16 * 1024;
-    c.options.target_file_size = 16 * 1024;
-    c.options.level1_max_bytes = 48 * 1024;
-    c.options.level_size_multiplier = 4.0;
-    c.options.l0_compaction_trigger = 2;
-    cases.push_back(c);
-  }
-  {
-    // Invalid knobs must be sanitized back to safe defaults at open, not
-    // wedge compaction (a 0.5 fanout would pin every level score >= 1).
-    SweepCase c{"insane_knobs_sanitized", Options()};
-    c.options.level_size_multiplier = 0.5;
-    c.options.max_grandparent_overlap_factor = -1.0;
-    c.options.expanded_compaction_factor = 0.0;
-    cases.push_back(c);
-  }
-  {
     SweepCase c{"leveled_policy_small_files", Options()};
     c.options.write_buffer_size = 16 * 1024;
     c.options.target_file_size = 16 * 1024;

@@ -1,8 +1,9 @@
-// ShardedClsm: hash routing, merged iteration, the cross-shard stats
-// rollup, and — the property that distinguishes this layer from naive
-// partitioning — the atomic snapshot cut: concurrent multi-shard writers
-// plus snapshot scans must never observe a torn cut, under TSan too
-// (the CI tsan job runs this binary).
+// ShardedClsm: hash routing, merged iteration, RMW routing, reopen, the
+// cross-shard stats rollup, and — the property that distinguishes this
+// layer from naive partitioning — the atomic snapshot cut: concurrent
+// multi-shard writers plus snapshot scans must never observe a torn cut,
+// under TSan too (the CI tsan job runs this binary). Every case runs with
+// cLSM members and with LevelDB members: the router is variant-agnostic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -47,13 +49,13 @@ std::string JsonText(const std::string& json, const std::string& name) {
   return json.substr(pos, json.find('"', pos) - pos);
 }
 
-class ShardedTest : public ::testing::Test {
+class ShardedTest : public ::testing::TestWithParam<DbVariant> {
  protected:
   ShardedTest() : dir_("sharded") { options_.write_buffer_size = 256 * 1024; }
 
   std::unique_ptr<DB> Open(int shards, const std::string& name = "db") {
     DB* raw = nullptr;
-    Status s = OpenShardedDb(DbVariant::kClsm, options_, dir_.path() + "/" + name, shards, &raw);
+    Status s = OpenShardedDb(GetParam(), options_, dir_.path() + "/" + name, shards, &raw);
     EXPECT_TRUE(s.ok()) << s.ToString();
     return std::unique_ptr<DB>(raw);
   }
@@ -75,10 +77,10 @@ class ShardedTest : public ::testing::Test {
   Options options_;
 };
 
-TEST_F(ShardedTest, RoutesAcrossShardsAndReadsBack) {
+TEST_P(ShardedTest, RoutesAcrossShardsAndReadsBack) {
   auto db = Open(4);
   EXPECT_EQ("4", db->GetProperty("clsm.shard-count"));
-  EXPECT_STREQ("sharded-clsm", db->Name());
+  EXPECT_EQ(std::string("sharded-") + VariantName(GetParam()), db->Name());
 
   WriteOptions wo;
   ReadOptions ro;
@@ -102,7 +104,7 @@ TEST_F(ShardedTest, RoutesAcrossShardsAndReadsBack) {
   EXPECT_EQ(4u, used.size());
 }
 
-TEST_F(ShardedTest, MergedIteratorYieldsGlobalOrder) {
+TEST_P(ShardedTest, MergedIteratorYieldsGlobalOrder) {
   auto db = Open(3);
   WriteOptions wo;
   std::set<std::string> keys;
@@ -126,7 +128,7 @@ TEST_F(ShardedTest, MergedIteratorYieldsGlobalOrder) {
   EXPECT_EQ(*keys.lower_bound("scan5"), it->key().ToString());
 }
 
-TEST_F(ShardedTest, SnapshotPinsAllShards) {
+TEST_P(ShardedTest, SnapshotPinsAllShards) {
   auto db = Open(4);
   ShardedClsm* sharded = AsSharded(db.get());
   auto [a, b] = CrossShardPair(sharded, 0);
@@ -164,7 +166,7 @@ TEST_F(ShardedTest, SnapshotPinsAllShards) {
 // sees B = i must also see A >= i. The old sequential per-shard snapshot
 // collection could cut between the two puts AND interleave with each one,
 // tearing the order. Zero tolerance here; TSan must be clean.
-TEST_F(ShardedTest, SnapshotCutIsAtomicAcrossShards) {
+TEST_P(ShardedTest, SnapshotCutIsAtomicAcrossShards) {
   auto db = Open(4);
   ShardedClsm* sharded = AsSharded(db.get());
   constexpr int kWriters = 4;
@@ -241,7 +243,7 @@ TEST_F(ShardedTest, SnapshotCutIsAtomicAcrossShards) {
 // A batch spanning shards commits atomically with respect to cuts: the
 // whole multi-shard Write holds the cut lock shared, so a snapshot sees
 // either none or all of it.
-TEST_F(ShardedTest, CrossShardBatchesAreAtomic) {
+TEST_P(ShardedTest, CrossShardBatchesAreAtomic) {
   auto db = Open(4);
   ShardedClsm* sharded = AsSharded(db.get());
   auto [a, b] = CrossShardPair(sharded, 7);
@@ -278,7 +280,39 @@ TEST_F(ShardedTest, CrossShardBatchesAreAtomic) {
   EXPECT_EQ(0, torn);
 }
 
-TEST_F(ShardedTest, StatsRollupSumsShards) {
+// Read-modify-write routes to the key's owning member: concurrent
+// increments of counters spread over every shard never lose an update.
+TEST_P(ShardedTest, RmwRoutesToOwningShard) {
+  auto db = Open(4);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; t++) {
+    threads.emplace_back([&] {
+      WriteOptions wo;
+      for (int i = 0; i < 500; i++) {
+        ASSERT_TRUE(db->ReadModifyWrite(wo, "ctr" + std::to_string(i % 50),
+                                        [](const std::optional<Slice>& cur)
+                                            -> std::optional<std::string> {
+                                          int v = cur ? std::stoi(cur->ToString()) : 0;
+                                          return std::to_string(v + 1);
+                                        })
+                        .ok());
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  ReadOptions ro;
+  std::string v;
+  int total = 0;
+  for (int i = 0; i < 50; i++) {
+    ASSERT_TRUE(db->Get(ro, "ctr" + std::to_string(i), &v).ok());
+    total += std::stoi(v);
+  }
+  EXPECT_EQ(4 * 500, total);
+}
+
+TEST_P(ShardedTest, StatsRollupSumsShards) {
   auto db = Open(3);
   WriteOptions wo;
   ReadOptions ro;
@@ -316,7 +350,7 @@ TEST_F(ShardedTest, StatsRollupSumsShards) {
 // quantity: the rollup reports the worst member's code, as /health does,
 // where a sum would leave the ladder. The bg_severity text reads "mixed"
 // while members disagree and the common value once they agree.
-TEST_F(ShardedTest, StatsRollupTakesWorstBackgroundSeverity) {
+TEST_P(ShardedTest, StatsRollupTakesWorstBackgroundSeverity) {
   // One fault env per member, so each injected failure lands on a chosen
   // shard. Declared before the DB, which runs on them until destroyed.
   FaultInjectionEnv envs[2] = {FaultInjectionEnv(Env::Default()),
@@ -329,7 +363,7 @@ TEST_F(ShardedTest, StatsRollupTakesWorstBackgroundSeverity) {
                   [&envs](const Options& o, const std::string& d, DB** out) {
                     Options member = o;
                     member.env = &envs[d.back() - '0'];  // dir ends in the shard index
-                    return OpenDb(DbVariant::kClsm, member, d, out);
+                    return OpenDb(GetParam(), member, d, out);
                   },
                   &raw)
                   .ok());
@@ -386,7 +420,7 @@ TEST_F(ShardedTest, StatsRollupTakesWorstBackgroundSeverity) {
   envs[1].Heal();
 }
 
-TEST_F(ShardedTest, AdminSurfaceServesRollupAndShardLabels) {
+TEST_P(ShardedTest, AdminSurfaceServesRollupAndShardLabels) {
   options_.admin_port = 0;  // wrapper admin on an ephemeral port
   auto db = Open(2, "admin");
   const int port = std::atoi(db->GetProperty("clsm.admin-port").c_str());
@@ -427,7 +461,7 @@ TEST_F(ShardedTest, AdminSurfaceServesRollupAndShardLabels) {
   }
 }
 
-TEST_F(ShardedTest, ReopenKeepsRouting) {
+TEST_P(ShardedTest, ReopenKeepsRouting) {
   auto db = Open(4, "reopen");
   WriteOptions wo;
   for (int i = 0; i < 5000; i++) {
@@ -444,7 +478,7 @@ TEST_F(ShardedTest, ReopenKeepsRouting) {
   }
 }
 
-TEST_F(ShardedTest, SingleShardDegeneratesGracefully) {
+TEST_P(ShardedTest, SingleShardDegeneratesGracefully) {
   auto db = Open(1, "one");
   WriteOptions wo;
   ReadOptions ro;
@@ -461,8 +495,14 @@ TEST_F(ShardedTest, SingleShardDegeneratesGracefully) {
   EXPECT_EQ("1", db->GetProperty("clsm.shard-count"));
 
   DB* raw = nullptr;
-  EXPECT_FALSE(OpenShardedDb(DbVariant::kClsm, options_, dir_.path() + "/zero", 0, &raw).ok());
+  EXPECT_FALSE(OpenShardedDb(GetParam(), options_, dir_.path() + "/zero", 0, &raw).ok());
 }
+
+INSTANTIATE_TEST_SUITE_P(Variants, ShardedTest,
+                         ::testing::Values(DbVariant::kClsm, DbVariant::kLevelDb),
+                         [](const ::testing::TestParamInfo<DbVariant>& info) {
+                           return std::string(VariantName(info.param));
+                         });
 
 }  // namespace
 }  // namespace clsm

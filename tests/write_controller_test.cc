@@ -102,8 +102,7 @@ TEST(WriteControllerConfigTest, FromOptionsClampsDegenerateKnobs) {
   Options options;  // defaults
   WriteControllerConfig c = WriteControllerConfig::FromOptions(options);
   EXPECT_EQ(c.min_rate, uint64_t{1} << 20);
-  EXPECT_EQ(c.max_rate, uint64_t{512} << 20);  // 0 => internal ceiling
-  EXPECT_TRUE(c.auto_max);  // 0 also opts into the drain-calibrated ceiling
+  EXPECT_EQ(c.max_rate, uint64_t{512} << 20);
   EXPECT_DOUBLE_EQ(c.gain, 0.4);
   EXPECT_EQ(c.refresh_nanos, uint64_t{10'000'000});
   EXPECT_EQ(c.l0_debt_start, options.l0_compaction_trigger);
@@ -111,12 +110,11 @@ TEST(WriteControllerConfigTest, FromOptionsClampsDegenerateKnobs) {
   EXPECT_EQ(c.backlog_debt_cap, 4 * options.level1_max_bytes);
 
   options.min_write_rate = 8 << 20;
-  options.max_write_rate = 2 << 20;  // below min: lifted to min (and not auto)
+  options.max_write_rate = 2 << 20;  // below min: lifted to min
   options.write_rate_gain = -1.0;    // out of range: default restored
   options.l0_safety_cap = 2;         // below debt start: lifted above it
   c = WriteControllerConfig::FromOptions(options);
   EXPECT_EQ(c.max_rate, c.min_rate);
-  EXPECT_FALSE(c.auto_max);
   EXPECT_DOUBLE_EQ(c.gain, 0.4);
   EXPECT_EQ(c.l0_safety_cap, c.l0_debt_start + 1);
 
@@ -296,7 +294,6 @@ TEST(WriteControllerTest, UnthrottledFastPathBypassesAndRearmsTheBucket) {
 
 TEST(WriteControllerTest, AutoCeilingTracksMeasuredDrainRate) {
   WriteControllerConfig config = SmallConfig();
-  config.auto_max = true;
   MockClockController m(config);
   WriteController& c = m.controller;
 
@@ -348,18 +345,6 @@ TEST(WriteControllerTest, AutoCeilingTracksMeasuredDrainRate) {
   c.UpdateRate(debt);
   EXPECT_EQ(c.drain_rate_estimate(),
             static_cast<uint64_t>(0.9 * static_cast<double>(uint64_t{3} << 20)));
-
-  // An explicitly configured ceiling ignores the drain estimate entirely.
-  MockClockController fixed(SmallConfig());
-  fixed.now += 600'000'000;
-  WriteController::DebtInputs flushed;
-  flushed.flushed_bytes_total = 64 << 10;
-  fixed.controller.UpdateRate(flushed);
-  fixed.now += 500'000'000;
-  flushed.flushed_bytes_total += 64 << 10;
-  fixed.controller.UpdateRate(flushed);
-  EXPECT_EQ(fixed.controller.drain_rate_estimate(), 0u);
-  EXPECT_EQ(fixed.controller.effective_max_rate(), SmallConfig().max_rate);
 }
 
 TEST(WriteControllerTest, RefreshDueFollowsTheInjectedClock) {

@@ -1,9 +1,10 @@
 // clsm_bench: db_bench-style command-line workload runner. Runs any
 // operation mix against any DB variant with any thread count — the manual
-// companion to the per-figure binaries in bench/.
+// companion to the per-figure binaries in bench/. Example (one command
+// line):
 //
-//   clsm_bench --db=/tmp/x --variant=clsm --threads=8 --duration_ms=5000 \
-//              --writes=0.5 --scans=0.05 --rmws=0.05 --dist=hotblock \
+//   clsm_bench --db=/tmp/x --variant=clsm --threads=8 --duration_ms=5000
+//              --writes=0.5 --scans=0.05 --rmws=0.05 --dist=hotblock
 //              --keys=1000000 --value_size=256 --preload=500000
 #include <cstdio>
 #include <cstdlib>

@@ -115,8 +115,6 @@ int main(int argc, char** argv) {
   options.write_buffer_size = flags.write_buffer;
   options.admin_port = flags.admin_port;
   options.admin_bind_address = flags.bind;
-  options.rpc_slow_threshold_micros = flags.rpc_slow_threshold_micros;
-  options.rpc_trace_sample_rate = flags.rpc_trace_sample_rate;
   options.perf_level = static_cast<PerfLevel>(flags.perf_level);
 
   // One Chrome-trace ring shared by the engine listeners and the serving
@@ -135,9 +133,9 @@ int main(int argc, char** argv) {
 
   KvServiceConfig service_config;
   service_config.max_connections = flags.max_connections;
-  service_config.slow_threshold_micros = options.rpc_slow_threshold_micros;
+  service_config.slow_threshold_micros = flags.rpc_slow_threshold_micros;
   service_config.slow_max_per_sec = options.slow_op_max_per_sec;
-  service_config.trace_sample_rate = options.rpc_trace_sample_rate;
+  service_config.trace_sample_rate = flags.rpc_trace_sample_rate;
   service_config.trace = trace_ring;
   KvService service(db.get(), service_config);
   s = service.Start(flags.bind, flags.port);

@@ -26,8 +26,9 @@ class CompactionStats {
     std::atomic<uint64_t> trivial_moves{0};  // of which: pure file moves
     std::atomic<uint64_t> bytes_read{0};     // input bytes (both levels)
     std::atomic<uint64_t> bytes_written{0};  // output bytes
-    std::atomic<uint64_t> micros{0};         // wall time spent compacting
-    std::atomic<uint64_t> sync_micros{0};    // of which: output fdatasync
+    std::atomic<uint64_t> micros{0};          // merge-thread time, summed over ranges
+    std::atomic<uint64_t> sync_micros{0};     // of which: output fdatasync
+    std::atomic<uint64_t> subcompactions{0};  // key ranges merged (1 per unsplit merge)
   };
 
   LevelStats& level(int l) { return levels_[CheckLevel(l)]; }

@@ -92,6 +92,7 @@ void StorageEngine::StartCompactionScheduler(int num_threads,
   sched_on_error_ = std::move(on_error);
   sched_shutdown_.store(false, std::memory_order_release);
   const int n = std::max(1, num_threads);
+  sched_max_ranges_ = n;
   compaction_workers_.reserve(n);
   for (int i = 0; i < n; i++) {
     compaction_workers_.emplace_back([this] { CompactionWorkerLoop(); });
@@ -114,6 +115,12 @@ void StorageEngine::SignalCompaction() { sched_cv_.notify_all(); }
 void StorageEngine::CompactionWorkerLoop() {
   int idle_rounds = 0;
   while (!sched_shutdown_.load(std::memory_order_acquire)) {
+    // A range offered by a running merge comes before new work: it
+    // finishes a job that already holds its levels.
+    if (RunQueuedRange(nullptr)) {
+      idle_rounds = 0;
+      continue;
+    }
     // Picking marks the job's levels in-flight, so concurrent workers
     // always obtain disjoint file sets (or nullptr).
     std::unique_ptr<Compaction> c(versions_->PickCompaction());
@@ -122,11 +129,14 @@ void StorageEngine::CompactionWorkerLoop() {
       if (sched_shutdown_.load(std::memory_order_acquire)) {
         return;
       }
-      // Re-check under the lock is pointless (picking is independently
-      // locked); the timed wait doubles as a poll for work that became
-      // pickable without a signal. Back off while idle so surplus workers
-      // don't burn cycles re-picking nothing — flushes and stalled writers
-      // signal immediately when work appears.
+      if (!range_queue_.empty()) {
+        continue;  // offered while this worker was picking
+      }
+      // Ranges are queued under this lock, so none is missed; pickable
+      // work is not, and the timed wait doubles as a poll for it. Back off
+      // while idle so surplus workers don't burn cycles re-picking
+      // nothing — flushes and stalled writers signal immediately when
+      // work appears.
       idle_rounds = std::min(idle_rounds + 1, 10);
       sched_cv_.wait_for(l, std::chrono::milliseconds(2 * idle_rounds));
       continue;
@@ -134,7 +144,7 @@ void StorageEngine::CompactionWorkerLoop() {
     idle_rounds = 0;
     const SequenceNumber smallest_snapshot =
         sched_smallest_snapshot_ ? sched_smallest_snapshot_() : kMaxSequenceNumber;
-    Status s = RunCompaction(c.get(), smallest_snapshot);
+    Status s = RunCompaction(c.get(), smallest_snapshot, sched_max_ranges_);
     c.reset();  // releases the in-flight levels (after the edit install)
     if (!s.ok()) {
       // RunCompaction already latched the background error; the callback
@@ -530,10 +540,43 @@ Status StorageEngine::CompactOnce(SequenceNumber smallest_snapshot, bool* did_wo
     return Status::OK();
   }
   *did_work = true;
-  return RunCompaction(c.get(), smallest_snapshot);
+  return RunCompaction(c.get(), smallest_snapshot, 1);
 }
 
-Status StorageEngine::RunCompaction(Compaction* c, SequenceNumber smallest_snapshot) {
+// What one merge reports back to RunCompaction.
+struct StorageEngine::MergeOutcome {
+  uint64_t bytes_written = 0;
+  size_t ranges = 0;          // key ranges merged
+  uint64_t thread_nanos = 0;  // summed over the threads that merged it
+  BgErrorReason fail_reason = BgErrorReason::kCompaction;
+};
+
+// One merge split into key ranges: range i covers the user keys
+// [cuts[i-1], cuts[i]) and writes its own output tables.
+struct StorageEngine::MergeJob {
+  struct Range {
+    Status status;
+    std::vector<FileMetaData> outputs;
+  };
+
+  MergeJob(Compaction* job, SequenceNumber snapshot, std::vector<std::string> range_cuts)
+      : c(job),
+        smallest_snapshot(snapshot),
+        cuts(std::move(range_cuts)),
+        ranges(cuts.size() + 1) {}
+
+  Compaction* const c;
+  const SequenceNumber smallest_snapshot;
+  const std::vector<std::string> cuts;
+  std::vector<Range> ranges;
+  std::atomic<bool> failed{false};        // a range failed: the others stop
+  std::atomic<uint64_t> helper_nanos{0};  // merge time of ranges other workers ran
+  size_t queued = 0;                      // queued ranges not yet merged; sched_mutex_
+  std::condition_variable done;           // queued reached 0
+};
+
+Status StorageEngine::RunCompaction(Compaction* c, SequenceNumber smallest_snapshot,
+                                    int max_ranges) {
   CompactionStats::LevelStats& stats = compaction_stats_.level(c->level());
   const uint64_t t0 = MonotonicNanos();
   stats.compactions.fetch_add(1, std::memory_order_relaxed);
@@ -546,6 +589,7 @@ Status StorageEngine::RunCompaction(Compaction* c, SequenceNumber smallest_snaps
 
   Status s;
   BgErrorReason fail_reason = BgErrorReason::kCompaction;
+  uint64_t thread_nanos = 0;
   if (c->IsTrivialMove()) {
     // Move the file down one level without rewriting it (no IO: the move
     // contributes to the job count but not to bytes read/written).
@@ -555,19 +599,26 @@ Status StorageEngine::RunCompaction(Compaction* c, SequenceNumber smallest_snaps
     stats.trivial_moves.fetch_add(1, std::memory_order_relaxed);
     s = versions_->LogAndApply(c->edit());
     fail_reason = BgErrorReason::kManifestWrite;
+    thread_nanos = MonotonicNanos() - t0;
   } else {
-    uint64_t bytes_written = 0;
+    MergeOutcome outcome;
     stats.bytes_read.fetch_add(info.bytes_read, std::memory_order_relaxed);
-    s = DoCompactionWork(c, smallest_snapshot, &bytes_written, &fail_reason);
-    stats.bytes_written.fetch_add(bytes_written, std::memory_order_relaxed);
-    info.bytes_written = bytes_written;
+    s = DoCompactionWork(c, smallest_snapshot, max_ranges, &outcome);
+    stats.bytes_written.fetch_add(outcome.bytes_written, std::memory_order_relaxed);
+    stats.subcompactions.fetch_add(outcome.ranges, std::memory_order_relaxed);
+    info.bytes_written = outcome.bytes_written;
+    fail_reason = outcome.fail_reason;
+    thread_nanos = outcome.thread_nanos;
   }
   if (!s.ok()) {
     RecordBackgroundError(fail_reason, s);
   }
 
+  // The level's micros is merge-thread time (ranges merged in parallel
+  // add up), so it bounds the output syncs inside them; the job's wall
+  // time goes to the latency series and the listeners.
   const uint64_t nanos = MonotonicNanos() - t0;
-  stats.micros.fetch_add(nanos / 1000, std::memory_order_relaxed);
+  stats.micros.fetch_add(thread_nanos / 1000, std::memory_order_relaxed);
   if (registry_ != nullptr) {
     registry_->Record(OpMetric::kCompaction, nanos);
   }
@@ -577,26 +628,109 @@ Status StorageEngine::RunCompaction(Compaction* c, SequenceNumber smallest_snaps
 }
 
 Status StorageEngine::DoCompactionWork(Compaction* c, SequenceNumber smallest_snapshot,
-                                       uint64_t* bytes_written, BgErrorReason* fail_reason) {
-  *bytes_written = 0;
-  *fail_reason = BgErrorReason::kCompaction;
+                                       int max_ranges, MergeOutcome* outcome) {
+  const uint64_t t0 = MonotonicNanos();
   // kMaxSequenceNumber doubles as the "newest entry seen so far" sentinel in
-  // the drop rule below; a caller passing it as "no snapshots" must not make
-  // the sentinel itself satisfy last_sequence_for_key <= smallest_snapshot.
+  // the drop rule of MergeRange; a caller passing it as "no snapshots" must
+  // not make the sentinel itself satisfy last_sequence_for_key <=
+  // smallest_snapshot.
   if (smallest_snapshot >= kMaxSequenceNumber) {
     smallest_snapshot = kMaxSequenceNumber - 1;
   }
-  std::unique_ptr<Iterator> input(versions_->MakeInputIterator(c));
-  input->SeekToFirst();
+  MergeJob job(c, smallest_snapshot, c->RangeCuts(max_ranges));
+  const size_t n = job.ranges.size();
+  if (n > 1) {
+    {
+      std::lock_guard<std::mutex> l(sched_mutex_);
+      for (size_t i = 1; i < n; i++) {
+        range_queue_.emplace_back(&job, i);
+      }
+      job.queued = n - 1;
+    }
+    sched_cv_.notify_all();
+  }
+  MergeRange(&job, 0);
+  // Merge the ranges no idle worker has taken, then wait for the rest.
+  while (RunQueuedRange(&job)) {
+  }
+  uint64_t wait_nanos = 0;
+  {
+    std::unique_lock<std::mutex> l(sched_mutex_);
+    if (job.queued > 0) {
+      const uint64_t w0 = MonotonicNanos();
+      job.done.wait(l, [&job] { return job.queued == 0; });
+      wait_nanos = MonotonicNanos() - w0;
+    }
+  }
+
+  Status s;
+  for (const MergeJob::Range& r : job.ranges) {
+    if (!r.status.ok()) {
+      s = r.status;
+      break;
+    }
+  }
+  if (s.ok()) {
+    c->AddInputDeletions(c->edit());
+    for (const MergeJob::Range& r : job.ranges) {
+      for (const FileMetaData& out : r.outputs) {
+        c->edit()->AddFile(c->output_level(), out.number, out.file_size, out.smallest,
+                           out.largest);
+        outcome->bytes_written += out.file_size;
+      }
+    }
+    s = versions_->LogAndApply(c->edit());
+    if (!s.ok()) {
+      outcome->fail_reason = BgErrorReason::kManifestWrite;
+    }
+  }
+  if (!s.ok()) {
+    // Discard the outputs every range managed to write; they were never
+    // installed.
+    for (const MergeJob::Range& r : job.ranges) {
+      for (const FileMetaData& out : r.outputs) {
+        RemoveFileTracked(TableFileName(dbname_, out.number));
+      }
+    }
+  }
+  c->ReleaseInputs();
+  outcome->ranges = n;
+  outcome->thread_nanos =
+      MonotonicNanos() - t0 - wait_nanos + job.helper_nanos.load(std::memory_order_relaxed);
+  return s;
+}
+
+void StorageEngine::MergeRange(MergeJob* job, size_t i) {
+  Compaction* const c = job->c;
+  const SequenceNumber smallest_snapshot = job->smallest_snapshot;
+  const bool has_begin = i > 0;
+  const bool has_end = i < job->cuts.size();
+  const Slice begin = has_begin ? Slice(job->cuts[i - 1]) : Slice();
+  const Slice end = has_end ? Slice(job->cuts[i]) : Slice();
+  std::unique_ptr<Iterator> input(versions_->MakeInputIterator(
+      c, has_begin ? &begin : nullptr, has_end ? &end : nullptr));
+  // A range starts where a seek to its first user key lands and stops
+  // where the next range's seek lands, so the ranges partition the merged
+  // input and each user key's versions stay in one range.
+  if (has_begin) {
+    input->Seek(InternalKey(begin, kMaxSequenceNumber, kValueTypeForSeek).Encode());
+  } else {
+    input->SeekToFirst();
+  }
+  InternalKey end_key;
+  if (has_end) {
+    end_key = InternalKey(end, kMaxSequenceNumber, kValueTypeForSeek);
+  }
 
   Status s;
   std::string current_user_key;
   bool has_current_user_key = false;
   SequenceNumber last_sequence_for_key = kMaxSequenceNumber;
+  CompactionCursor cursor;
 
   // An output a failure cuts short is removed when `out` goes out of scope.
   TableOutput out(this, &compaction_stats_.level(c->level()).sync_micros);
-  std::vector<FileMetaData> outputs;
+  std::vector<FileMetaData>& outputs = job->ranges[i].outputs;
   auto finish_output = [&]() -> Status {
     FileMetaData meta;
     Status fs = out.Finish(&meta);
@@ -607,14 +741,19 @@ Status StorageEngine::DoCompactionWork(Compaction* c, SequenceNumber smallest_sn
   };
 
   const Comparator* ucmp = icmp_.user_comparator();
-  for (; input->Valid() && s.ok(); input->Next()) {
+  // A failed sibling range fails the whole job, so stop as soon as one does.
+  for (; input->Valid() && s.ok() && !job->failed.load(std::memory_order_relaxed);
+       input->Next()) {
     Slice key = input->key();
+    if (has_end && icmp_.Compare(key, end_key.Encode()) >= 0) {
+      break;
+    }
 
     // Cut the current output when its accumulated overlap with grandparent
     // (output_level+1) files passes the configured bound, so no single
     // output file manufactures an oversized future compaction one level
     // down.
-    if (out.is_open() && c->ShouldStopBefore(key)) {
+    if (out.is_open() && c->ShouldStopBefore(&cursor, key)) {
       s = finish_output();
       if (!s.ok()) {
         break;
@@ -643,7 +782,7 @@ Status StorageEngine::DoCompactionWork(Compaction* c, SequenceNumber smallest_sn
         // exceeding the snapshot's timestamp).
         drop = true;
       } else if (ikey.type == kTypeDeletion && ikey.sequence <= smallest_snapshot &&
-                 c->IsBaseLevelForKey(ikey.user_key)) {
+                 c->IsBaseLevelForKey(&cursor, ikey.user_key)) {
         // The deletion marker is invisible to all snapshots and there is no
         // older version underneath it to resurrect: drop the marker itself.
         drop = true;
@@ -673,30 +812,42 @@ Status StorageEngine::DoCompactionWork(Compaction* c, SequenceNumber smallest_sn
   if (s.ok()) {
     s = input->status();
   }
-  if (s.ok() && out.is_open()) {
+  if (s.ok() && out.is_open() && !job->failed.load(std::memory_order_relaxed)) {
     s = finish_output();
   }
-  input.reset();
-
-  if (s.ok()) {
-    c->AddInputDeletions(c->edit());
-    for (const FileMetaData& out : outputs) {
-      c->edit()->AddFile(c->output_level(), out.number, out.file_size, out.smallest, out.largest);
-      *bytes_written += out.file_size;
-    }
-    s = versions_->LogAndApply(c->edit());
-    if (!s.ok()) {
-      *fail_reason = BgErrorReason::kManifestWrite;
-    }
-  }
+  job->ranges[i].status = s;
   if (!s.ok()) {
-    // Discard any outputs we managed to write; they were never installed.
-    for (const FileMetaData& out : outputs) {
-      RemoveFileTracked(TableFileName(dbname_, out.number));
-    }
+    job->failed.store(true, std::memory_order_relaxed);
   }
-  c->ReleaseInputs();
-  return s;
+}
+
+bool StorageEngine::RunQueuedRange(MergeJob* job) {
+  std::unique_lock<std::mutex> l(sched_mutex_);
+  auto it = range_queue_.begin();
+  if (job != nullptr) {
+    it = std::find_if(range_queue_.begin(), range_queue_.end(),
+                      [job](const std::pair<MergeJob*, size_t>& e) { return e.first == job; });
+  }
+  if (it == range_queue_.end()) {
+    return false;
+  }
+  MergeJob* const owner = it->first;
+  const size_t i = it->second;
+  range_queue_.erase(it);
+  l.unlock();
+
+  const uint64_t t0 = MonotonicNanos();
+  MergeRange(owner, i);
+  if (job == nullptr) {
+    owner->helper_nanos.fetch_add(MonotonicNanos() - t0, std::memory_order_relaxed);
+  }
+  l.lock();
+  // The owner frees the job once queued reaches 0 under this lock; the
+  // job is not touched after it.
+  if (--owner->queued == 0) {
+    owner->done.notify_all();
+  }
+  return true;
 }
 
 Status StorageEngine::NewLog(uint64_t* log_number, std::unique_ptr<AsyncLogger>* logger) {

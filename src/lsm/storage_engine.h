@@ -8,19 +8,22 @@
 // Thread contract: Get/AddVersionIterators are safe from any thread and
 // never block (epoch-protected version access). FlushMemTable/LogAndApply
 // must be called from a single flush/maintenance thread. Compactions run
-// either synchronously through CompactOnce (single maintenance thread) or
-// on the engine's own worker pool (StartCompactionScheduler) — the two
-// modes must not be mixed.
+// either synchronously through CompactOnce (single maintenance thread, one
+// merge range per job) or on the engine's own worker pool
+// (StartCompactionScheduler), whose workers also merge the key ranges of
+// each other's jobs — the two modes must not be mixed.
 #ifndef CLSM_LSM_STORAGE_ENGINE_H_
 #define CLSM_LSM_STORAGE_ENGINE_H_
 
 #include <atomic>
 #include <condition_variable>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/stats.h"
@@ -98,9 +101,12 @@ class StorageEngine {
 
   // Starts num_threads workers that repeatedly pick disjoint compactions
   // (VersionSet::PickCompaction excludes in-flight levels/files) and run
-  // them concurrently; LogAndApply serializes the installs. smallest_snapshot
-  // is polled per job for the obsolete-version GC bound; on_error (may be
-  // null) latches background failures. Idempotent per engine lifetime.
+  // them concurrently; LogAndApply serializes the installs. Each merge is
+  // split into at most num_threads key ranges (RunCompaction), and an idle
+  // worker merges a range another worker's job offers before it picks new
+  // work. smallest_snapshot is polled per job for the obsolete-version GC
+  // bound; on_error (may be null) latches background failures. Idempotent
+  // per engine lifetime.
   void StartCompactionScheduler(int num_threads,
                                 std::function<SequenceNumber()> smallest_snapshot,
                                 std::function<void(const Status&)> on_error);
@@ -111,6 +117,16 @@ class StorageEngine {
 
   // Wakes the workers (e.g. after a flush created new level-0 files).
   void SignalCompaction();
+
+  // Runs one already-picked compaction (trivial move or merge) and records
+  // its per-level stats; CompactOnce and the workers both end here. A merge
+  // is split into at most max_ranges key ranges (Compaction::RangeCuts)
+  // whose outputs install with one edit. The calling thread merges the
+  // first range; the others are offered to idle scheduler workers, and the
+  // caller merges every range no worker has taken, then waits for the
+  // rest. If any range fails, nothing is installed and the outputs of
+  // every range are removed.
+  Status RunCompaction(Compaction* c, SequenceNumber smallest_snapshot, int max_ranges);
 
   // True when no compaction is running and none is needed. Advisory (racy);
   // used by WaitForMaintenance-style polling.
@@ -176,17 +192,22 @@ class StorageEngine {
 
  private:
   class TableOutput;
+  struct MergeJob;
+  struct MergeOutcome;
 
   Status NewDB();
   Status RecoverLogFile(uint64_t log_number, MemTable* mem, SequenceNumber* max_seq);
   Status BuildTable(Iterator* iter, FileMetaData* meta, SequenceNumber smallest_snapshot);
-  // Runs one already-picked compaction (trivial move or full merge) and
-  // records its per-level stats. Used by both CompactOnce and the workers.
-  Status RunCompaction(Compaction* c, SequenceNumber smallest_snapshot);
-  // fail_reason reports which stage failed (kCompaction for table I/O,
-  // kManifestWrite for the edit install) when the result is not OK.
-  Status DoCompactionWork(Compaction* c, SequenceNumber smallest_snapshot,
-                          uint64_t* bytes_written, BgErrorReason* fail_reason);
+  // The merge of RunCompaction: runs the job's ranges, installs their
+  // outputs with one edit (or removes them all on failure) and reports
+  // what it did in *outcome.
+  Status DoCompactionWork(Compaction* c, SequenceNumber smallest_snapshot, int max_ranges,
+                          MergeOutcome* outcome);
+  // Merges range i of *job into its own output tables.
+  void MergeRange(MergeJob* job, size_t i);
+  // Takes a queued range (of `job` only, when non-null), merges it and
+  // marks it done; false when none is queued.
+  bool RunQueuedRange(MergeJob* job);
   void CompactionWorkerLoop();
 
   Options options_;
@@ -217,7 +238,11 @@ class StorageEngine {
   std::atomic<bool> sched_shutdown_{false};
   std::function<SequenceNumber()> sched_smallest_snapshot_;
   std::function<void(const Status&)> sched_on_error_;
+  int sched_max_ranges_ = 1;  // workers' range limit per job: the pool size
   std::vector<std::thread> compaction_workers_;
+  // Ranges of running merges waiting for a worker: (job, range index).
+  // Guarded by sched_mutex_.
+  std::deque<std::pair<MergeJob*, size_t>> range_queue_;
 };
 
 }  // namespace clsm

@@ -63,6 +63,9 @@ class VersionEdit {
     deleted_files_.insert(std::make_pair(level, file));
   }
 
+  // The files added so far, as (level, file), in AddFile order.
+  const std::vector<std::pair<int, FileMetaData>>& new_files() const { return new_files_; }
+
   void EncodeTo(std::string* dst) const;
   Status DecodeFrom(const Slice& src);
 

@@ -1047,25 +1047,26 @@ void VersionSet::UnregisterInFlight(Compaction* c) {
   inflight_compactions_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-Iterator* VersionSet::MakeInputIterator(Compaction* c) {
+Iterator* VersionSet::MakeInputIterator(Compaction* c, const Slice* begin, const Slice* end) {
   ReadOptions options;
   options.verify_checksums = options_->paranoid_checks;
   options.fill_cache = false;
 
   // One iterator per input file; compaction input sets are small, so a flat
   // k-way merge is as good as LevelDB's concatenate-then-merge and simpler.
-  const int space = c->num_input_files(0) + c->num_input_files(1);
-  Iterator** list = new Iterator*[space];
-  int num = 0;
+  const Comparator* ucmp = icmp_.user_comparator();
+  std::vector<Iterator*> list;
+  list.reserve(c->num_input_files(0) + c->num_input_files(1));
   for (int which = 0; which < 2; which++) {
     for (const auto& f : c->inputs_[which]) {
-      list[num++] = table_cache_->NewIterator(options, f->number, f->file_size);
+      if ((begin != nullptr && ucmp->Compare(f->largest.user_key(), *begin) < 0) ||
+          (end != nullptr && ucmp->Compare(f->smallest.user_key(), *end) >= 0)) {
+        continue;  // holds no key of the range
+      }
+      list.push_back(table_cache_->NewIterator(options, f->number, f->file_size));
     }
   }
-  assert(num == space);
-  Iterator* result = NewMergingIterator(&icmp_, list, num);
-  delete[] list;
-  return result;
+  return NewMergingIterator(&icmp_, list.data(), static_cast<int>(list.size()));
 }
 
 Compaction::Compaction(const Options* options, const InternalKeyComparator* icmp, int level)
@@ -1073,11 +1074,7 @@ Compaction::Compaction(const Options* options, const InternalKeyComparator* icmp
       icmp_(icmp),
       level_(level),
       max_grandparent_overlap_bytes_(kMaxGrandparentOverlapFactor * options->target_file_size),
-      input_version_(nullptr) {
-  for (int i = 0; i < kNumLevels; i++) {
-    level_ptrs_[i] = 0;
-  }
-}
+      input_version_(nullptr) {}
 
 Compaction::~Compaction() {
   // Release level ownership only now — strictly after the job's edit (if
@@ -1125,24 +1122,25 @@ bool Compaction::IsTrivialMove() const {
   return TotalFileSize(grandparents_) <= static_cast<int64_t>(max_grandparent_overlap_bytes_);
 }
 
-bool Compaction::ShouldStopBefore(const Slice& internal_key) {
+bool Compaction::ShouldStopBefore(CompactionCursor* cursor, const Slice& internal_key) const {
   // Scan forward to the first grandparent file whose largest key is at or
   // past internal_key, charging each fully passed file's size to the
   // current output. Keys arrive in non-decreasing order, so the cursor
-  // only ever advances — O(|grandparents_|) across the whole compaction.
-  while (grandparent_index_ < grandparents_.size() &&
+  // only ever advances — O(|grandparents_|) across one range's merge.
+  while (cursor->grandparent_index < grandparents_.size() &&
          icmp_->Compare(internal_key,
-                        grandparents_[grandparent_index_]->largest.Encode()) > 0) {
-    if (seen_key_) {
-      overlapped_bytes_ += static_cast<int64_t>(grandparents_[grandparent_index_]->file_size);
+                        grandparents_[cursor->grandparent_index]->largest.Encode()) > 0) {
+    if (cursor->seen_key) {
+      cursor->overlapped_bytes +=
+          static_cast<int64_t>(grandparents_[cursor->grandparent_index]->file_size);
     }
-    grandparent_index_++;
+    cursor->grandparent_index++;
   }
-  seen_key_ = true;
+  cursor->seen_key = true;
 
-  if (overlapped_bytes_ > static_cast<int64_t>(max_grandparent_overlap_bytes_)) {
+  if (cursor->overlapped_bytes > static_cast<int64_t>(max_grandparent_overlap_bytes_)) {
     // Too much overlap for current output; start new output.
-    overlapped_bytes_ = 0;
+    cursor->overlapped_bytes = 0;
     if (picker_stats_ != nullptr) {
       picker_stats_->output_splits.fetch_add(1, std::memory_order_relaxed);
     }
@@ -1159,13 +1157,14 @@ void Compaction::AddInputDeletions(VersionEdit* edit) {
   }
 }
 
-bool Compaction::IsBaseLevelForKey(const Slice& user_key) {
+bool Compaction::IsBaseLevelForKey(CompactionCursor* cursor, const Slice& user_key) const {
   // Maybe use binary search to find right entry instead of linear search?
   const Comparator* user_cmp = input_version_->vset_->icmp_.user_comparator();
   for (int lvl = output_level() + 1; lvl < kNumLevels; lvl++) {
     const std::vector<FileRef>& files = input_version_->files_[lvl];
-    while (level_ptrs_[lvl] < files.size()) {
-      FileMetaData* f = files[level_ptrs_[lvl]].get();
+    size_t& ptr = cursor->level_ptrs[lvl];
+    while (ptr < files.size()) {
+      FileMetaData* f = files[ptr].get();
       if (user_cmp->Compare(user_key, f->largest.user_key()) <= 0) {
         // We've advanced far enough.
         if (user_cmp->Compare(user_key, f->smallest.user_key()) >= 0) {
@@ -1174,10 +1173,36 @@ bool Compaction::IsBaseLevelForKey(const Slice& user_key) {
         }
         break;
       }
-      level_ptrs_[lvl]++;
+      ptr++;
     }
   }
   return true;
+}
+
+std::vector<std::string> Compaction::RangeCuts(int max_ranges) const {
+  std::vector<std::string> cuts;
+  const std::vector<FileRef>& files = inputs_[1];
+  const int64_t ranges = std::min<int64_t>(max_ranges, static_cast<int64_t>(files.size()));
+  if (ranges < 2) {
+    return cuts;
+  }
+  // Walk the sorted output-level inputs and cut before file i+1 once the
+  // bytes up to file i reach the next range's share of the total. Versions
+  // of one user key may straddle two files; a file that starts with the
+  // previous cut's key adds no cut, so no two cuts coincide.
+  const Comparator* ucmp = icmp_->user_comparator();
+  const int64_t total = std::max<int64_t>(1, TotalFileSize(files));
+  int64_t bytes = 0;
+  for (size_t i = 0; i + 1 < files.size() && static_cast<int64_t>(cuts.size()) + 1 < ranges;
+       i++) {
+    bytes += static_cast<int64_t>(files[i]->file_size);
+    const Slice cut = files[i + 1]->smallest.user_key();
+    if (bytes * ranges >= total * static_cast<int64_t>(cuts.size() + 1) &&
+        (cuts.empty() || ucmp->Compare(cut, cuts.back()) != 0)) {
+      cuts.push_back(cut.ToString());
+    }
+  }
+  return cuts;
 }
 
 void Compaction::ReleaseInputs() {

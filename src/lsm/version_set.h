@@ -38,7 +38,7 @@ using FileRef = std::shared_ptr<FileMetaData>;
 // Monotonic input-selection counters for one level, exported as the
 // picker_* fields of each clsm.stats.json levels[] entry and as clsm_*
 // Prometheus families. Written under pick_mutex_ (plus output_splits from
-// the worker running the job); read lock-free by stats exporters.
+// the workers merging the job's ranges); read lock-free by stats exporters.
 struct CompactionPickerLevelStats {
   std::atomic<uint64_t> picks{0};             // jobs picked with this input level
   std::atomic<uint64_t> expansions{0};        // inputs_[0] grown under the byte limit
@@ -172,7 +172,11 @@ class VersionSet {
   }
 
   // Iterator reading the entries of a compaction's inputs in merged order.
-  Iterator* MakeInputIterator(Compaction* c);
+  // With bounds it opens only the input files that may hold user keys in
+  // [*begin, *end) (null: unbounded on that side); the caller still seeks
+  // to *begin and stops at *end.
+  Iterator* MakeInputIterator(Compaction* c, const Slice* begin = nullptr,
+                              const Slice* end = nullptr);
 
   // The following readers are callable from any thread; they hold an epoch
   // guard across the pointer load + field read so a concurrent version
@@ -292,6 +296,17 @@ class VersionSet {
   CompactionPickerStats picker_stats_;
 };
 
+// The merge position of one key range of a compaction: the state that
+// Compaction::ShouldStopBefore and Compaction::IsBaseLevelForKey advance.
+// Each range of a split job owns one, so ranges merge independently; the
+// keys fed through one cursor must not decrease.
+struct CompactionCursor {
+  size_t grandparent_index = 0;        // first grandparent not yet passed
+  bool seen_key = false;               // some output key has been observed
+  int64_t overlapped_bytes = 0;        // overlap accumulated on current output
+  size_t level_ptrs[kNumLevels] = {};  // IsBaseLevelForKey: file per deeper level
+};
+
 // A compaction in progress (or picked and about to run).
 class Compaction {
  public:
@@ -325,19 +340,29 @@ class Compaction {
   // oversized future compaction one level down.
   bool IsTrivialMove() const;
 
-  // Output-splitting hook for DoCompactionWork: true when the current
-  // output file should be finished before adding `internal_key`, because
-  // the accumulated overlap with grandparent files has exceeded 10 x
-  // target_file_size. Keys must be fed in non-decreasing order; state
-  // resets for the next output on return true.
-  bool ShouldStopBefore(const Slice& internal_key);
+  // Output-splitting hook for the merge: true when the current output file
+  // should be finished before adding `internal_key`, because the
+  // accumulated overlap with grandparent files has exceeded 10 x
+  // target_file_size. Keys must be fed through `cursor` in non-decreasing
+  // order; its state resets for the next output on return true.
+  bool ShouldStopBefore(CompactionCursor* cursor, const Slice& internal_key) const;
 
   // Add all inputs as deletions to *edit.
   void AddInputDeletions(VersionEdit* edit);
 
   // True if all data for user_key at levels deeper than output_level() is
   // absent, so a deletion marker surviving to output_level() may be dropped.
-  bool IsBaseLevelForKey(const Slice& user_key);
+  // User keys must be fed through `cursor` in non-decreasing order.
+  bool IsBaseLevelForKey(CompactionCursor* cursor, const Slice& user_key) const;
+
+  // Splits the merge into at most max_ranges disjoint user-key ranges and
+  // returns the cut points: range i covers [cuts[i-1], cuts[i]), the first
+  // range starts at the job's first key and the last one ends after its
+  // last. Cuts are smallest user keys of output-level input files, chosen
+  // to balance the output-level bytes per range; a job with fewer than two
+  // output-level inputs is not split (no cuts). Every version of a user key
+  // falls in one range, so the merge's drop rule sees each key whole.
+  std::vector<std::string> RangeCuts(int max_ranges) const;
 
   void ReleaseInputs();
 
@@ -361,16 +386,10 @@ class Compaction {
   // reshape that level while this job runs). Drives ShouldStopBefore and
   // the IsTrivialMove guard.
   std::vector<FileRef> grandparents_;
-  size_t grandparent_index_ = 0;  // ShouldStopBefore cursor
-  bool seen_key_ = false;         // some output key has been observed
-  int64_t overlapped_bytes_ = 0;  // overlap accumulated on current output
 
   // Per-level picker counter block of the VersionSet that built this job;
   // ShouldStopBefore bumps output_splits here.
   CompactionPickerLevelStats* picker_stats_ = nullptr;
-
-  // State for IsBaseLevelForKey: position in each deeper level.
-  size_t level_ptrs_[kNumLevels];
 };
 
 }  // namespace clsm

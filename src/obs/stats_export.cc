@@ -575,6 +575,7 @@ void VisitLevels(StatsVisitor* v, StorageEngine& engine) {
     v->Counter("bytes_written", ls.bytes_written.load(std::memory_order_relaxed));
     v->Counter("micros", ls.micros.load(std::memory_order_relaxed));
     v->Counter("sync_micros", ls.sync_micros.load(std::memory_order_relaxed));
+    v->Counter("subcompactions", ls.subcompactions.load(std::memory_order_relaxed));
     // Input-selection decisions of the picker at this input level
     // (DESIGN.md "Compaction picking").
     v->Counter("picker_picks", ps.picks.load(std::memory_order_relaxed));

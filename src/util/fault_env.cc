@@ -142,6 +142,15 @@ bool FaultInjectionEnv::ShouldFailWrite() {
 
 bool FaultInjectionEnv::ShouldFailSync() {
   int left = sync_failures_left_.load(std::memory_order_acquire);
+  if (left <= 0) {
+    return false;
+  }
+  int pass = syncs_to_pass_.load(std::memory_order_acquire);
+  while (pass > 0) {
+    if (syncs_to_pass_.compare_exchange_weak(pass, pass - 1, std::memory_order_acq_rel)) {
+      return false;
+    }
+  }
   while (left > 0) {
     if (sync_failures_left_.compare_exchange_weak(left, left - 1,
                                                   std::memory_order_acq_rel)) {

@@ -40,9 +40,13 @@ class FaultInjectionEnv final : public Env {
     write_countdown_.store(countdown, std::memory_order_release);
     fail_writes_.store(true, std::memory_order_release);
   }
-  // Fail only Sync() calls: the next `count` syncs return IOError, then the
-  // injector disarms itself. Targets the flush-boundary final sync.
-  void FailSyncs(int count) { sync_failures_left_.store(count, std::memory_order_release); }
+  // Fail only Sync() calls: after letting `after` syncs through, the next
+  // `count` syncs return IOError, then the injector disarms itself.
+  // Targets the flush-boundary final sync, or one table among many.
+  void FailSyncs(int count, int after = 0) {
+    syncs_to_pass_.store(after, std::memory_order_release);
+    sync_failures_left_.store(count, std::memory_order_release);
+  }
   // Slow (but do not fail) every Sync() by `micros` while armed: a degraded
   // device rather than a broken one. Used to drive latency-attribution
   // paths (slow-op logging) deterministically. 0 disarms.
@@ -62,6 +66,7 @@ class FaultInjectionEnv final : public Env {
     fail_create_dir_.store(false, std::memory_order_release);
     fail_reads_.store(false, std::memory_order_release);
     sync_failures_left_.store(0, std::memory_order_release);
+    syncs_to_pass_.store(0, std::memory_order_release);
     sync_delay_micros_.store(0, std::memory_order_release);
     kill_armed_.store(false, std::memory_order_release);
   }
@@ -147,6 +152,7 @@ class FaultInjectionEnv final : public Env {
   std::atomic<bool> fail_reads_{false};
   std::atomic<int> write_countdown_{0};
   std::atomic<int> sync_failures_left_{0};
+  std::atomic<int> syncs_to_pass_{0};
   std::atomic<uint64_t> sync_delay_micros_{0};
   std::atomic<uint64_t> write_failures_{0};
 

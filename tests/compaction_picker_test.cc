@@ -167,9 +167,10 @@ TEST_F(CompactionPickerTest, ShouldStopBeforeSplitsAtGrandparentBoundaries) {
   // Grandparent overlap was seeded and recorded at pick time.
   EXPECT_EQ(80u * kMiB, PickerLevel(1).grandparent_bytes.load());
 
+  CompactionCursor cursor;
   auto feed = [&](const std::string& user_key) {
     InternalKey ik(user_key, kMaxSequenceNumber, kTypeValue);
-    return c->ShouldStopBefore(ik.Encode());
+    return c->ShouldStopBefore(&cursor, ik.Encode());
   };
   EXPECT_FALSE(feed("a"));     // before any grandparent; nothing charged
   EXPECT_FALSE(feed("g00x"));  // passed g00: 8 MiB <= 20 MiB
@@ -391,6 +392,7 @@ class PickerReplay {
       const uint64_t records = std::min(
           hi - lo + 1, std::max<uint64_t>(1, (out_bytes + kRecordBytes - 1) / kRecordBytes));
       c->AddInputDeletions(c->edit());
+      CompactionCursor cursor;
       bool open = false;
       uint64_t first = 0, last = 0, size = 0;
       auto finish = [&] {
@@ -400,7 +402,8 @@ class PickerReplay {
       };
       for (uint64_t i = 0; i < records; i++) {
         const uint64_t k = records == 1 ? lo : lo + (hi - lo) * i / (records - 1);
-        if (open && c->ShouldStopBefore(InternalKey(Key(k), 1, kTypeValue).Encode())) {
+        const InternalKey ik(Key(k), 1, kTypeValue);
+        if (open && c->ShouldStopBefore(&cursor, ik.Encode())) {
           finish();
         }
         if (!open) {

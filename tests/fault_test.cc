@@ -5,10 +5,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "src/baselines/factory.h"
 #include "src/core/clsm_db.h"
@@ -31,6 +36,69 @@ class FaultTest : public ::testing::Test {
     Status s = ClsmDb::Open(options_, dir_.path() + "/db", &raw);
     EXPECT_TRUE(s.ok()) << s.ToString();
     return std::unique_ptr<DB>(raw);
+  }
+
+  // Writes `keys` keys (100-byte values) as level-0 tables, with
+  // compaction held off.
+  void WriteLevel0(int keys) {
+    options_.l0_compaction_trigger = 100;
+    auto db = Open();
+    WriteOptions wo;
+    const std::string value(100, 'v');
+    for (int i = 0; i < keys; i++) {
+      ASSERT_TRUE(db->Put(wo, "key" + std::to_string(i * 7919 % keys), value).ok());
+    }
+    db->WaitForMaintenance();
+  }
+
+  // Files per level from "clsm.levels".
+  static std::vector<int> LevelFiles(DB* db) {
+    std::istringstream in(db->GetProperty("clsm.levels").substr(strlen("files[")));
+    std::vector<int> files;
+    int n;
+    while (in >> n) {
+      files.push_back(n);
+    }
+    return files;
+  }
+
+  int TableFilesOnDisk() {
+    std::vector<std::string> children;
+    EXPECT_TRUE(fault_env_.GetChildren(dir_.path() + "/db", &children).ok());
+    int count = 0;
+    for (const std::string& name : children) {
+      uint64_t number;
+      FileType type;
+      if (ParseFileName(name, &number, &type) && type == kTableFile) {
+        count++;
+      }
+    }
+    return count;
+  }
+
+  // After the successful retry: level 0 drained, the disk holds exactly
+  // the tables the current version references, and every key reads back.
+  // The merge's inputs are deleted when its worker drops the finished job,
+  // just after the job's end event, so the disk gets a moment to settle.
+  void ExpectCleanRetry(DB* db, int keys) {
+    const std::vector<int> files = LevelFiles(db);
+    ASSERT_FALSE(files.empty());
+    EXPECT_EQ(0, files[0]);
+    int live = 0;
+    for (int n : files) {
+      live += n;
+    }
+    EXPECT_GT(live, 0);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (TableFilesOnDisk() != live && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_EQ(live, TableFilesOnDisk()) << "failed compactions left table files behind";
+    ReadOptions ro;
+    std::string v;
+    for (int i = 0; i < keys; i += 397) {
+      EXPECT_TRUE(db->Get(ro, "key" + std::to_string(i), &v).ok()) << i;
+    }
   }
 
   ScratchDir dir_;
@@ -119,20 +187,34 @@ TEST_F(FaultTest, SyncWriteReportsInjectedError) {
   fault_env_.Heal();
 }
 
-// Arms write failures for the first `failures` merging compactions, from
-// their start to their end, so each of those jobs fails part-way through
-// writing its output. Nothing else writes while they run (the store takes
-// no writes then), so only compactions fail.
+// Injects a fault (`arm`) for the first `failures` merging compactions,
+// from their start to their end, so each of those jobs fails part-way
+// through writing its output. Nothing else writes while they run (the
+// store takes no writes then), so only compactions fail. Signals the first
+// level-0 merge that succeeds.
 class FailFirstCompactions final : public EventListener {
  public:
-  FailFirstCompactions(FaultInjectionEnv* env, int failures) : env_(env), to_fail_(failures) {}
+  FailFirstCompactions(FaultInjectionEnv* env, int failures, std::function<void()> arm)
+      : env_(env), to_fail_(failures), arm_(std::move(arm)) {}
 
   void OnCompactionBegin(const CompactionJobInfo& info) override {
-    if (!info.trivial_move && to_fail_.fetch_sub(1) > 0) {
-      env_->FailAfterWrites(8);
+    if (info.trivial_move) {
+      return;
+    }
+    failed_at_begin_.store(failed_.load());
+    if (to_fail_.fetch_sub(1) > 0) {
+      arm_();
     }
   }
-  void OnCompactionEnd(const CompactionJobInfo&) override { env_->Heal(); }
+  void OnCompactionEnd(const CompactionJobInfo& info) override {
+    env_->Heal();
+    // The job's background error, if any, is reported before its end.
+    if (info.level == 0 && !info.trivial_move && failed_.load() == failed_at_begin_.load()) {
+      std::lock_guard<std::mutex> l(mu_);
+      level0_merged_ = true;
+      cv_.notify_all();
+    }
+  }
   void OnBackgroundError(const BackgroundErrorInfo& info) override {
     if (info.reason == BgErrorReason::kCompaction) {
       failed_.fetch_add(1);
@@ -141,84 +223,82 @@ class FailFirstCompactions final : public EventListener {
 
   int failed() const { return failed_.load(); }
 
+  // Waits for a level-0 merge to succeed; false on timeout.
+  bool WaitForLevel0Merge(std::chrono::seconds timeout) {
+    std::unique_lock<std::mutex> l(mu_);
+    return cv_.wait_for(l, timeout, [this] { return level0_merged_; });
+  }
+
  private:
   FaultInjectionEnv* env_;
   std::atomic<int> to_fail_;
+  std::function<void()> arm_;
   std::atomic<int> failed_{0};
+  std::atomic<int> failed_at_begin_{0};  // jobs run one at a time here
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool level0_merged_ = false;
 };
 
 TEST_F(FaultTest, FailedCompactionsLeaveNoTableFiles) {
-  const std::string dbname = dir_.path() + "/db";
   // Overlapping level-0 tables (at least two; how many depends on when the
-  // memtable rolls), with compaction held off.
-  options_.l0_compaction_trigger = 100;
-  {
-    auto db = Open();
-    WriteOptions wo;
-    const std::string value(100, 'v');
-    for (int i = 0; i < 16000; i++) {
-      ASSERT_TRUE(db->Put(wo, "key" + std::to_string(i * 7919 % 16000), value).ok());
-    }
-    db->WaitForMaintenance();
-  }
+  // memtable rolls).
+  WriteLevel0(16000);
 
   // Reopen with a low trigger: the level-0 merge starts on its own and its
   // first three attempts fail mid-output.
   options_.l0_compaction_trigger = 2;
-  auto listener = std::make_shared<FailFirstCompactions>(&fault_env_, 3);
+  auto listener = std::make_shared<FailFirstCompactions>(
+      &fault_env_, 3, [this] { fault_env_.FailAfterWrites(8); });
   options_.listeners.push_back(listener);
   auto db = Open();
-  db->WaitForMaintenance();
-
-  auto level_files = [&](int* level0) {
-    std::istringstream in(db->GetProperty("clsm.levels").substr(strlen("files[")));
-    int total = 0;
-    int n;
-    for (int level = 0; in >> n; level++) {
-      if (level == 0) {
-        *level0 = n;
-      }
-      total += n;
-    }
-    return total;
-  };
-  auto table_files_on_disk = [&] {
-    std::vector<std::string> children;
-    EXPECT_TRUE(fault_env_.GetChildren(dbname, &children).ok());
-    int count = 0;
-    for (const std::string& name : children) {
-      uint64_t number;
-      FileType type;
-      if (ParseFileName(name, &number, &type) && type == kTableFile) {
-        count++;
-      }
-    }
-    return count;
-  };
-
-  // Wait for the retry that succeeds (level 0 drained), then for the disk
-  // to settle on exactly the tables the current version references.
-  int live = 0;
-  int on_disk = -1;
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (std::chrono::steady_clock::now() < deadline) {
-    int level0 = -1;
-    live = level_files(&level0);
-    on_disk = table_files_on_disk();
-    if (listener->failed() >= 3 && level0 == 0 && on_disk == live) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
+  ASSERT_TRUE(listener->WaitForLevel0Merge(std::chrono::seconds(120)));
   EXPECT_EQ(3, listener->failed());
-  EXPECT_GT(live, 0);
-  EXPECT_EQ(live, on_disk) << "failed compactions left table files behind";
+  ExpectCleanRetry(db.get(), 16000);
+}
 
-  ReadOptions ro;
-  std::string v;
-  for (int i = 0; i < 16000; i += 397) {
-    EXPECT_TRUE(db->Get(ro, "key" + std::to_string(i), &v).ok()) << i;
+// A level-0 merge split into three key ranges, one of which fails the sync
+// of an output: the finished outputs of its sibling ranges must go too.
+TEST_F(FaultTest, FailedSplitCompactionLeavesNoSiblingTables) {
+  options_.compaction_threads = 3;
+  options_.target_file_size = 128 * 1024;
+  // Level 1 first: one unsplit merge of the first level-0 tables.
+  WriteLevel0(16000);
+  options_.l0_compaction_trigger = 2;
+  int level1_files = 0;
+  {
+    auto db = Open();
+    db->WaitForMaintenance();
+    const std::vector<int> files = LevelFiles(db.get());
+    ASSERT_GE(files.size(), 2u);
+    ASSERT_EQ(0, files[0]);
+    level1_files = files[1];
   }
+  ASSERT_GE(level1_files, 6);
+  // Then new level-0 tables over the same keys, so the next level-0 merge
+  // takes every level-1 file as input and splits three ways, each range
+  // writing fewer than half of the outputs. Let that many output syncs
+  // through and fail the next: at least one sibling range has finished an
+  // output by then.
+  WriteLevel0(16000);
+  options_.l0_compaction_trigger = 2;
+  const int passed_syncs = level1_files / 2;
+  auto listener = std::make_shared<FailFirstCompactions>(
+      &fault_env_, 1, [this, passed_syncs] { fault_env_.FailSyncs(1, passed_syncs); });
+  options_.listeners.push_back(listener);
+  auto db = Open();
+  ASSERT_TRUE(listener->WaitForLevel0Merge(std::chrono::seconds(120)));
+  EXPECT_EQ(1, listener->failed());
+  ExpectCleanRetry(db.get(), 16000);
+  // Both attempts split three ways, and the retry wrote more outputs than
+  // the failed attempt let through.
+  const std::string json = db->GetProperty("clsm.stats.json");
+  const size_t level0 = json.find("\"level\":0,");
+  ASSERT_NE(std::string::npos, level0) << json;
+  const size_t at = json.find("\"subcompactions\":", level0);
+  ASSERT_NE(std::string::npos, at) << json;
+  EXPECT_EQ(6, std::atoi(json.c_str() + at + strlen("\"subcompactions\":"))) << json;
+  EXPECT_GT(LevelFiles(db.get())[1], passed_syncs);
 }
 
 TEST_F(FaultTest, RecoveryAfterFaultyRun) {

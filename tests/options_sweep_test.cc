@@ -67,11 +67,13 @@ std::vector<SweepCase> SweepCases() {
     cases.push_back(c);
   }
   {
-    SweepCase c{"leveled_policy_small_files", Options()};
+    // The small files of tiny_everything, merged unsplit on one worker.
+    SweepCase c{"one_compaction_thread", Options()};
     c.options.write_buffer_size = 16 * 1024;
     c.options.target_file_size = 16 * 1024;
     c.options.level1_max_bytes = 48 * 1024;
     c.options.l0_compaction_trigger = 2;
+    c.options.compaction_threads = 1;
     cases.push_back(c);
   }
   return cases;

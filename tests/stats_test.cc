@@ -555,7 +555,8 @@ TEST_P(StatsJsonTest, IteratorAndRmwSeriesRecord) {
 
 // The output fdatasync of flushes and compactions is timed apart from the
 // stage's wall time, as "sync_micros" beside "micros" in the flush group
-// and in every levels[] entry.
+// and in every levels[] entry. "subcompactions" counts the key ranges
+// merged: the baselines merge unsplit, one range per non-trivial job.
 TEST_P(StatsJsonTest, FlushAndCompactionSyncTimeExported) {
   Options options;
   options.write_buffer_size = 64 * 1024;
@@ -588,6 +589,14 @@ TEST_P(StatsJsonTest, FlushAndCompactionSyncTimeExported) {
     const double sync = NumberAt(json, anchor, "sync_micros");
     ASSERT_GE(sync, 0.0) << "level " << level << ": " << json;
     EXPECT_LE(sync, NumberAt(json, anchor, "micros")) << "level " << level;
+    const double merges =
+        NumberAt(json, anchor, "compactions") - NumberAt(json, anchor, "trivial_moves");
+    const double ranges = NumberAt(json, anchor, "subcompactions");
+    if (GetParam() == DbVariant::kClsm) {
+      EXPECT_GE(ranges, merges) << "level " << level;
+    } else {
+      EXPECT_EQ(ranges, merges) << "level " << level;
+    }
     compaction_written += NumberAt(json, anchor, "bytes_written");
     compaction_sync += sync;
   }

@@ -4,7 +4,8 @@
 // concurrent arena. These quantify the "multiprocessor-friendly data
 // structures" claim (§1) at the component level. BM_Crc32c times the
 // checksum every WAL record and table block pays; BM_TableBuild the table
-// output every flush and compaction writes.
+// output every flush and compaction writes; BM_TableGetAbsent the Bloom
+// filter's worth on a table probe that misses.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -16,11 +17,13 @@
 #include "src/arena/arena.h"
 #include "src/core/clsm_db.h"
 #include "src/obs/metrics.h"
+#include "src/obs/perf_context.h"
 #include "src/queue/mpsc_queue.h"
 #include "src/skiplist/concurrent_skiplist.h"
 #include "src/sync/active_set.h"
 #include "src/sync/shared_exclusive_lock.h"
 #include "src/sync/time_counter.h"
+#include "src/table/table.h"
 #include "src/table/table_builder.h"
 #include "src/util/coding.h"
 #include "src/util/crc32c.h"
@@ -287,6 +290,13 @@ BENCHMARK_TEMPLATE(BM_Crc32c, crc32c::Extend)->Name("BM_Crc32c/dispatched")->Arg
 BENCHMARK_TEMPLATE(BM_Crc32c, crc32c::internal::ExtendPortable)
     ->Name("BM_Crc32c/portable")->Arg(280)->Arg(4096);
 
+// The 8-byte big-endian encoding of v (sorted like v): the table rows' keys.
+void EncodeBigEndianKey(uint64_t v, char* key) {
+  for (int b = 0; b < 8; b++) {
+    key[b] = static_cast<char>(v >> (56 - 8 * b));
+  }
+}
+
 // One 2 MiB table of 8 B keys and 256 B values, built into a file from
 // Env::Default() and fdatasync'ed, as a flush or compaction writes it
 // (including kernel writeback started every 1 MiB): the table-build layer
@@ -312,9 +322,7 @@ void BM_TableBuild(benchmark::State& state) {
     uint64_t next_writeback = kWritebackBytes;
     char key[8];
     for (uint64_t i = 0; builder.FileSize() < kTableBytes; i++) {
-      for (int b = 0; b < 8; b++) {
-        key[b] = static_cast<char>(i >> (56 - 8 * b));  // big-endian: sorted
-      }
+      EncodeBigEndianKey(i, key);
       builder.Add(Slice(key, sizeof(key)), value);
       if (builder.FileSize() >= next_writeback) {
         file->StartWriteback();
@@ -339,6 +347,78 @@ void BM_TableBuild(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(bytes));
 }
 BENCHMARK(BM_TableBuild)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// Point lookups of absent keys inside one 2 MiB table of 8 B big-endian
+// keys (the even integers) and 256 B values, opened with the default
+// Bloom policy and an 8 MiB block cache: the per-table cost a disk Get
+// pays for each table it probes without finding the key. A probe the
+// filter lets through reads (or finds cached) a data block for nothing;
+// the false_positives counter is their share of the probes.
+void BM_TableGetAbsent(benchmark::State& state) {
+  constexpr uint64_t kTableBytes = 2 << 20;
+  Env* env = Env::Default();
+  const std::string dir = "/tmp/clsm-bench-table-get";
+  env->CreateDir(dir);
+  const std::string fname = dir + "/000001.sst";
+  Options options;
+  std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(options.bloom_bits_per_key));
+  uint64_t keys = 0;
+  Status s;
+  {
+    std::unique_ptr<WritableFile> file;
+    s = env->NewWritableFile(fname, &file);
+    if (s.ok()) {
+      TableBuilder builder(options, BytewiseComparator(), policy.get(), file.get());
+      const std::string value(256, 'v');
+      char key[8];
+      for (; builder.FileSize() < kTableBytes; keys++) {
+        EncodeBigEndianKey(2 * keys, key);
+        builder.Add(Slice(key, sizeof(key)), value);
+      }
+      s = builder.Finish();
+      if (s.ok()) {
+        s = file->Close();
+      }
+    }
+  }
+  uint64_t file_size = 0;
+  std::unique_ptr<RandomAccessFile> file;
+  std::unique_ptr<Cache> cache(NewLRUCache(8 << 20));
+  Table* raw = nullptr;
+  if (s.ok()) {
+    s = env->GetFileSize(fname, &file_size);
+  }
+  if (s.ok()) {
+    s = env->NewRandomAccessFile(fname, &file);
+  }
+  if (s.ok()) {
+    s = Table::Open(options, BytewiseComparator(), policy.get(), cache.get(), file.get(),
+                    file_size, &raw);
+  }
+  std::unique_ptr<Table> table(raw);
+  if (!s.ok()) {
+    state.SkipWithError(s.ToString().c_str());
+  } else {
+    auto no_match = [](void*, const Slice&, const Slice&) { return false; };
+    Random64 rnd(301);
+    char key[8];
+    PerfContextStartOp(PerfLevel::kEnableCounts);  // counts accumulate over the loop
+    for (auto _ : state) {
+      EncodeBigEndianKey(2 * rnd.Uniform(keys - 1) + 1, key);
+      Status get = table->InternalGet(ReadOptions(), Slice(key, sizeof(key)), nullptr, no_match);
+      benchmark::DoNotOptimize(get);
+    }
+    state.counters["false_positives"] =
+        benchmark::Counter(static_cast<double>(GetPerfContext()->bloom_false_positives),
+                           benchmark::Counter::kAvgIterations);
+    PerfContextStartOp(PerfLevel::kDisabled);
+  }
+  table.reset();
+  file.reset();
+  env->RemoveFile(fname);
+  env->RemoveDir(dir);
+}
+BENCHMARK(BM_TableGetAbsent);
 
 void BM_ConcurrentArenaAllocate(benchmark::State& state) {
   static ConcurrentArena* arena = nullptr;

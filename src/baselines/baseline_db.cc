@@ -368,7 +368,9 @@ void BaselineDbBase::WaitForMaintenance() {
       return;  // maintenance is wedged; nothing further to wait for
     }
     MemTable* mem = mem_.load(std::memory_order_acquire);
-    bool busy = imm_exists_.load(std::memory_order_acquire) || engine_.NeedsCompaction() ||
+    // CompactionsIdle, not NeedsCompaction: a job whose edit is installed
+    // is still finishing (its input deletions and stats) until it ends.
+    bool busy = imm_exists_.load(std::memory_order_acquire) || !engine_.CompactionsIdle() ||
                 (mem != nullptr &&
                  mem->ApproximateMemoryUsage() >= engine_.options().write_buffer_size);
     if (!busy) {

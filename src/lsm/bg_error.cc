@@ -37,6 +37,17 @@ BgErrorSeverity BackgroundErrorState::Record(BgErrorReason reason, const Status&
   return sev;
 }
 
+void BackgroundErrorState::ClearSoft() {
+  if (severity_.load(std::memory_order_acquire) != static_cast<int>(BgErrorSeverity::kSoft)) {
+    return;
+  }
+  std::lock_guard<std::mutex> l(mutex_);
+  if (severity_.load(std::memory_order_relaxed) == static_cast<int>(BgErrorSeverity::kSoft)) {
+    severity_.store(0, std::memory_order_release);
+    status_ = Status::OK();
+  }
+}
+
 Status BackgroundErrorState::status() const {
   if (ok()) {
     return Status::OK();

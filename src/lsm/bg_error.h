@@ -8,7 +8,8 @@
 //  * kSoft   — retryable, no data at risk (failed compaction). Background
 //              work keeps retrying; foreground writes keep flowing, but a
 //              writer that is already stalled surfaces the error rather
-//              than waiting on a pipeline that cannot drain.
+//              than waiting on a pipeline that cannot drain. The first
+//              compaction that installs afterwards clears it (ClearSoft).
 //  * kHard   — durability is broken (WAL append/sync, flush, manifest
 //              write). Writes are rejected; reads, iterators and snapshots
 //              keep serving the already-accepted data (degraded read-only
@@ -17,8 +18,9 @@
 //              background job). Same blocking as kHard; the distinction is
 //              surfaced to operators via properties/listeners.
 //
-// The latch is sticky per severity: severity only escalates, and the first
-// status observed at the top severity is kept.
+// Record only escalates, and the first status observed at the top severity
+// is kept. kHard and kFatal are sticky until reopen; only a kSoft latch is
+// ever cleared, by ClearSoft.
 #ifndef CLSM_LSM_BG_ERROR_H_
 #define CLSM_LSM_BG_ERROR_H_
 
@@ -45,6 +47,11 @@ class BackgroundErrorState {
   // Latches the error (severity-max, first-at-severity wins) and returns
   // the severity this event classified to. Thread-safe.
   BgErrorSeverity Record(BgErrorReason reason, const Status& s);
+
+  // Clears the latch if it holds a kSoft error: the work that failed has
+  // since succeeded (a compaction installed). kHard and kFatal are left
+  // latched. Thread-safe.
+  void ClearSoft();
 
   // True iff nothing has been latched. Lock-free.
   bool ok() const { return severity_.load(std::memory_order_acquire) == 0; }

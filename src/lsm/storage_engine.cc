@@ -145,7 +145,7 @@ void StorageEngine::CompactionWorkerLoop() {
     const SequenceNumber smallest_snapshot =
         sched_smallest_snapshot_ ? sched_smallest_snapshot_() : kMaxSequenceNumber;
     Status s = RunCompaction(c.get(), smallest_snapshot, sched_max_ranges_);
-    c.reset();  // releases the in-flight levels (after the edit install)
+    c.reset();  // ends the job in flight (and a failed job's claim on its levels)
     if (!s.ok()) {
       // RunCompaction already latched the background error; the callback
       // only wakes the owning DB (stalled writers re-check the state).
@@ -610,7 +610,14 @@ Status StorageEngine::RunCompaction(Compaction* c, SequenceNumber smallest_snaps
     fail_reason = outcome.fail_reason;
     thread_nanos = outcome.thread_nanos;
   }
-  if (!s.ok()) {
+  if (s.ok()) {
+    // A soft error stood for a compaction to retry, and one has installed.
+    // Cleared before the levels go back to the picker, so an error of a
+    // later job at these levels is never the one cleared.
+    bg_error_.ClearSoft();
+    // The replaced tables go now, before the end event.
+    c->ReleaseInputs();
+  } else {
     RecordBackgroundError(fail_reason, s);
   }
 
@@ -693,7 +700,6 @@ Status StorageEngine::DoCompactionWork(Compaction* c, SequenceNumber smallest_sn
       }
     }
   }
-  c->ReleaseInputs();
   outcome->ranges = n;
   outcome->thread_nanos =
       MonotonicNanos() - t0 - wait_nanos + job.helper_nanos.load(std::memory_order_relaxed);

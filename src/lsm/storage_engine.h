@@ -125,7 +125,9 @@ class StorageEngine {
   // first range; the others are offered to idle scheduler workers, and the
   // caller merges every range no worker has taken, then waits for the
   // rest. If any range fails, nothing is installed and the outputs of
-  // every range are removed.
+  // every range are removed. A job that installs clears a soft background
+  // error and releases its inputs (Compaction::ReleaseInputs) before its
+  // end event, so the tables it replaced are gone by then.
   Status RunCompaction(Compaction* c, SequenceNumber smallest_snapshot, int max_ranges);
 
   // True when no compaction is running and none is needed. Advisory (racy);

@@ -34,7 +34,7 @@ class TableCache {
   // Point lookup inside the named file (see Table::InternalGet).
   Status Get(const ReadOptions& options, uint64_t file_number, uint64_t file_size,
              const Slice& internal_key, void* arg,
-             void (*handle_result)(void*, const Slice&, const Slice&));
+             bool (*handle_result)(void*, const Slice&, const Slice&));
 
   // Drop any cached entry for the file (called when the file is deleted).
   void Evict(uint64_t file_number);

@@ -193,20 +193,22 @@ struct Saver {
   SequenceNumber seq_found;
 };
 
-void SaveValue(void* arg, const Slice& ikey, const Slice& v) {
+bool SaveValue(void* arg, const Slice& ikey, const Slice& v) {
   Saver* s = reinterpret_cast<Saver*>(arg);
   ParsedInternalKey parsed_key;
   if (!ParseInternalKey(ikey, &parsed_key)) {
     s->state = kCorrupt;
-    return;
+    return true;  // an entry was there; the corruption is reported instead
   }
-  if (s->ucmp->Compare(parsed_key.user_key, s->user_key) == 0) {
-    s->seq_found = parsed_key.sequence;
-    s->state = (parsed_key.type == kTypeValue) ? kFound : kDeleted;
-    if (s->state == kFound) {
-      s->value->assign(v.data(), v.size());
-    }
+  if (s->ucmp->Compare(parsed_key.user_key, s->user_key) != 0) {
+    return false;
   }
+  s->seq_found = parsed_key.sequence;
+  s->state = (parsed_key.type == kTypeValue) ? kFound : kDeleted;
+  if (s->state == kFound) {
+    s->value->assign(v.data(), v.size());
+  }
+  return true;
 }
 
 }  // namespace
@@ -1027,7 +1029,9 @@ void VersionSet::RegisterInFlight(Compaction* c) {
   c->vset_ = this;
   level_busy_[c->level()] = true;
   level_busy_[c->output_level()] = true;
-  for (uint64_t number : c->InputFileNumbers()) {
+  c->inflight_numbers_ = c->InputFileNumbers();
+  c->holds_levels_ = true;
+  for (uint64_t number : c->inflight_numbers_) {
     if (!inflight_files_.insert(number).second) {
       // Two in-flight jobs would read the same file — must be impossible.
       inflight_overlaps_.fetch_add(1, std::memory_order_relaxed);
@@ -1037,13 +1041,21 @@ void VersionSet::RegisterInFlight(Compaction* c) {
   inflight_compactions_.fetch_add(1, std::memory_order_acq_rel);
 }
 
-void VersionSet::UnregisterInFlight(Compaction* c) {
+void VersionSet::ReleaseLevels(Compaction* c) {
   std::lock_guard<std::mutex> pick_lock(pick_mutex_);
+  if (!c->holds_levels_) {
+    return;
+  }
+  c->holds_levels_ = false;
   level_busy_[c->level()] = false;
   level_busy_[c->output_level()] = false;
-  for (uint64_t number : c->InputFileNumbers()) {
+  for (uint64_t number : c->inflight_numbers_) {
     inflight_files_.erase(number);
   }
+}
+
+void VersionSet::UnregisterInFlight(Compaction* c) {
+  ReleaseLevels(c);
   inflight_compactions_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
@@ -1077,9 +1089,10 @@ Compaction::Compaction(const Options* options, const InternalKeyComparator* icmp
       input_version_(nullptr) {}
 
 Compaction::~Compaction() {
-  // Release level ownership only now — strictly after the job's edit (if
-  // any) was installed by LogAndApply, so a new pick at these levels always
-  // sees a version reflecting the result.
+  // Level ownership ends strictly after the job's edit (if any) was
+  // installed by LogAndApply, so a new pick at these levels always sees a
+  // version reflecting the result. A job that installed gave its levels
+  // back in ReleaseInputs already.
   if (vset_ != nullptr) {
     vset_->UnregisterInFlight(this);
   }
@@ -1206,6 +1219,14 @@ std::vector<std::string> Compaction::RangeCuts(int max_ranges) const {
 }
 
 void Compaction::ReleaseInputs() {
+  // Levels first: unlinking a replaced table can take a millisecond or
+  // more, which the next job at these levels need not wait for.
+  if (vset_ != nullptr) {
+    vset_->ReleaseLevels(this);
+  }
+  inputs_[0].clear();
+  inputs_[1].clear();
+  grandparents_.clear();
   if (input_version_ != nullptr) {
     input_version_->Unref();
     input_version_ = nullptr;

@@ -247,9 +247,12 @@ class VersionSet {
   // restarts via the manifest).
   void SetCompactPointer(Compaction* c, const InternalKey& largest);
 
-  // Registers c's levels/files as in-flight (pick_mutex_ held) /
-  // releases them (called from ~Compaction).
+  // Registers c's levels/files as in-flight (pick_mutex_ held). The levels
+  // and files go back to the picker in ReleaseLevels (idempotent), and
+  // UnregisterInFlight (from ~Compaction) releases whatever is left and
+  // ends c's count as in flight.
   void RegisterInFlight(Compaction* c);
+  void ReleaseLevels(Compaction* c);
   void UnregisterInFlight(Compaction* c);
 
   Env* const env_;
@@ -364,6 +367,12 @@ class Compaction {
   // falls in one range, so the merge's drop rule sees each key whole.
   std::vector<std::string> RangeCuts(int max_ranges) const;
 
+  // Called once the job's edit is installed: gives its levels and input
+  // files back to the picker, then drops the job's references to its input
+  // and grandparent tables and its input version, which deletes the tables
+  // the edit replaced unless a reader's version still holds them. Only
+  // level() and edit() may be used afterwards. A job that failed keeps its
+  // levels until it is destroyed, after its error is recorded.
   void ReleaseInputs();
 
  private:
@@ -380,6 +389,10 @@ class Compaction {
   VersionEdit edit_;
 
   std::vector<FileRef> inputs_[2];
+  // InputFileNumbers() as registered in flight, and whether the levels
+  // and those files are still claimed; both under the picker's mutex.
+  std::vector<uint64_t> inflight_numbers_;
+  bool holds_levels_ = false;
 
   // Files at output_level()+1 overlapping the compaction range, captured at
   // pick time (a heuristic snapshot — concurrent deeper compactions may

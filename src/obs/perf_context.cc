@@ -30,7 +30,7 @@ std::string PerfContext::ToJson() const {
   // emitted at every level so consumers need no presence checks; fields a
   // level does not populate are 0.
   std::string out;
-  out.reserve(640);
+  out.reserve(672);
   out.push_back('{');
   out.append("\"level\":\"");
   out.append(PerfLevelName(level));
@@ -48,7 +48,8 @@ std::string PerfContext::ToJson() const {
   AppendU64(&out, "block_reads", block_reads);
   AppendU64(&out, "block_read_bytes", block_read_bytes);
   AppendU64(&out, "block_cache_hits", block_cache_hits);
-  AppendU64(&out, "bloom_useful", bloom_useful, /*comma=*/false);
+  AppendU64(&out, "bloom_useful", bloom_useful);
+  AppendU64(&out, "bloom_false_positives", bloom_false_positives, /*comma=*/false);
   out.append("},\"timers_nanos\":{");
   AppendU64(&out, "total", total_nanos);
   AppendU64(&out, "throttle", throttle_nanos);

@@ -54,6 +54,7 @@ struct PerfContext {
   uint64_t block_read_bytes = 0;       // bytes of those reads (incl. trailer)
   uint64_t block_cache_hits = 0;       // block served from the block cache
   uint64_t bloom_useful = 0;           // bloom filter skipped a block read
+  uint64_t bloom_false_positives = 0;  // filter passed, block held no such key
 
   // --- phase timers, nanoseconds (kEnableTimers only) ---
   // The write-path phases are contiguous segments of ClsmDb's one commit

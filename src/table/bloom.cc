@@ -6,7 +6,19 @@ namespace clsm {
 
 namespace {
 
-uint32_t BloomHash(const Slice& key) { return Hash(key.data(), key.size(), 0xbc9f1d34); }
+// Hash() leaves keys that differ only in a few bytes (neighboring 8-byte
+// big-endian integers, say) differing only in a few hash bits, which then
+// fall on the same bit offsets of a small filter; murmur3's fmix32
+// finalizer spreads every input bit over the whole word.
+uint32_t BloomHash(const Slice& key) {
+  uint32_t h = Hash(key.data(), key.size(), 0xbc9f1d34);
+  h ^= h >> 16;
+  h *= 0x85ebca6b;
+  h ^= h >> 13;
+  h *= 0xc2b2ae35;
+  h ^= h >> 16;
+  return h;
+}
 
 class BloomFilterPolicy final : public FilterPolicy {
  public:
@@ -21,7 +33,11 @@ class BloomFilterPolicy final : public FilterPolicy {
     }
   }
 
-  const char* Name() const override { return "clsm.BuiltinBloomFilter"; }
+  // The name versions the hash: a table carries its filter under
+  // "filter." + Name(), so a table whose filter was built with the earlier,
+  // unmixed hash ("clsm.BuiltinBloomFilter") has no filter under this name
+  // and is read unfiltered until a compaction rewrites it.
+  const char* Name() const override { return "clsm.BuiltinBloomFilter2"; }
 
   void CreateFilter(const Slice* keys, int n, std::string* dst) const override {
     // Compute bloom filter size (in both bits and bytes).

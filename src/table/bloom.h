@@ -1,5 +1,6 @@
 // Bloom filter policy (paper §4 cites Bloom [14] as one of the inherited
-// LevelDB read optimizations). Double-hashing variant over Hash().
+// LevelDB read optimizations). Double-hashing variant over a finalized
+// Hash() (see BloomHash in bloom.cc).
 #ifndef CLSM_TABLE_BLOOM_H_
 #define CLSM_TABLE_BLOOM_H_
 

@@ -201,7 +201,7 @@ Iterator* Table::NewIterator(const ReadOptions& options) const {
 }
 
 Status Table::InternalGet(const ReadOptions& options, const Slice& k, void* arg,
-                          void (*handle_result)(void*, const Slice&, const Slice&)) {
+                          bool (*handle_result)(void*, const Slice&, const Slice&)) {
   Status s;
   Iterator* iiter = rep_->index_block->NewIterator(rep_->comparator);
   iiter->Seek(k);
@@ -216,10 +216,13 @@ Status Table::InternalGet(const ReadOptions& options, const Slice& k, void* arg,
     } else {
       Iterator* block_iter = BlockReader(this, options, iiter->value());
       block_iter->Seek(k);
-      if (block_iter->Valid()) {
-        (*handle_result)(arg, block_iter->key(), block_iter->value());
-      }
+      const bool matched =
+          block_iter->Valid() && (*handle_result)(arg, block_iter->key(), block_iter->value());
       s = block_iter->status();
+      if (filter != nullptr && !matched && s.ok()) {
+        // The filter said "maybe" and the block read was wasted.
+        CLSM_PERF_COUNT_ADD(bloom_false_positives, 1);
+      }
       delete block_iter;
     }
   }

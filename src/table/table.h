@@ -35,9 +35,11 @@ class Table {
 
   // Point lookup: seeks to the first entry >= k and, if one exists in the
   // candidate block (after the Bloom filter check), invokes
-  // handle_result(arg, found_key, found_value).
+  // handle_result(arg, found_key, found_value), which returns whether that
+  // entry is the key looked for. A block the filter let through that holds
+  // no such entry counts as a Bloom false positive.
   Status InternalGet(const ReadOptions&, const Slice& key, void* arg,
-                     void (*handle_result)(void* arg, const Slice& k, const Slice& v));
+                     bool (*handle_result)(void* arg, const Slice& k, const Slice& v));
 
   // Approximate file offset where the data for key begins (for sizing).
   uint64_t ApproximateOffsetOf(const Slice& key) const;

@@ -106,6 +106,36 @@ TEST(PerfContextTest, DiskReadCountersAttributeByLevel) {
   EXPECT_GT(ctx->block_read_bytes, 0u);
 }
 
+// A Get of an absent key inside every probed table's range ends each table
+// probe either at the filter (bloom_useful) or in a data block without
+// the key (bloom_false_positives).
+TEST(PerfContextTest, BloomCountersAccountForEveryAbsentKeyProbe) {
+  ScratchDir dir("perf-bloom");
+  Options options;
+  options.perf_level = PerfLevel::kEnableCounts;
+  options.write_buffer_size = 32 * 1024;
+  std::unique_ptr<DB> db = OpenFresh(DbVariant::kClsm, options, dir.path() + "/db");
+  for (int i = 0; i < 2000; i++) {
+    ASSERT_TRUE(db->Put(WriteOptions(), Key(2 * i), std::string(128, 'v')).ok());
+  }
+  db->WaitForMaintenance();
+
+  uint64_t probes = 0, useful = 0, false_positives = 0;
+  std::string value;
+  for (int i = 0; i < 1999; i++) {
+    ASSERT_TRUE(db->Get(ReadOptions(), Key(2 * i + 1), &value).IsNotFound());
+    const PerfContext* ctx = GetPerfContext();
+    for (int l = 0; l < PerfContext::kMaxLevels; l++) {
+      probes += ctx->table_reads_per_level[l];
+    }
+    useful += ctx->bloom_useful;
+    false_positives += ctx->bloom_false_positives;
+  }
+  ASSERT_GT(probes, 1000u) << "absent keys should be searched on disk";
+  EXPECT_EQ(probes, useful + false_positives);
+  EXPECT_LT(false_positives, probes / 20);
+}
+
 TEST(PerfContextTest, PutPhaseTimersSumToTotalWithinTenPercent) {
   ScratchDir dir("perf-sum");
   Options options;
@@ -197,10 +227,10 @@ TEST(PerfContextTest, PerfJsonPropertyRendersThisThreadsSnapshot) {
   for (const char* key :
        {"\"counters\"", "\"skiplist_search_nodes\"", "\"memtable_probes\"",
         "\"table_reads_per_level\"", "\"block_reads\"", "\"block_read_bytes\"",
-        "\"block_cache_hits\"", "\"bloom_useful\"", "\"timers_nanos\"", "\"total\"",
-        "\"throttle\"", "\"memtable_roll_wait\"", "\"write_delay\"", "\"lock_getts\"",
-        "\"shared_lock_wait\"", "\"mem_insert\"", "\"wal_append\"", "\"mem_search\"",
-        "\"disk_search\"", "\"crc_verify\""}) {
+        "\"block_cache_hits\"", "\"bloom_useful\"", "\"bloom_false_positives\"",
+        "\"timers_nanos\"", "\"total\"", "\"throttle\"", "\"memtable_roll_wait\"",
+        "\"write_delay\"", "\"lock_getts\"", "\"shared_lock_wait\"", "\"mem_insert\"",
+        "\"wal_append\"", "\"mem_search\"", "\"disk_search\"", "\"crc_verify\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key << " in " << json;
   }
   // The put populated the write-path timers; they render as nonzero.

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <vector>
 
+#include "src/core/clsm_db.h"
+#include "src/lsm/dbformat.h"
+#include "src/lsm/filename.h"
+#include "src/lsm/repair.h"
+#include "src/obs/perf_context.h"
 #include "src/table/block.h"
 #include "src/table/block_builder.h"
 #include "src/table/bloom.h"
@@ -13,6 +20,7 @@
 #include "src/table/table_builder.h"
 #include "src/util/coding.h"
 #include "src/util/env.h"
+#include "src/util/hash.h"
 #include "src/util/random.h"
 #include "tests/test_util.h"
 
@@ -132,6 +140,112 @@ TEST(BloomTest, FalsePositiveRateIsReasonable) {
   // 10 bits/key gives ~1% theoretical; allow generous slack.
   EXPECT_LT(false_positives, 400);
 }
+
+// An 8-byte big-endian integer, the key layout of the store's workloads.
+std::string BigEndianKey(uint64_t v) {
+  std::string key(8, '\0');
+  for (int b = 0; b < 8; b++) {
+    key[b] = static_cast<char>(v >> (56 - 8 * b));
+  }
+  return key;
+}
+
+// Filters the size of one data block (15 keys, as a 4 KiB block of 256-byte
+// values holds) over integer keys in three layouts, each probed with every
+// absent key inside its range and within 15 of either end.
+TEST(BloomTest, StructuredKeysInBlockSizedFilters) {
+  std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(10));
+  constexpr int kKeysPerFilter = 15;
+  constexpr int kFilters = 1000;
+  struct Layout {
+    const char* name;
+    uint64_t (*gap)(Random*);
+  };
+  const Layout layouts[] = {
+      {"dense", [](Random*) -> uint64_t { return 1; }},
+      {"stride 10", [](Random*) -> uint64_t { return 10; }},
+      {"random gaps 1-20", [](Random* rnd) -> uint64_t { return 1 + rnd->Uniform(20); }},
+  };
+  for (const Layout& layout : layouts) {
+    Random rnd(301);
+    uint64_t next = kKeysPerFilter;
+    int probes = 0;
+    int false_positives = 0;
+    for (int f = 0; f < kFilters; f++) {
+      std::vector<uint64_t> members;
+      std::vector<std::string> keys;
+      for (int i = 0; i < kKeysPerFilter; i++) {
+        members.push_back(next);
+        keys.push_back(BigEndianKey(next));
+        next += layout.gap(&rnd);
+      }
+      std::vector<Slice> key_slices(keys.begin(), keys.end());
+      std::string filter;
+      policy->CreateFilter(key_slices.data(), kKeysPerFilter, &filter);
+      for (const std::string& k : keys) {
+        ASSERT_TRUE(policy->KeyMayMatch(k, filter)) << layout.name;
+      }
+      size_t m = 0;
+      for (uint64_t v = members.front() - kKeysPerFilter; v <= members.back() + kKeysPerFilter;
+           v++) {
+        if (m < members.size() && members[m] == v) {
+          m++;
+          continue;
+        }
+        probes++;
+        if (policy->KeyMayMatch(BigEndianKey(v), filter)) {
+          false_positives++;
+        }
+      }
+    }
+    // 10 bits/key gives ~1% in theory.
+    EXPECT_LT(false_positives, probes * 3 / 100)
+        << layout.name << ": " << false_positives << " false positives in " << probes
+        << " probes";
+  }
+}
+
+// The filter tables carried before the probe hash was finalized: the same
+// layout and name as then, over the unmixed Hash().
+class UnmixedBloomPolicy final : public FilterPolicy {
+ public:
+  const char* Name() const override { return "clsm.BuiltinBloomFilter"; }
+
+  void CreateFilter(const Slice* keys, int n, std::string* dst) const override {
+    const size_t bytes = (std::max<size_t>(n * 10, 64) + 7) / 8;
+    const size_t bits = bytes * 8;
+    const size_t init_size = dst->size();
+    dst->resize(init_size + bytes, 0);
+    dst->push_back(static_cast<char>(kProbes));
+    char* array = &(*dst)[init_size];
+    for (int i = 0; i < n; i++) {
+      uint32_t h = Hash(keys[i].data(), keys[i].size(), 0xbc9f1d34);
+      const uint32_t delta = (h >> 17) | (h << 15);
+      for (int j = 0; j < kProbes; j++) {
+        const uint32_t bitpos = h % bits;
+        array[bitpos / 8] |= (1 << (bitpos % 8));
+        h += delta;
+      }
+    }
+  }
+
+  bool KeyMayMatch(const Slice& key, const Slice& filter) const override {
+    const size_t bits = (filter.size() - 1) * 8;
+    uint32_t h = Hash(key.data(), key.size(), 0xbc9f1d34);
+    const uint32_t delta = (h >> 17) | (h << 15);
+    for (int j = 0; j < kProbes; j++) {
+      const uint32_t bitpos = h % bits;
+      if ((filter[bitpos / 8] & (1 << (bitpos % 8))) == 0) {
+        return false;
+      }
+      h += delta;
+    }
+    return true;
+  }
+
+ private:
+  static constexpr int kProbes = 6;  // 10 bits/key * ln 2, rounded down
+};
 
 TEST(FilterBlockTest, SingleChunk) {
   std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(10));
@@ -274,6 +388,7 @@ TEST_F(TableRoundTripTest, BuildOpenIterateGet) {
     r->found = true;
     r->key = k.ToString();
     r->value = v.ToString();
+    return true;  // every key probed below is present
   };
   for (int i = 0; i < 5000; i += 97) {
     char key[32];
@@ -361,6 +476,137 @@ TEST_F(TableRoundTripTest, BuilderLeavesFlushingToTheFile) {
   }
   EXPECT_FALSE(iter->Valid());
   EXPECT_TRUE(iter->status().ok());
+}
+
+// Sums the bloom counters of a run of InternalGet probes on this thread.
+struct BloomCounts {
+  uint64_t useful = 0;
+  uint64_t false_positives = 0;
+};
+BloomCounts ProbeCounts(Table* table, const std::vector<std::string>& keys, bool expect_found) {
+  auto handler = [](void* arg, const Slice& k, const Slice&) {
+    const bool matched = k == *reinterpret_cast<Slice*>(arg);
+    *reinterpret_cast<Slice*>(arg) = matched ? Slice("found") : Slice();
+    return matched;
+  };
+  BloomCounts counts;
+  PerfContextStartOp(PerfLevel::kEnableCounts);
+  for (const std::string& key : keys) {
+    Slice probe(key);
+    EXPECT_TRUE(table->InternalGet(ReadOptions(), key, &probe, handler).ok());
+    EXPECT_EQ(expect_found, probe == Slice("found"));
+  }
+  counts.useful = GetPerfContext()->bloom_useful;
+  counts.false_positives = GetPerfContext()->bloom_false_positives;
+  PerfContextStartOp(PerfLevel::kDisabled);
+  return counts;
+}
+
+// A table whose filter was built with the unmixed hash keeps that filter
+// under the old name. The current policy finds no filter of its own there
+// and reads the table unfiltered, so the old filter is never probed with
+// the new hash: every key is found and no probe is skipped.
+TEST_F(TableRoundTripTest, OldFilterIsIgnoredNotMisread) {
+  Options options;
+  std::vector<std::string> present, absent;
+  for (uint64_t i = 0; i < 2000; i++) {
+    present.push_back(BigEndianKey(2 * i));
+    absent.push_back(BigEndianKey(2 * i + 1));
+  }
+  std::string fname = dir_.path() + "/old.sst";
+  UnmixedBloomPolicy old_policy;
+  {
+    std::unique_ptr<WritableFile> file;
+    ASSERT_TRUE(env_->NewWritableFile(fname, &file).ok());
+    TableBuilder builder(options, BytewiseComparator(), &old_policy, file.get());
+    for (const std::string& k : present) {
+      builder.Add(k, std::string(256, 'v'));
+    }
+    ASSERT_TRUE(builder.Finish().ok());
+    ASSERT_TRUE(file->Close().ok());
+  }
+  uint64_t file_size;
+  ASSERT_TRUE(env_->GetFileSize(fname, &file_size).ok());
+  std::unique_ptr<RandomAccessFile> file;
+  ASSERT_TRUE(env_->NewRandomAccessFile(fname, &file).ok());
+  auto open = [&](const FilterPolicy* policy) {
+    Table* table = nullptr;
+    EXPECT_TRUE(
+        Table::Open(options, BytewiseComparator(), policy, nullptr, file.get(), file_size, &table)
+            .ok());
+    return std::unique_ptr<Table>(table);
+  };
+
+  // The old filter is there: read with its own policy it skips some
+  // blocks (few: an odd key next to even ones is its worst case).
+  std::unique_ptr<Table> as_written = open(&old_policy);
+  const BloomCounts filtered = ProbeCounts(as_written.get(), absent, false);
+  EXPECT_GT(filtered.useful, 0u);
+  EXPECT_EQ(absent.size(), filtered.useful + filtered.false_positives);
+
+  std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(10));
+  std::unique_ptr<Table> table = open(policy.get());
+  const BloomCounts hits = ProbeCounts(table.get(), present, true);
+  EXPECT_EQ(0u, hits.useful);
+  EXPECT_EQ(0u, hits.false_positives);
+  const BloomCounts misses = ProbeCounts(table.get(), absent, false);
+  EXPECT_EQ(0u, misses.useful);
+  EXPECT_EQ(0u, misses.false_positives) << "an unfiltered read is no false positive";
+}
+
+// A store whose level-0 tables carry old filters reads them unfiltered and
+// filters again once a compaction has rewritten them.
+TEST_F(TableRoundTripTest, CompactionRestoresFilteringOfOldTables) {
+  const std::string dbname = dir_.path() + "/db";
+  ASSERT_TRUE(env_->CreateDir(dbname).ok());
+  const InternalKeyComparator icmp(BytewiseComparator());
+  UnmixedBloomPolicy old_user_policy;
+  const InternalFilterPolicy old_policy(&old_user_policy);
+  Options options;
+  options.perf_level = PerfLevel::kEnableCounts;
+  options.l0_compaction_trigger = 100;
+  constexpr uint64_t kTables = 4;
+  constexpr uint64_t kKeys = 4000;
+  const std::string value(100, 'v');
+  for (uint64_t t = 0; t < kTables; t++) {
+    std::unique_ptr<WritableFile> file;
+    ASSERT_TRUE(env_->NewWritableFile(TableFileName(dbname, t + 1), &file).ok());
+    TableBuilder builder(options, &icmp, &old_policy, file.get());
+    for (uint64_t i = t; i < kKeys; i += kTables) {
+      builder.Add(InternalKey(BigEndianKey(2 * i), i + 1, kTypeValue).Encode(), value);
+    }
+    ASSERT_TRUE(builder.Finish().ok());
+    ASSERT_TRUE(file->Sync().ok());
+    ASSERT_TRUE(file->Close().ok());
+  }
+  // The tables become the store's level 0.
+  ASSERT_TRUE(RepairDb(options, dbname).ok());
+
+  // Reads every key and returns the bloom skips of the absent ones.
+  auto read_all = [&](DB* db) {
+    uint64_t useful = 0;
+    std::string v;
+    for (uint64_t i = 0; i < kKeys; i++) {
+      EXPECT_TRUE(db->Get(ReadOptions(), BigEndianKey(2 * i), &v).ok()) << i;
+      EXPECT_TRUE(db->Get(ReadOptions(), BigEndianKey(2 * i + 1), &v).IsNotFound()) << i;
+      useful += GetPerfContext()->bloom_useful;
+    }
+    return useful;
+  };
+  {
+    DB* raw = nullptr;
+    ASSERT_TRUE(ClsmDb::Open(options, dbname, &raw).ok());
+    std::unique_ptr<DB> db(raw);
+    ASSERT_EQ("files[4 0 ", db->GetProperty("clsm.levels").substr(0, 10));
+    EXPECT_EQ(0u, read_all(db.get()));
+  }
+  options.l0_compaction_trigger = 2;
+  DB* raw = nullptr;
+  ASSERT_TRUE(ClsmDb::Open(options, dbname, &raw).ok());
+  std::unique_ptr<DB> db(raw);
+  db->WaitForMaintenance();
+  EXPECT_EQ("files[0 ", db->GetProperty("clsm.levels").substr(0, 8));
+  EXPECT_GT(read_all(db.get()), kKeys / 2);
 }
 
 TEST_F(TableRoundTripTest, CorruptFooterIsRejected) {

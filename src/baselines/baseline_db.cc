@@ -17,79 +17,75 @@ void BaselineDbBase::StartMaintenance(SequenceNumber recovered_seq) {
 
 Status BaselineDbBase::Put(const WriteOptions& options, const Slice& key, const Slice& value) {
   stats_.Add(DbCounter::kPutsTotal);
-  const uint64_t t0 = StartOp();
   WriteBatch batch;
   batch.Put(key, value);
-  bool op_stalled = false;
-  Status s = WriteLocked(options, &batch, &op_stalled);
-  if (metrics_on_) {
-    registry_.Record(OpMetric::kPut, LatencyClock::ToNanos(LatencyClock::Ticks() - t0));
-  }
-  FinishOp(DbOpType::kPut, key, static_cast<uint32_t>(value.size()),
-           s.ok() ? OpOutcome::kOk : OpOutcome::kError, t0, op_stalled);
-  return s;
+  return Commit(options, DbOpType::kPut, key, static_cast<uint32_t>(value.size()), &batch);
 }
 
 Status BaselineDbBase::Delete(const WriteOptions& options, const Slice& key) {
   stats_.Add(DbCounter::kDeletesTotal);
-  const uint64_t t0 = StartOp();
   WriteBatch batch;
   batch.Delete(key);
-  bool op_stalled = false;
-  Status s = WriteLocked(options, &batch, &op_stalled);
-  if (metrics_on_) {
-    registry_.Record(OpMetric::kDelete, LatencyClock::ToNanos(LatencyClock::Ticks() - t0));
-  }
-  FinishOp(DbOpType::kDelete, key, 0, s.ok() ? OpOutcome::kOk : OpOutcome::kError, t0,
-           op_stalled);
-  return s;
+  return Commit(options, DbOpType::kDelete, key, 0, &batch);
 }
 
 Status BaselineDbBase::Write(const WriteOptions& options, WriteBatch* updates) {
   stats_.Add(DbCounter::kBatchesTotal);
-  const uint64_t t0 = StartOp();
   uint32_t batch_bytes = 0;
   for (const WriteBatch::Op& op : updates->ops()) {
     batch_bytes += static_cast<uint32_t>(op.key.size() + op.value.size());
   }
+  return Commit(options, DbOpType::kWrite, Slice(), batch_bytes, updates);
+}
+
+Status BaselineDbBase::Commit(const WriteOptions& options, DbOpType op, const Slice& trace_key,
+                              uint32_t trace_bytes, WriteBatch* batch) {
+  const uint64_t t0 = StartOp();
+  Writer w(batch, options.sync || engine_.options().sync_logging);
   bool op_stalled = false;
-  Status s = WriteLocked(options, updates, &op_stalled);
-  FinishOp(DbOpType::kWrite, Slice(), batch_bytes, s.ok() ? OpOutcome::kOk : OpOutcome::kError,
-           t0, op_stalled);
+  Status s = WriteLocked(&w, &op_stalled);
+  FinishOp(op, trace_key, trace_bytes, s.ok() ? OpOutcome::kOk : OpOutcome::kError, t0,
+           op_stalled);
   return s;
 }
 
 // LevelDB's single-writer queue with group commit: every writer enqueues
-// and blocks; the queue head makes room, claims sequence numbers, applies
-// the batch (and any batches grouped behind it) outside the mutex, then
-// wakes the group. This is the "single synchronization point" whose
-// contention the paper measures (§5.1: throughput decreases as threads
-// contend for the writers queue).
-Status BaselineDbBase::WriteLocked(const WriteOptions& options, WriteBatch* updates,
-                                   bool* stalled_out) {
+// and blocks; the queue head makes room, then, outside the mutex and under
+// the apply latch, runs its RMW function if it has one, claims sequence
+// numbers, applies its batch and any batches grouped behind it, and
+// publishes; then it wakes the group. This is the "single synchronization
+// point" whose contention the paper measures (§5.1: throughput decreases
+// as threads contend for the writers queue).
+Status BaselineDbBase::WriteLocked(Writer* w, bool* stalled_out) {
   // Degraded read-only mode: fail writes at the door once a hard error is
   // latched (not only when MakeRoomForWrite happens to run).
   if (engine_.bg_error()->writes_blocked()) {
     return engine_.bg_error()->status();
   }
-  Writer w(updates, options.sync || engine_.options().sync_logging);
 
   std::unique_lock<std::mutex> lock(mutex_);
-  writers_.push_back(&w);
-  while (!w.done && &w != writers_.front()) {
-    w.cv.wait(lock);
+  writers_.push_back(w);
+  while (!w->done && w != writers_.front()) {
+    w->cv.wait(lock);
   }
-  if (w.done) {
-    return w.status;
+  if (w->done) {
+    return w->status;
   }
 
-  Status status = MakeRoomForWrite(lock, w.batch->ApproximateSize(), stalled_out);
-  Writer* last_writer = &w;
+  // An RMW's write is unknown until its function runs below: the gate
+  // charges its key, as cLSM's RMW does.
+  Status status = MakeRoomForWrite(
+      lock, w->rmw != nullptr ? w->rmw_key.size() : w->batch->ApproximateSize(), stalled_out);
+  Writer* last_writer = w;
   std::vector<Writer*> group;
   if (status.ok()) {
-    // Group the queue's current contents into one logical write.
+    // Group the queue's current contents into one logical write. An RMW
+    // is never a follower: it runs its function only as queue head.
     size_t size = 0;
     for (Writer* candidate : writers_) {
+      if (candidate != w && candidate->rmw != nullptr) {
+        break;
+      }
       group.push_back(candidate);
       size += candidate->batch->ApproximateSize();
       last_writer = candidate;
@@ -97,17 +93,21 @@ Status BaselineDbBase::WriteLocked(const WriteOptions& options, WriteBatch* upda
         break;
       }
     }
+    lock.unlock();
 
+    // Single writer beyond this point: queue heads are serialized, and the
+    // latch keeps out the roll, P'm's retirement and HyperLevelDB's
+    // concurrent inserts.
+    std::unique_lock<std::shared_mutex> apply(apply_latch_);
     MemTable* mem = mem_.load(std::memory_order_acquire);
     AsyncLogger* logger = logger_.load(std::memory_order_acquire);
+    if (w->rmw != nullptr) {
+      ComputeRmw(w->rmw_key, *w->rmw, mem, imm_.load(std::memory_order_acquire), w->batch);
+    }
     const bool use_wal = !engine_.options().disable_wal;
-
-    lock.unlock();
-    // Single writer beyond this point (queue heads are serialized).
     bool any_sync = false;
     SequenceNumber seq = last_sequence_.load(std::memory_order_relaxed);
     for (Writer* member : group) {
-      any_sync = any_sync || member->sync;
       // One WAL record per member batch: each user batch recovers
       // all-or-nothing. Phase latencies are per member batch: mem_insert
       // covers the memtable adds (plus record encoding), wal_append the
@@ -124,6 +124,7 @@ Status BaselineDbBase::WriteLocked(const WriteOptions& options, WriteBatch* upda
       }
       const uint64_t t1 = (metrics_on_ || pt) ? LatencyClock::Ticks() : 0;
       if (use_wal && !record.empty()) {
+        any_sync = any_sync || member->sync;
         logger->AddRecordAsync(std::move(record));
       }
       if (metrics_on_) {
@@ -131,7 +132,7 @@ Status BaselineDbBase::WriteLocked(const WriteOptions& options, WriteBatch* upda
         registry_.Record(OpMetric::kWalAppend,
                          LatencyClock::ToNanos(LatencyClock::Ticks() - t1));
       }
-      if (pt && member == &w) {
+      if (pt && member == w) {
         // PerfContext is thread-local: only the group head's own batch can
         // be attributed to it. Followers' batches applied here belong to
         // threads parked in the queue; their contexts only see total time.
@@ -143,9 +144,11 @@ Status BaselineDbBase::WriteLocked(const WriteOptions& options, WriteBatch* upda
     // memtable: a snapshot taken mid-group reads at the old sequence and can
     // never observe a torn batch.
     last_sequence_.store(seq, std::memory_order_release);
-    if (use_wal && any_sync) {
+    // Still under the latch: no roll can retire the logger being synced.
+    if (any_sync) {
       status = logger->AddRecordSync(std::string());
     }
+    apply.unlock();
     lock.lock();
   }
 
@@ -153,7 +156,7 @@ Status BaselineDbBase::WriteLocked(const WriteOptions& options, WriteBatch* upda
   while (true) {
     Writer* ready = writers_.front();
     writers_.pop_front();
-    if (ready != &w) {
+    if (ready != w) {
       ready->status = status;
       ready->done = true;
       ready->cv.notify_one();
@@ -217,21 +220,30 @@ void BaselineDbBase::RollMemTableLocked() {
   } else {
     fresh_log = engine_.versions()->NewFileNumber();
   }
+  MemTable* fresh_mem = new MemTable(*engine_.icmp());
 
+  // The latch excludes every insert in flight, so none lands in a retired
+  // memtable after the flush has scanned past it.
+  std::unique_lock<std::shared_mutex> apply(apply_latch_);
   MemTable* old_mem = mem_.load(std::memory_order_relaxed);
   imm_.store(old_mem, std::memory_order_release);
-  mem_.store(new MemTable(*engine_.icmp()), std::memory_order_release);
-  AsyncLogger* old_logger = logger_.exchange(fresh_logger.release(), std::memory_order_acq_rel);
-  imm_logger_.reset(old_logger);
+  mem_.store(fresh_mem, std::memory_order_release);
+  imm_logger_.reset(logger_.exchange(fresh_logger.release(), std::memory_order_acq_rel));
   log_number_ = fresh_log;
+  // Last: the maintenance thread reads imm_logger_ once it sees C'm.
   imm_exists_.store(true, std::memory_order_release);
+  apply.unlock();
+
   stats_.Add(DbCounter::kMemtableRolls);
   engine_.listeners().NotifyMemtableRoll(old_mem->ApproximateMemoryUsage());
 }
 
 void BaselineDbBase::ClearImmutable() {
-  // Under the global mutex: LevelDB readers pin the components under it.
+  // Under the global mutex, since LevelDB readers pin the components under
+  // it, and under the apply latch, since the RMW queue head reads P'm
+  // under it.
   std::lock_guard<std::mutex> l(mutex_);
+  std::unique_lock<std::shared_mutex> apply(apply_latch_);
   imm_.store(nullptr, std::memory_order_release);
   imm_exists_.store(false, std::memory_order_release);
 }
@@ -271,22 +283,6 @@ void BaselineDbBase::RefComponents(MemTable** mem, MemTable** imm) {
   }
 }
 
-Status BaselineDbBase::GetLatestLocked(const Slice& key, std::string* value) {
-  // Caller holds mutex_, so the component pointers are stable and the roll
-  // cannot retire them mid-read; no reference counting needed.
-  LookupKey lkey(key, kMaxSequenceNumber);
-  MemTable* mem = mem_.load(std::memory_order_acquire);
-  MemTable* imm = imm_.load(std::memory_order_acquire);
-  Status s;
-  if (mem->Get(lkey, value, &s)) {
-    return s;
-  }
-  if (imm != nullptr && imm->Get(lkey, value, &s)) {
-    return s;
-  }
-  return engine_.Get(ReadOptions(), lkey, value);
-}
-
 Status BaselineDbBase::Get(const ReadOptions& options, const Slice& key, std::string* value) {
   stats_.Add(DbCounter::kGetsTotal);
   const uint64_t t0 = StartOp();
@@ -314,10 +310,17 @@ const Snapshot* BaselineDbBase::GetSnapshot() {
   return snapshots_.New(last_sequence_.load(std::memory_order_acquire));
 }
 
+// The RMW is a queue writer like any other. As queue head, under the
+// apply latch, it reads the key's latest value and runs f, so no write can
+// land between its read and its write, and its write is gated, logged and
+// published like a Put's.
 Status BaselineDbBase::ReadModifyWrite(const WriteOptions& options, const Slice& key,
                                        const RmwFunction& f, bool* performed) {
-  // Coarse default: atomicity via the global mutex (writes are serialized
-  // anyway). The lock-striping variant (Fig 9's baseline) overrides this.
+  return Rmw(options, key, f, performed, /*read_in_queue=*/true);
+}
+
+Status BaselineDbBase::Rmw(const WriteOptions& options, const Slice& key, const RmwFunction& f,
+                           bool* performed, bool read_in_queue) {
   if (performed != nullptr) {
     *performed = false;
   }
@@ -326,58 +329,54 @@ Status BaselineDbBase::ReadModifyWrite(const WriteOptions& options, const Slice&
     return engine_.bg_error()->status();
   }
   const uint64_t t0 = StartOp();
-  bool did_write = false;
-  uint32_t written_bytes = 0;
-  {
-    std::lock_guard<std::mutex> l(mutex_);
-    std::string current;
-    Status s = GetLatestLocked(key, &current);
-    std::optional<Slice> cur;
-    if (s.ok()) {
-      cur = Slice(current);
+  WriteBatch batch;
+  Writer w(&batch, options.sync || engine_.options().sync_logging);
+  bool op_stalled = false;
+  Status s;
+  if (read_in_queue) {
+    w.rmw = &f;
+    w.rmw_key = key;
+    s = WriteLocked(&w, &op_stalled);
+  } else {
+    MemTable* mem;
+    MemTable* imm;
+    RefComponents(&mem, &imm);
+    ComputeRmw(key, f, mem, imm, &batch);
+    mem->Unref();
+    if (imm != nullptr) {
+      imm->Unref();
     }
-    std::optional<std::string> next = f(cur);
-    if (next.has_value()) {
-      MemTable* mem = mem_.load(std::memory_order_acquire);
-      SequenceNumber seq = last_sequence_.load(std::memory_order_relaxed) + 1;
-      mem->Add(seq, kTypeValue, key, *next);
-      if (!engine_.options().disable_wal) {
-        std::string record;
-        EncodeWalRecord(&record, seq, kTypeValue, key, *next);
-        logger_.load(std::memory_order_acquire)->AddRecordAsync(std::move(record));
-      }
-      last_sequence_.store(seq, std::memory_order_release);
-      did_write = true;
-      written_bytes = static_cast<uint32_t>(next->size());
-      if (performed != nullptr) {
-        *performed = true;
-      }
+    if (batch.Count() > 0) {
+      s = WriteLocked(&w, &op_stalled);
     }
   }
-  if (metrics_on_) {
-    registry_.Record(OpMetric::kRmw, LatencyClock::ToNanos(LatencyClock::Ticks() - t0));
+  // Trace outcome doubles as the replay decision: kOk means the function
+  // wrote, kNotFound means it declined.
+  const bool wrote = s.ok() && batch.Count() > 0;
+  if (s.ok() && !wrote) {
+    stats_.Add(DbCounter::kRmwNoop);
   }
-  FinishOp(DbOpType::kRmw, key, written_bytes,
-           did_write ? OpOutcome::kOk : OpOutcome::kNotFound, t0, /*stalled=*/false);
-  return Status::OK();
+  if (performed != nullptr) {
+    *performed = wrote;
+  }
+  FinishOp(DbOpType::kRmw, key, wrote ? static_cast<uint32_t>(batch.ops()[0].value.size()) : 0,
+           !s.ok() ? OpOutcome::kError : (wrote ? OpOutcome::kOk : OpOutcome::kNotFound), t0,
+           op_stalled);
+  return s;
 }
 
-void BaselineDbBase::WaitForMaintenance() {
-  while (true) {
-    if (!engine_.bg_error()->ok()) {
-      return;  // maintenance is wedged; nothing further to wait for
-    }
-    MemTable* mem = mem_.load(std::memory_order_acquire);
-    // CompactionsIdle, not NeedsCompaction: a job whose edit is installed
-    // is still finishing (its input deletions and stats) until it ends.
-    bool busy = imm_exists_.load(std::memory_order_acquire) || !engine_.CompactionsIdle() ||
-                (mem != nullptr &&
-                 mem->ApproximateMemoryUsage() >= engine_.options().write_buffer_size);
-    if (!busy) {
-      return;
-    }
-    maintenance_cv_.notify_one();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+void BaselineDbBase::ComputeRmw(const Slice& key, const RmwFunction& f, MemTable* mem,
+                                MemTable* imm, WriteBatch* batch) {
+  std::string current;
+  ValueType type;
+  SequenceNumber seq;
+  std::optional<Slice> cur;
+  if (GetLatest(key, mem, imm, &current, &type, &seq) && type == kTypeValue) {
+    cur = Slice(current);
+  }
+  std::optional<std::string> next = f(cur);
+  if (next.has_value()) {
+    batch->Put(key, *next);
   }
 }
 

@@ -8,10 +8,17 @@
 // The base implements the original LevelDB synchronization faithfully:
 //  * a global mutex protects critical sections at the beginning and end of
 //    each read and write;
-//  * writes are funneled through a single-writer queue with group commit,
-//    and the queue head rolls the memtable inline when it is full;
+//  * every write (Put, Delete, batch Write, ReadModifyWrite) goes through
+//    one single-writer queue with group commit. The queue head passes the
+//    write gate, rolling the memtable inline when it is full, then applies
+//    the group outside the mutex under the exclusive apply latch: read the
+//    last sequence, insert, log, publish;
+//  * an RMW is a queue writer that is never grouped behind another head. As
+//    head it reads the key's latest value and runs its function under the
+//    apply latch, so the read and its write are one step of the write order;
 //  * snapshots are a bare sequence read under the mutex (no Active set —
-//    safe because writes are serialized);
+//    safe because each group publishes its sequence once, after all its
+//    inserts);
 //  * one maintenance thread flushes and compacts, and flushes keep every
 //    version, as LevelDB's do.
 // Subclasses override hooks to model each competitor's deviation.
@@ -22,6 +29,7 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 
 #include "src/core/db_chassis.h"
@@ -39,7 +47,6 @@ class BaselineDbBase : public DbChassis {
   const Snapshot* GetSnapshot() override;
   Status ReadModifyWrite(const WriteOptions& options, const Slice& key, const RmwFunction& f,
                          bool* performed) override;
-  void WaitForMaintenance() override;
 
  protected:
   BaselineDbBase(const Options& options, const std::string& dbname);
@@ -61,33 +68,52 @@ class BaselineDbBase : public DbChassis {
     explicit Writer(WriteBatch* b, bool s) : batch(b), sync(s) {}
     WriteBatch* batch;
     bool sync;
+    // Set for a read-modify-write: as queue head, the writer runs *rmw on
+    // rmw_key and puts its result, if any, into batch.
+    const RmwFunction* rmw = nullptr;
+    Slice rmw_key;
     bool done = false;
     Status status;
     std::condition_variable cv;
   };
 
-  // stalled_out (when non-null) is set to true if this writer, as queue
-  // head, waited in MakeRoomForWrite. Followers in the group-commit queue
-  // report false: their queue wait is ordinary contention, not backpressure.
-  Status WriteLocked(const WriteOptions& options, WriteBatch* updates,
-                     bool* stalled_out = nullptr);
+  // The one write path: enqueue w, and as queue head pass the gate, group
+  // the writers queued behind it and apply, log and publish the group.
+  // stalled_out (when non-null) is set to true if w, as queue head, waited
+  // in MakeRoomForWrite. Followers in the group-commit queue report false:
+  // their queue wait is ordinary contention, not backpressure.
+  Status WriteLocked(Writer* w, bool* stalled_out);
+  // Put, Delete and Write: batch through WriteLocked as one op of type op,
+  // traced with trace_key and trace_bytes.
+  Status Commit(const WriteOptions& options, DbOpType op, const Slice& trace_key,
+                uint32_t trace_bytes, WriteBatch* batch);
   // Admission for one write of `bytes` payload through the shared
   // WriteThrottle gate (hard stalls, rate limiting, inline memtable
   // rolls). Group-commit followers are not gated — only queue heads pass
   // through, charging their own batch's bytes.
-  Status MakeRoomForWrite(std::unique_lock<std::mutex>& lock, uint64_t bytes,
-                          bool* stalled_out = nullptr);
+  Status MakeRoomForWrite(std::unique_lock<std::mutex>& lock, uint64_t bytes, bool* stalled_out);
+  // ReadModifyWrite with the read either by the queue head (read_in_queue)
+  // or here, before the write is queued (the lock-striping variant, whose
+  // stripe lock already makes the read and the write atomic).
+  Status Rmw(const WriteOptions& options, const Slice& key, const RmwFunction& f,
+             bool* performed, bool read_in_queue);
   class GateClient;
-  virtual void RollMemTableLocked();  // requires mutex_
+  void RollMemTableLocked();  // requires mutex_
   void MaintenanceLoop();
   void RefComponents(MemTable** mem, MemTable** imm);
-
-  // Latest-version lookup with mutex_ already held (RMW read step).
-  Status GetLatestLocked(const Slice& key, std::string* value);
+  // RMW's read and compute: f on key's latest value in mem, imm and Pd; its
+  // result, if any, becomes a Put in batch.
+  void ComputeRmw(const Slice& key, const RmwFunction& f, MemTable* mem, MemTable* imm,
+                  WriteBatch* batch);
 
   std::mutex mutex_;  // LevelDB's global lock
   std::atomic<SequenceNumber> last_sequence_{0};
   std::deque<Writer*> writers_;  // guarded by mutex_
+  // Taken exclusively by the queue head's group apply (sequence read,
+  // inserts, log, publish), by the roll and by ClearImmutable, so none of
+  // them overlaps another; HyperLevelDB's concurrent inserts take it
+  // shared.
+  std::shared_mutex apply_latch_;
 };
 
 }  // namespace clsm

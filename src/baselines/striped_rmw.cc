@@ -30,34 +30,14 @@ class StripedRmwDb final : public BaselineDbBase {
     return BaselineDbBase::Delete(options, key);
   }
 
+  // Fig 9's cost model: the stripe lock, a read outside the writer queue
+  // (as Get reads), then the write through the queue. Read-compute-write
+  // is atomic for this key because every writer of the key serializes on
+  // the same stripe.
   Status ReadModifyWrite(const WriteOptions& options, const Slice& key, const RmwFunction& f,
                          bool* performed) override {
-    if (performed != nullptr) {
-      *performed = false;
-    }
-    stats_.Add(DbCounter::kRmwTotal);
-    ScopedLatency probe(metrics_on_ ? &registry_ : nullptr, OpMetric::kRmw);
-    // Read-compute-write is atomic for this key because every writer of the
-    // key serializes on the same stripe.
     std::lock_guard<std::mutex> stripe(stripes_[StripeFor(key)]);
-    std::string current;
-    ReadOptions ro;
-    Status s = Get(ro, key, &current);
-    std::optional<Slice> cur;
-    if (s.ok()) {
-      cur = Slice(current);
-    } else if (!s.IsNotFound()) {
-      return s;
-    }
-    std::optional<std::string> next = f(cur);
-    if (!next.has_value()) {
-      return Status::OK();
-    }
-    s = BaselineDbBase::Put(options, key, *next);
-    if (s.ok() && performed != nullptr) {
-      *performed = true;
-    }
-    return s;
+    return Rmw(options, key, f, performed, /*read_in_queue=*/false);
   }
 
  private:

@@ -188,17 +188,14 @@ Status ClsmDb::Commit(const WriteOptions& options, DbOpType op, const Op* ops, s
     ctx.mem_insert_nanos += LatencyClock::ToNanos(t2 - t1);
     ctx.wal_append_nanos += LatencyClock::ToNanos(t3 - t2);
   }
-  // FinishOp closes total_nanos right after t3; the histograms are recorded
-  // after it so that their cost stays outside the op's attributed total.
+  // FinishOp closes total_nanos right after t3; the phase histograms are
+  // recorded after it so that their cost stays outside the op's attributed
+  // total.
   FinishOp(op, trace_key, trace_bytes, s.ok() ? OpOutcome::kOk : OpOutcome::kError, t0,
            op_stalled);
   if (metrics_on_) {
     registry_.Record(OpMetric::kMemInsert, LatencyClock::ToNanos(t2 - t1));
     registry_.Record(OpMetric::kWalAppend, LatencyClock::ToNanos(t3 - t2));
-    if (!batch) {
-      registry_.Record(op == DbOpType::kPut ? OpMetric::kPut : OpMetric::kDelete,
-                       LatencyClock::ToNanos(t3 - t0));
-    }
   }
   return s;
 }
@@ -299,35 +296,6 @@ const Snapshot* ClsmDb::GetSnapshot() {
   return s;
 }
 
-bool ClsmDb::GetLatest(const Slice& key, std::string* value, ValueType* type,
-                       SequenceNumber* seq) {
-  // Caller holds the shared lock, so Pm/P'm are stable — no epoch needed.
-  LookupKey lkey(key, kMaxSequenceNumber);
-  Status s;
-  *seq = 0;
-  MemTable* mem = mem_.load(std::memory_order_acquire);
-  if (mem->Get(lkey, value, &s, seq)) {
-    *type = s.ok() ? kTypeValue : kTypeDeletion;
-    return true;
-  }
-  MemTable* imm = imm_.load(std::memory_order_acquire);
-  if (imm != nullptr && imm->Get(lkey, value, &s, seq)) {
-    *type = s.ok() ? kTypeValue : kTypeDeletion;
-    return true;
-  }
-  ReadOptions ro;
-  s = engine_.Get(ro, lkey, value, seq);
-  if (s.ok()) {
-    *type = kTypeValue;
-    return true;
-  }
-  if (s.IsNotFound() && *seq != 0) {
-    *type = kTypeDeletion;
-    return true;
-  }
-  return false;
-}
-
 Status ClsmDb::ReadModifyWrite(const WriteOptions& options, const Slice& key,
                                const RmwFunction& f, bool* performed) {
   if (performed != nullptr) {
@@ -359,7 +327,9 @@ Status ClsmDb::ReadModifyWrite(const WriteOptions& options, const Slice& key,
     std::string current;
     ValueType type = kTypeDeletion;
     SequenceNumber ts_read = 0;
-    const bool found = GetLatest(key, &current, &type, &ts_read);
+    // The shared lock keeps Pm and P'm from being retired.
+    const bool found = GetLatest(key, mem_.load(std::memory_order_acquire),
+                                 imm_.load(std::memory_order_acquire), &current, &type, &ts_read);
 
     std::optional<Slice> current_opt;
     if (found && type == kTypeValue) {
@@ -390,9 +360,6 @@ Status ClsmDb::ReadModifyWrite(const WriteOptions& options, const Slice& key,
     // another operation made progress, preserving lock-freedom.
     stats_.Add(DbCounter::kRmwConflicts);
     active_.Remove(tsn);
-  }
-  if (metrics_on_) {
-    registry_.Record(OpMetric::kRmw, LatencyClock::ToNanos(LatencyClock::Ticks() - t0));
   }
   // Trace outcome doubles as the replay decision: kOk means the user
   // function wrote (replay re-applies it), kNotFound means it declined.
@@ -477,29 +444,6 @@ void ClsmDb::MaintenanceLoop() {
       FlushImmutable();
     }
     work_done_cv_.notify_all();
-  }
-}
-
-void ClsmDb::WaitForMaintenance() {
-  while (true) {
-    bool busy = imm_exists_.load(std::memory_order_acquire) || !engine_.CompactionsIdle();
-    if (!busy) {
-      // Pin the memtable while probing its size: the maintenance thread
-      // frees rolled memtables only after an epoch Synchronize.
-      EpochGuard guard(*engine_.epochs());
-      MemTable* mem = mem_.load(std::memory_order_acquire);
-      busy = mem != nullptr && mem->ApproximateMemoryUsage() >= engine_.options().write_buffer_size;
-    }
-    if (!busy) {
-      return;
-    }
-    std::unique_lock<std::mutex> l(maintenance_mutex_);
-    if (!engine_.bg_error()->ok()) {
-      return;  // maintenance is wedged; nothing further to wait for
-    }
-    maintenance_cv_.notify_one();
-    engine_.SignalCompaction();
-    work_done_cv_.wait_for(l, std::chrono::milliseconds(1));
   }
 }
 

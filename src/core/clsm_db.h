@@ -44,7 +44,6 @@ class ClsmDb final : public DbChassis {
   Status ReadModifyWrite(const WriteOptions& options, const Slice& key, const RmwFunction& f,
                          bool* performed) override;
   const char* Name() const override { return "clsm"; }
-  void WaitForMaintenance() override;
 
   // Exposed for tests: the timestamp a fresh serializable scan would use.
   SequenceNumber AcquireScanTimestampForTest() { return AcquireScanTimestamp(); }
@@ -88,11 +87,6 @@ class ClsmDb final : public DbChassis {
   // or async, then leave the Active set and release the shared lock.
   template <typename Op>
   Status LogAndRelease(const WriteOptions& options, SequenceNumber first, const Op* ops, size_t n);
-
-  // Latest value/timestamp of key across Pm, P'm, Pd (RMW read step).
-  // Returns true if some version exists; fills *value (valid only for
-  // kTypeValue), *type and *seq.
-  bool GetLatest(const Slice& key, std::string* value, ValueType* type, SequenceNumber* seq);
 
   // Backpressure, via the shared WriteThrottle gate: wait while Cm is full
   // but C'm has not finished merging (heavy-compaction mode, §5.3) or

@@ -1,6 +1,7 @@
 #include "src/core/db_chassis.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "src/core/db_iter.h"
 #include "src/obs/instrumented_iter.h"
@@ -23,7 +24,8 @@ DbChassis::DbChassis(const Options& options, const std::string& dbname,
       perf_level_(options.perf_level),
       slow_op_threshold_nanos_(options.slow_op_threshold_micros * 1000),
       slow_op_limiter_(options.slow_op_max_per_sec),
-      flush_drops_shadowed_(flush_drops_shadowed) {
+      flush_drops_shadowed_(flush_drops_shadowed),
+      writers_roll_(stop_only_when_mem_full) {
   engine_.SetStatsRegistry(metrics_on_ ? &registry_ : nullptr);
   throttle_->SetRegistry(metrics_on_ ? &registry_ : nullptr);
   trace_ops_ = engine_.listeners().has_op_listeners();
@@ -139,6 +141,13 @@ void DbChassis::FinishOp(DbOpType op, const Slice& key, uint32_t value_size, OpO
   if (ctx.timers_enabled()) {
     ctx.total_nanos = total_nanos;
   }
+  if (metrics_on_ && op != DbOpType::kWrite) {
+    // Indexed by DbOpType; batches have no series, so the kWrite slot is
+    // never read.
+    static constexpr OpMetric kSeries[] = {OpMetric::kPut, OpMetric::kDelete, OpMetric::kGet,
+                                           OpMetric::kPut, OpMetric::kRmw};
+    registry_.Record(kSeries[static_cast<int>(op)], total_nanos);
+  }
   if (!attributed_ops_) {
     return;
   }
@@ -205,13 +214,25 @@ Status DbChassis::GetPinned(const ReadOptions& options, const Slice& key, Sequen
   if (imm != nullptr) {
     imm->Unref();
   }
-  if (metrics_on_) {
-    registry_.Record(OpMetric::kGet, LatencyClock::ToNanos(LatencyClock::Ticks() - t0));
-  }
   FinishOp(DbOpType::kGet, key, s.ok() ? static_cast<uint32_t>(value->size()) : 0,
            s.ok() ? OpOutcome::kOk : (s.IsNotFound() ? OpOutcome::kNotFound : OpOutcome::kError),
            t0, /*stalled=*/false);
   return s;
+}
+
+bool DbChassis::GetLatest(const Slice& key, MemTable* mem, MemTable* imm, std::string* value,
+                          ValueType* type, SequenceNumber* seq) {
+  LookupKey lkey(key, kMaxSequenceNumber);
+  Status s;
+  *seq = 0;
+  if (mem->Get(lkey, value, &s, seq) || (imm != nullptr && imm->Get(lkey, value, &s, seq))) {
+    *type = s.ok() ? kTypeValue : kTypeDeletion;
+    return true;
+  }
+  s = engine_.Get(ReadOptions(), lkey, value, seq);
+  *type = s.ok() ? kTypeValue : kTypeDeletion;
+  // A deletion found on disk comes back NotFound with its timestamp set.
+  return s.ok() || (s.IsNotFound() && *seq != 0);
 }
 
 void DbChassis::CleanupIterState(void* arg1, void* /*arg2*/) {
@@ -285,6 +306,31 @@ void DbChassis::FlushImmutable() {
   engine_.RemoveObsoleteFiles(log_number);
   // The new level-0 file may have made a compaction pickable.
   engine_.SignalCompaction();
+}
+
+void DbChassis::WaitForMaintenance() {
+  while (true) {
+    // CompactionsIdle, not NeedsCompaction: a job whose edit is installed
+    // is still finishing (its input deletions and stats) until it ends.
+    bool busy = imm_exists_.load(std::memory_order_acquire) || !engine_.CompactionsIdle();
+    if (!busy && !writers_roll_) {
+      // Pin the memtable while probing its size: the maintenance thread
+      // frees rolled memtables only after an epoch Synchronize.
+      EpochGuard guard(*engine_.epochs());
+      MemTable* mem = mem_.load(std::memory_order_acquire);
+      busy = mem != nullptr && mem->ApproximateMemoryUsage() >= engine_.options().write_buffer_size;
+    }
+    if (!busy) {
+      return;
+    }
+    std::unique_lock<std::mutex> l(maintenance_mutex_);
+    if (!engine_.bg_error()->ok()) {
+      return;  // maintenance is wedged; nothing further to wait for
+    }
+    maintenance_cv_.notify_one();
+    engine_.SignalCompaction();
+    work_done_cv_.wait_for(l, std::chrono::milliseconds(1));
+  }
 }
 
 std::string DbChassis::GetProperty(const Slice& property) {

@@ -9,15 +9,17 @@
 //  * observability: the DbStats counters, the latency registry, the per-op attribution
 //    prologue/epilogue (StartOp/FinishOp), the periodic reporter, the admin
 //    server, the rpc attachment, GetProperty and the stats exporters;
-//  * read plumbing: the Cm -> C'm -> Cd search and the pinned-component
-//    iterator.
+//  * read plumbing: the Cm -> C'm -> Cd search, the latest-version read
+//    of RMW and the pinned-component iterator;
+//  * the wait for maintenance to drain (WaitForMaintenance).
 //
 // ClsmDb (the paper's contribution) and BaselineDbBase (the LevelDB-family
 // competitors) derive from it and supply only their synchronization: the
 // write path, how Get pins components, the scan timestamp, GetSnapshot,
-// RMW, the exclusion around the roll/flush pointer swaps, the maintenance
-// loop and a WriteThrottle::Client. Variant hooks are virtual only on cold
-// paths (open, stats, flush); no op path pays a virtual call here.
+// how RMW orders its read and write, the exclusion around the roll/flush
+// pointer swaps, the maintenance loop and a WriteThrottle::Client. Variant
+// hooks are virtual only on cold paths (open, stats, flush); no op path
+// pays a virtual call here.
 #ifndef CLSM_CORE_DB_CHASSIS_H_
 #define CLSM_CORE_DB_CHASSIS_H_
 
@@ -51,6 +53,11 @@ class DbChassis : public DB {
   ~DbChassis() override;
 
   void ReleaseSnapshot(const Snapshot* snapshot) override { snapshots_.Release(snapshot); }
+  // Returns once no flush or compaction is pending or running (or a
+  // background error wedged maintenance). A full Cm counts as pending only
+  // where the maintenance thread rolls it; a baseline's next writer rolls
+  // its own.
+  void WaitForMaintenance() override;
   std::string GetProperty(const Slice& property) override;
   bool FillStatsSource(StatsJsonSource* out) override;
   void ResetStats() override;
@@ -64,9 +71,10 @@ class DbChassis : public DB {
 
  protected:
   // fail_on_any_bg_error / stop_only_when_mem_full configure the admission
-  // gate (see WriteThrottle). flush_drops_shadowed: a flush may drop
-  // versions shadowed at or below SmallestLiveSnapshot, as compactions do
-  // (cLSM); false keeps every version, as LevelDB does.
+  // gate (see WriteThrottle); stop_only_when_mem_full also says that
+  // writers roll Cm inline, not the maintenance thread. flush_drops_shadowed:
+  // a flush may drop versions shadowed at or below SmallestLiveSnapshot, as
+  // compactions do (cLSM); false keeps every version, as LevelDB does.
   DbChassis(const Options& options, const std::string& dbname, bool fail_on_any_bg_error,
             bool stop_only_when_mem_full, bool flush_drops_shadowed);
 
@@ -121,7 +129,8 @@ class DbChassis : public DB {
   }
 
   // Per-op attribution epilogue: closes the PerfContext (total_nanos),
-  // emits a rate-bounded slow-op record when the op crossed
+  // records the op's latency sample (batches have no series), emits a
+  // rate-bounded slow-op record when the op crossed
   // Options::slow_op_threshold_micros, and appends a trace record when a
   // listener opted into per-op records. No-op when start_ticks is 0.
   void FinishOp(DbOpType op, const Slice& key, uint32_t value_size, OpOutcome outcome,
@@ -153,6 +162,14 @@ class DbChassis : public DB {
   // covers the memtable probes and disk_search the table lookup.
   Status GetPinned(const ReadOptions& options, const Slice& key, SequenceNumber seq, MemTable* mem,
                    MemTable* imm, std::string* value, uint64_t t0);
+
+  // RMW's read step: the latest version of key across mem, imm (may be
+  // null) and Pd. The caller keeps mem and imm from being retired meanwhile
+  // (refs, or a lock the roll and ClearImmutable take). Returns true if
+  // some version exists; fills *value (valid only for kTypeValue), *type
+  // and *seq.
+  bool GetLatest(const Slice& key, MemTable* mem, MemTable* imm, std::string* value,
+                 ValueType* type, SequenceNumber* seq);
 
   // Components pinned by a scan: released when its iterator is deleted.
   struct IterState {
@@ -232,6 +249,7 @@ class DbChassis : public DB {
   StatsJsonSource StatsSource();
 
   const bool flush_drops_shadowed_;
+  const bool writers_roll_;  // stop_only_when_mem_full: Cm rolls in a writer
   std::unique_ptr<StatsReporter> reporter_;
   std::unique_ptr<AdminServer> admin_;  // non-null iff Options::admin_port >= 0
   RpcAttachment rpc_;

@@ -38,10 +38,6 @@ bool DecodeWalOpFrom(Slice* input, SequenceNumber* seq, ValueType* type, Slice* 
   return GetLengthPrefixedSlice(input, key) && GetLengthPrefixedSlice(input, value);
 }
 
-bool DecodeWalRecord(Slice input, SequenceNumber* seq, ValueType* type, Slice* key, Slice* value) {
-  return DecodeWalOpFrom(&input, seq, type, key, value) && input.empty();
-}
-
 StorageEngine::StorageEngine(const Options& options, const std::string& dbname)
     : options_(options),
       dbname_(dbname),

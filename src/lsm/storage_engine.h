@@ -50,9 +50,6 @@ void EncodeWalRecord(std::string* dst, SequenceNumber seq, ValueType type, const
 // malformed data.
 bool DecodeWalOpFrom(Slice* input, SequenceNumber* seq, ValueType* type, Slice* key,
                      Slice* value);
-// Single-operation record convenience (requires the record to contain
-// exactly one operation).
-bool DecodeWalRecord(Slice input, SequenceNumber* seq, ValueType* type, Slice* key, Slice* value);
 
 class StorageEngine {
  public:

@@ -217,26 +217,6 @@ class ShardedCounters {
   Shard shards_[kNumStatsShards];
 };
 
-// RAII latency probe: records the scope's duration into registry (no-op
-// when registry is null, so call sites need no branching).
-class ScopedLatency {
- public:
-  ScopedLatency(StatsRegistry* registry, OpMetric op)
-      : registry_(registry), op_(op), start_(registry != nullptr ? LatencyClock::Ticks() : 0) {}
-  ~ScopedLatency() {
-    if (registry_ != nullptr) {
-      registry_->Record(op_, LatencyClock::ToNanos(LatencyClock::Ticks() - start_));
-    }
-  }
-  ScopedLatency(const ScopedLatency&) = delete;
-  ScopedLatency& operator=(const ScopedLatency&) = delete;
-
- private:
-  StatsRegistry* registry_;
-  OpMetric op_;
-  uint64_t start_;
-};
-
 }  // namespace clsm
 
 #endif  // CLSM_OBS_METRICS_H_

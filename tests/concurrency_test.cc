@@ -235,5 +235,70 @@ TEST_F(ConcurrencyTest, FullApiHammer) {
   EXPECT_TRUE(s.ok() || s.IsNotFound());
 }
 
+// Read-your-writes on every variant while batches run: one thread
+// alternates Put("x", i) and Get("x") while others write two-key batches to
+// other keys, and must read its own i every time. HyperLevelDB's concurrent
+// Puts draw sequence numbers with an atomic increment while the writer
+// queue's head publishes the batches; the two must never move the
+// published sequence backward past a completed Put.
+class VariantConcurrencyTest : public ::testing::TestWithParam<DbVariant> {
+ protected:
+  VariantConcurrencyTest() : dir_("conc-variant") {
+    DB* db = nullptr;
+    Status s = OpenDb(GetParam(), Options(), dir_.path() + "/db", &db);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    db_.reset(db);
+  }
+
+  ScratchDir dir_;
+  std::unique_ptr<DB> db_;
+};
+
+TEST_P(VariantConcurrencyTest, ReadOwnPutWhileBatchesRun) {
+  constexpr int kBatchWriters = 3;
+  constexpr int kRounds = 50000;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kBatchWriters; t++) {
+    writers.emplace_back([&, t] {
+      WriteOptions wo;
+      for (int i = 0; !stop.load(std::memory_order_relaxed); i++) {
+        WriteBatch batch;
+        const std::string suffix = std::to_string(t) + "-" + std::to_string(i % 1000);
+        batch.Put("a" + suffix, "v");
+        batch.Put("b" + suffix, "v");
+        db_->Write(wo, &batch);
+      }
+    });
+  }
+  WriteOptions wo;
+  ReadOptions ro;
+  int stale = 0;
+  std::string got;
+  for (int i = 0; i < kRounds; i++) {
+    const std::string mine = std::to_string(i);
+    ASSERT_TRUE(db_->Put(wo, "x", mine).ok());
+    if (!db_->Get(ro, "x", &got).ok() || got != mine) {
+      stale++;
+    }
+  }
+  stop = true;
+  for (auto& th : writers) {
+    th.join();
+  }
+  EXPECT_EQ(0, stale) << "reads that missed this thread's own last Put";
+}
+
+INSTANTIATE_TEST_SUITE_P(AllVariants, VariantConcurrencyTest, ::testing::ValuesIn(AllVariants()),
+                         [](const ::testing::TestParamInfo<DbVariant>& info) {
+                           std::string name = VariantName(info.param);
+                           for (char& c : name) {
+                             if (c == '-') {
+                               c = '_';
+                             }
+                           }
+                           return name;
+                         });
+
 }  // namespace
 }  // namespace clsm

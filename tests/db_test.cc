@@ -3,6 +3,8 @@
 // the paper's claim that cLSM preserves LevelDB's full functionality (§4).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <map>
 #include <memory>
 #include <thread>
@@ -358,6 +360,35 @@ TEST_P(DbTest, GetProperty) {
   // its reason and severity.
   EXPECT_TRUE(db_->GetProperty("clsm.bg-error").empty());
   EXPECT_FALSE(db_->GetProperty("clsm.background-error").empty());
+}
+
+// WaitForMaintenance returns once no flush or compaction is pending, also
+// when the last Put left Cm full. A baseline rolls a full Cm only in its
+// next writer, so a wait that counted the full Cm as pending would never
+// end.
+TEST_P(DbTest, WaitForMaintenanceReturnsAfterPutFillsCm) {
+  options_.write_buffer_size = 32 * 1024;
+  Open();
+  const std::string value(100, 'w');
+  int puts = 0;
+  // cLSM's maintenance thread rolls right away, so it may never be seen
+  // full; the bound keeps that case short.
+  while (puts < 2000 &&
+         std::stoull(db_->GetProperty("clsm.mem-usage")) < options_.write_buffer_size) {
+    ASSERT_TRUE(Put("fill-" + std::to_string(puts++), value).ok());
+  }
+  std::future<void> waited = std::async(std::launch::async, [this] { db_->WaitForMaintenance(); });
+  const bool returned = waited.wait_for(std::chrono::seconds(3)) == std::future_status::ready;
+  if (!returned) {
+    // Let the test end: the next write rolls Cm, and the wait drains.
+    EXPECT_TRUE(Put("unstick", value).ok());
+    waited.wait();
+  }
+  EXPECT_TRUE(returned) << "WaitForMaintenance still waiting 3 s after " << puts
+                        << " Puts filled Cm";
+  for (int i = 0; i < puts; i++) {
+    ASSERT_EQ(value, Get("fill-" + std::to_string(i))) << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, DbTest, ::testing::ValuesIn(AllVariants()),

@@ -111,12 +111,24 @@ TEST_P(SlowOpDbTest, DegradedSyncDeviceFiresStructuredRecords) {
   for (int i = 0; i < kSlowPuts; i++) {
     ASSERT_TRUE(db->Put(sync_wo, "slow-key-" + std::to_string(i), "v").ok());
   }
+  // A synchronous RMW pays the same fsync and is one slow kRmw record.
+  constexpr int kSlowRmws = 3;
+  for (int i = 0; i < kSlowRmws; i++) {
+    ASSERT_TRUE(db->ReadModifyWrite(sync_wo, "slow-rmw-" + std::to_string(i),
+                                    [](const std::optional<Slice>&) {
+                                      return std::optional<std::string>("v");
+                                    })
+                    .ok());
+  }
   fault_env_.Heal();
 
   std::vector<SlowOpInfo> records = collector->Snapshot();
-  ASSERT_GE(records.size(), static_cast<size_t>(kSlowPuts));
+  ASSERT_GE(records.size(), static_cast<size_t>(kSlowPuts + kSlowRmws));
+  size_t puts = 0;
+  size_t rmws = 0;
   for (const SlowOpInfo& r : records) {
-    EXPECT_EQ(r.op, DbOpType::kPut);
+    EXPECT_TRUE(r.op == DbOpType::kPut || r.op == DbOpType::kRmw) << DbOpTypeName(r.op);
+    (r.op == DbOpType::kPut ? puts : rmws)++;
     EXPECT_GE(r.latency_micros, 1000u);
     EXPECT_NE(r.key_prefix_hash, 0u);
     EXPECT_GE(r.l0_files, 0);
@@ -124,8 +136,12 @@ TEST_P(SlowOpDbTest, DegradedSyncDeviceFiresStructuredRecords) {
     // (which contains the delayed sync wait) dominates.
     EXPECT_EQ(r.perf.level, PerfLevel::kEnableTimers);
     EXPECT_GE(r.perf.total_nanos, 1'000'000u);
-    EXPECT_GT(r.perf.wal_append_nanos, 0u);
+    if (r.op == DbOpType::kPut) {
+      EXPECT_GT(r.perf.wal_append_nanos, 0u);
+    }
   }
+  EXPECT_GE(puts, static_cast<size_t>(kSlowPuts));
+  EXPECT_EQ(rmws, static_cast<size_t>(kSlowRmws));
 
   // Counters and the JSONL sink agree with the listener.
   const std::string stats = db->GetProperty("clsm.stats.json");
@@ -143,7 +159,9 @@ TEST_P(SlowOpDbTest, DegradedSyncDeviceFiresStructuredRecords) {
     lines++;
     EXPECT_EQ(line.front(), '{');
     EXPECT_EQ(line.back(), '}');
-    EXPECT_NE(line.find("\"op\":\"put\""), std::string::npos) << line;
+    EXPECT_TRUE(line.find("\"op\":\"put\"") != std::string::npos ||
+                line.find("\"op\":\"rmw\"") != std::string::npos)
+        << line;
     EXPECT_NE(line.find("\"latency_micros\""), std::string::npos) << line;
     EXPECT_NE(line.find("\"key_prefix_hash\""), std::string::npos) << line;
     EXPECT_NE(line.find("\"perf\""), std::string::npos) << line;
@@ -208,10 +226,15 @@ TEST_P(SlowOpDbTest, ThresholdZeroDisablesDispatch) {
   EXPECT_EQ(collector->Count(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Variants, SlowOpDbTest,
-                         ::testing::Values(DbVariant::kClsm, DbVariant::kLevelDb),
+INSTANTIATE_TEST_SUITE_P(Variants, SlowOpDbTest, ::testing::ValuesIn(AllVariants()),
                          [](const ::testing::TestParamInfo<DbVariant>& info) {
-                           return std::string(VariantName(info.param));
+                           std::string name = VariantName(info.param);
+                           for (char& c : name) {
+                             if (c == '-') {
+                               c = '_';
+                             }
+                           }
+                           return name;
                          });
 
 }  // namespace

@@ -117,13 +117,19 @@ class TraceRoundTripTest : public ::testing::Test {
   std::string trace_path_;
 };
 
-TEST_F(TraceRoundTripTest, WriterReaderRoundTripAndExactSummary) {
+// Recording runs on every variant: each public op yields exactly one
+// record of its own type (an RMW is one kRmw record, never a Get plus a
+// Put), whatever write path the variant takes.
+class TraceRecordingTest : public TraceRoundTripTest,
+                           public ::testing::WithParamInterface<DbVariant> {};
+
+TEST_P(TraceRecordingTest, WriterReaderRoundTripAndExactSummary) {
   auto writer = std::make_shared<TraceWriter>(trace_path_);
   WorkloadShape shape;
   {
     Options options;
     options.listeners.push_back(writer);
-    std::unique_ptr<DB> db = OpenFresh(DbVariant::kClsm, options, dir_.path() + "/db");
+    std::unique_ptr<DB> db = OpenFresh(GetParam(), options, dir_.path() + "/db");
     shape = RunMixedWorkload(db.get());
   }
   ASSERT_TRUE(writer->Finish().ok());
@@ -169,6 +175,8 @@ TEST_F(TraceRoundTripTest, WriterReaderRoundTripAndExactSummary) {
         break;
       case DbOpType::kRmw:
         decoded.rmws++;
+        // RunMixedWorkload's RMWs alternate: one writes, the next declines.
+        EXPECT_EQ(rec.outcome, decoded.rmws % 2 == 1 ? OpOutcome::kOk : OpOutcome::kNotFound);
         break;
     }
     if (rec.op != DbOpType::kWrite) {
@@ -303,6 +311,17 @@ TEST_F(TraceRoundTripTest, FinishIsIdempotentAndDropsLateRecords) {
   writer->OnOperation(info);  // after Finish: dropped, not crashed
   EXPECT_EQ(writer->records_written(), 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(AllVariants, TraceRecordingTest, ::testing::ValuesIn(AllVariants()),
+                         [](const ::testing::TestParamInfo<DbVariant>& info) {
+                           std::string name = VariantName(info.param);
+                           for (char& c : name) {
+                             if (c == '-') {
+                               c = '_';
+                             }
+                           }
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace clsm

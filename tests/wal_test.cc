@@ -226,8 +226,11 @@ TEST_F(WalTest, MultiOpRecordRoundTrip) {
   EXPECT_EQ("vc", value.ToString());
   EXPECT_TRUE(rest.empty());
 
-  // The single-op decoder rejects a multi-op record.
-  EXPECT_FALSE(DecodeWalRecord(rec, &seq, &type, &key, &value));
+  // Decoding one op of a multi-op record leaves the others to decode.
+  rest = rec;
+  ASSERT_TRUE(DecodeWalOpFrom(&rest, &seq, &type, &key, &value));
+  EXPECT_EQ(1u, seq);
+  EXPECT_FALSE(rest.empty());
 }
 
 TEST_F(WalTest, WalRecordEncodingRoundTrip) {
@@ -236,7 +239,9 @@ TEST_F(WalTest, WalRecordEncodingRoundTrip) {
   SequenceNumber seq;
   ValueType type;
   Slice key, value;
-  ASSERT_TRUE(DecodeWalRecord(rec, &seq, &type, &key, &value));
+  Slice rest = rec;
+  ASSERT_TRUE(DecodeWalOpFrom(&rest, &seq, &type, &key, &value));
+  EXPECT_TRUE(rest.empty());
   EXPECT_EQ(12345u, seq);
   EXPECT_EQ(kTypeValue, type);
   EXPECT_EQ("the-key", key.ToString());
@@ -244,15 +249,27 @@ TEST_F(WalTest, WalRecordEncodingRoundTrip) {
 
   rec.clear();
   EncodeWalRecord(&rec, 1, kTypeDeletion, "k", "");
-  ASSERT_TRUE(DecodeWalRecord(rec, &seq, &type, &key, &value));
+  rest = rec;
+  ASSERT_TRUE(DecodeWalOpFrom(&rest, &seq, &type, &key, &value));
   EXPECT_EQ(kTypeDeletion, type);
   EXPECT_TRUE(value.empty());
 
-  // Malformed records are rejected, not misparsed.
-  EXPECT_FALSE(DecodeWalRecord(Slice("x"), &seq, &type, &key, &value));
-  EXPECT_FALSE(DecodeWalRecord(Slice(""), &seq, &type, &key, &value));
-  rec.push_back('z');  // trailing garbage
-  EXPECT_FALSE(DecodeWalRecord(rec, &seq, &type, &key, &value));
+  // Malformed input is rejected, not misparsed: a lone byte, nothing, and
+  // every truncation of a record.
+  rest = Slice("x");
+  EXPECT_FALSE(DecodeWalOpFrom(&rest, &seq, &type, &key, &value));
+  rest = Slice("");
+  EXPECT_FALSE(DecodeWalOpFrom(&rest, &seq, &type, &key, &value));
+  for (size_t n = 0; n < rec.size(); n++) {
+    rest = Slice(rec.data(), n);
+    EXPECT_FALSE(DecodeWalOpFrom(&rest, &seq, &type, &key, &value)) << n;
+  }
+  // Trailing garbage is left over after the op and fails as the next one.
+  rec.push_back('z');
+  rest = rec;
+  ASSERT_TRUE(DecodeWalOpFrom(&rest, &seq, &type, &key, &value));
+  EXPECT_EQ("z", rest.ToString());
+  EXPECT_FALSE(DecodeWalOpFrom(&rest, &seq, &type, &key, &value));
 }
 
 }  // namespace

@@ -392,7 +392,7 @@ void BM_TableGetAbsent(benchmark::State& state) {
     s = env->NewRandomAccessFile(fname, &file);
   }
   if (s.ok()) {
-    s = Table::Open(options, BytewiseComparator(), policy.get(), cache.get(), file.get(),
+    s = Table::Open(options, BytewiseComparator(), policy.get(), cache.get(), std::move(file),
                     file_size, &raw);
   }
   std::unique_ptr<Table> table(raw);

@@ -12,6 +12,7 @@ BaselineDbBase::BaselineDbBase(const Options& options, const std::string& dbname
 
 void BaselineDbBase::StartMaintenance(SequenceNumber recovered_seq) {
   last_sequence_.store(recovered_seq);
+  last_claimed_.store(recovered_seq);
   maintenance_thread_ = std::thread([this] { MaintenanceLoop(); });
 }
 
@@ -143,6 +144,7 @@ Status BaselineDbBase::WriteLocked(Writer* w, bool* stalled_out) {
     // Publish once, after every entry of every batch in the group is in the
     // memtable: a snapshot taken mid-group reads at the old sequence and can
     // never observe a torn batch.
+    last_claimed_.store(seq, std::memory_order_relaxed);
     last_sequence_.store(seq, std::memory_order_release);
     // Still under the latch: no roll can retire the logger being synced.
     if (any_sync) {

@@ -107,7 +107,12 @@ class BaselineDbBase : public DbChassis {
                   WriteBatch* batch);
 
   std::mutex mutex_;  // LevelDB's global lock
+  // Published sequence: every insert at or below it is in the memtable.
   std::atomic<SequenceNumber> last_sequence_{0};
+  // Highest sequence number handed out. It runs ahead of last_sequence_
+  // only while HyperLevelDB's concurrent inserts are in flight; the group
+  // apply advances both under the exclusive apply latch.
+  std::atomic<SequenceNumber> last_claimed_{0};
   std::deque<Writer*> writers_;  // guarded by mutex_
   // Taken exclusively by the queue head's group apply (sequence read,
   // inserts, log, publish), by the roll and by ClearImmutable, so none of

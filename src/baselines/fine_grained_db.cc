@@ -2,6 +2,7 @@
 
 #include "src/baselines/baseline_db.h"
 #include "src/baselines/variants.h"
+#include "src/sync/backoff.h"
 #include "src/util/hash.h"
 
 namespace clsm {
@@ -10,11 +11,11 @@ namespace {
 
 // HyperLevelDB's key improvement over LevelDB (paper §6): fine-grained
 // locking lets multiple writers insert into the memtable concurrently.
-// Puts and deletes assign sequence numbers atomically and serialize only
-// per key stripe, holding the base's apply latch shared, so the roll and
-// the writer queue's group apply (batches, RMW) exclude them. The read path
-// stays LevelDB's (brief global mutex), which is why this variant stops
-// scaling on read-heavy loads.
+// Puts and deletes claim sequence numbers atomically, serialize only per
+// key stripe and publish in claim order, holding the base's apply latch
+// shared, so the roll and the writer queue's group apply (batches, RMW)
+// exclude them. The read path stays LevelDB's (brief global mutex), which
+// is why this variant stops scaling on read-heavy loads.
 class HyperStyleDb final : public BaselineDbBase {
  public:
   HyperStyleDb(const Options& options, const std::string& dbname)
@@ -56,13 +57,21 @@ class HyperStyleDb final : public BaselineDbBase {
       // roll retires this memtable or logger meanwhile.
       std::shared_lock<std::shared_mutex> apply(apply_latch_);
       MemTable* mem = mem_.load(std::memory_order_acquire);
-      const SequenceNumber seq = last_sequence_.fetch_add(1, std::memory_order_acq_rel) + 1;
+      const SequenceNumber seq = last_claimed_.fetch_add(1, std::memory_order_relaxed) + 1;
       const bool pt = tls_perf_context.timers_enabled();
       const uint64_t t1 = (metrics_on_ || pt) ? LatencyClock::Ticks() : 0;
       {
         std::lock_guard<std::mutex> stripe(stripes_[Hash(key) % kStripes]);
         mem->Add(seq, type, key, value);
       }
+      // Publish in claim order, as HyperLevelDB does: seq becomes visible
+      // only once every insert claimed before it is in the memtable, so a
+      // snapshot at seq reads the same values every time.
+      SpinBackoff backoff;
+      while (last_sequence_.load(std::memory_order_acquire) != seq - 1) {
+        backoff.Pause();
+      }
+      last_sequence_.store(seq, std::memory_order_release);
       const uint64_t t2 = (metrics_on_ || pt) ? LatencyClock::Ticks() : 0;
       if (!engine_.options().disable_wal) {
         std::string record;

@@ -201,7 +201,7 @@ class Repairer {
       return s;
     }
     Table* table = nullptr;
-    s = Table::Open(options_, &icmp_, nullptr, nullptr, file.get(), info->file_size, &table);
+    s = Table::Open(options_, &icmp_, nullptr, nullptr, std::move(file), info->file_size, &table);
     if (!s.ok()) {
       return s;
     }

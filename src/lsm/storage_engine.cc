@@ -53,10 +53,8 @@ StorageEngine::StorageEngine(const Options& options, const std::string& dbname)
   if (options_.block_cache_size > 0) {
     block_cache_.reset(NewLRUCache(options_.block_cache_size));
   }
-  table_cache_ = std::make_unique<TableCache>(dbname_, options_, &icmp_, filter_policy_.get(),
-                                              block_cache_.get(), 1000);
-  versions_ = std::make_unique<VersionSet>(dbname_, &options_, table_cache_.get(), &icmp_,
-                                           &epochs_);
+  versions_ = std::make_unique<VersionSet>(dbname_, &options_, filter_policy_.get(),
+                                           block_cache_.get(), &icmp_, &epochs_);
 }
 
 StorageEngine::~StorageEngine() { StopCompactionScheduler(); }
@@ -908,9 +906,6 @@ void StorageEngine::RemoveObsoleteFiles(uint64_t min_live_log_number, bool inclu
         break;
     }
     if (!keep) {
-      if (type == kTableFile) {
-        table_cache_->Evict(number);
-      }
       RemoveFileTracked(dbname_ + "/" + filename);
     }
   }

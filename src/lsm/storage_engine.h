@@ -216,7 +216,6 @@ class StorageEngine {
   std::unique_ptr<const FilterPolicy> user_filter_policy_;
   std::unique_ptr<InternalFilterPolicy> filter_policy_;
   std::unique_ptr<Cache> block_cache_;
-  std::unique_ptr<TableCache> table_cache_;
   EpochManager epochs_;
   std::unique_ptr<VersionSet> versions_;
 

@@ -5,6 +5,7 @@
 #ifndef CLSM_LSM_VERSION_EDIT_H_
 #define CLSM_LSM_VERSION_EDIT_H_
 
+#include <atomic>
 #include <set>
 #include <string>
 #include <utility>
@@ -14,12 +15,29 @@
 
 namespace clsm {
 
+class Table;
+
 struct FileMetaData {
-  int refs = 0;
+  FileMetaData() = default;
+  // A copy describes the same file but starts without its open Table.
+  FileMetaData(const FileMetaData& f)
+      : number(f.number), file_size(f.file_size), smallest(f.smallest), largest(f.largest) {}
+  FileMetaData& operator=(const FileMetaData& f) {
+    number = f.number;
+    file_size = f.file_size;
+    smallest = f.smallest;
+    largest = f.largest;
+    return *this;
+  }
+
   uint64_t number = 0;
   uint64_t file_size = 0;
   InternalKey smallest;
   InternalKey largest;
+  // The open Table of a live file, that is of the node behind a FileRef:
+  // set by the first probe (VersionSet::FindTable), deleted when the last
+  // version drops the file (VersionSet::OnFileUnreferenced).
+  mutable std::atomic<Table*> table{nullptr};
 };
 
 class VersionEdit {

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <cstring>
 #include <map>
 
 #include "src/lsm/filename.h"
 #include "src/obs/perf_context.h"
 #include "src/table/merging_iterator.h"
-#include "src/util/coding.h"
 #include "src/wal/log_reader.h"
 
 namespace clsm {
@@ -133,10 +133,11 @@ Iterator* Version::NewConcatenatingIterator(const ReadOptions& options, int leve
       assert(Valid());
       return (*flist_)[index_]->largest.Encode();
     }
+    // The file's metadata node, by address: the version keeps it alive.
     Slice value() const override {
       assert(Valid());
-      EncodeFixed64(value_buf_, (*flist_)[index_]->number);
-      EncodeFixed64(value_buf_ + 8, (*flist_)[index_]->file_size);
+      const FileMetaData* f = (*flist_)[index_].get();
+      std::memcpy(value_buf_, &f, sizeof(f));
       return Slice(value_buf_, sizeof(value_buf_));
     }
     Status status() const override { return Status::OK(); }
@@ -144,29 +145,26 @@ Iterator* Version::NewConcatenatingIterator(const ReadOptions& options, int leve
     const InternalKeyComparator icmp_;
     const std::vector<FileRef>* const flist_;
     size_t index_;
-    mutable char value_buf_[16];
+    mutable char value_buf_[sizeof(const FileMetaData*)];
   };
 
   struct Opener {
     static Iterator* Open(void* arg, const ReadOptions& options, const Slice& file_value) {
-      TableCache* cache = reinterpret_cast<TableCache*>(arg);
-      if (file_value.size() != 16) {
-        return NewErrorIterator(Status::Corruption("FileReader invoked with unexpected value"));
-      }
-      return cache->NewIterator(options, DecodeFixed64(file_value.data()),
-                                DecodeFixed64(file_value.data() + 8));
+      const FileMetaData* f;
+      assert(file_value.size() == sizeof(f));
+      std::memcpy(&f, file_value.data(), sizeof(f));
+      return reinterpret_cast<VersionSet*>(arg)->NewTableIterator(options, f);
     }
   };
 
   return NewTwoLevelIterator(new LevelFileNumIterator(vset_->icmp_, &files_[level]),
-                             &Opener::Open, vset_->table_cache_, options);
+                             &Opener::Open, vset_, options);
 }
 
 void Version::AddIterators(const ReadOptions& options, std::vector<Iterator*>* iters) {
   // Merge all level zero files together since they may overlap.
-  for (size_t i = 0; i < files_[0].size(); i++) {
-    iters->push_back(
-        vset_->table_cache_->NewIterator(options, files_[0][i]->number, files_[0][i]->file_size));
+  for (const FileRef& f : files_[0]) {
+    iters->push_back(vset_->NewTableIterator(options, f.get()));
   }
 
   // For levels > 0, lazily open files with a concatenating iterator.
@@ -248,8 +246,11 @@ Status Version::Get(const ReadOptions& options, const LookupKey& k, std::string*
     saver.state = kNotFound;
     saver.value = &candidate;
     CLSM_PERF_COUNT_ADD(table_reads_per_level[0], 1);
-    Status s = vset_->table_cache_->Get(options, f->number, f->file_size, ikey, &saver,
-                                        &SaveValue);
+    Table* table;
+    Status s = vset_->FindTable(f, &table);
+    if (s.ok()) {
+      s = table->InternalGet(options, ikey, &saver, &SaveValue);
+    }
     if (!s.ok()) {
       return s;
     }
@@ -295,8 +296,11 @@ Status Version::Get(const ReadOptions& options, const LookupKey& k, std::string*
     static_assert(kNumLevels <= PerfContext::kMaxLevels,
                   "per-level table-read attribution array too small");
     CLSM_PERF_COUNT_ADD(table_reads_per_level[level], 1);
-    Status s = vset_->table_cache_->Get(options, f->number, f->file_size, ikey, &saver,
-                                        &SaveValue);
+    Table* table;
+    Status s = vset_->FindTable(f, &table);
+    if (s.ok()) {
+      s = table->InternalGet(options, ikey, &saver, &SaveValue);
+    }
     if (!s.ok()) {
       return s;
     }
@@ -439,12 +443,13 @@ class VersionSet::Builder {
 };
 
 VersionSet::VersionSet(const std::string& dbname, const Options* options,
-                       TableCache* table_cache, const InternalKeyComparator* cmp,
-                       EpochManager* epochs)
+                       const FilterPolicy* filter_policy, Cache* block_cache,
+                       const InternalKeyComparator* cmp, EpochManager* epochs)
     : env_(options->env),
       dbname_(dbname),
       options_(options),
-      table_cache_(table_cache),
+      filter_policy_(filter_policy),
+      block_cache_(block_cache),
       icmp_(*cmp),
       epochs_(epochs),
       next_file_number_(2),
@@ -476,11 +481,42 @@ FileRef VersionSet::MakeFileRef(const FileMetaData& meta) {
 }
 
 void VersionSet::OnFileUnreferenced(FileMetaData* meta) {
+  delete meta->table.load(std::memory_order_acquire);
   if (delete_unreferenced_files_.load(std::memory_order_acquire)) {
-    table_cache_->Evict(meta->number);
     env_->RemoveFile(TableFileName(dbname_, meta->number));
   }
   delete meta;
+}
+
+Status VersionSet::FindTable(const FileMetaData* f, Table** table) {
+  *table = f->table.load(std::memory_order_acquire);
+  if (*table != nullptr) {
+    return Status::OK();
+  }
+  std::unique_ptr<RandomAccessFile> file;
+  Status s = env_->NewRandomAccessFile(TableFileName(dbname_, f->number), &file);
+  Table* opened = nullptr;
+  if (s.ok()) {
+    s = Table::Open(*options_, &icmp_, filter_policy_, block_cache_, std::move(file),
+                    f->file_size, &opened);
+  }
+  if (!s.ok()) {
+    return s;
+  }
+  Table* installed = nullptr;
+  if (!f->table.compare_exchange_strong(installed, opened, std::memory_order_acq_rel,
+                                        std::memory_order_acquire)) {
+    delete opened;  // another probe's open was installed first
+    opened = installed;
+  }
+  *table = opened;
+  return Status::OK();
+}
+
+Iterator* VersionSet::NewTableIterator(const ReadOptions& options, const FileMetaData* f) {
+  Table* table;
+  Status s = FindTable(f, &table);
+  return s.ok() ? table->NewIterator(options) : NewErrorIterator(s);
 }
 
 Version* VersionSet::GetCurrent() {
@@ -1075,7 +1111,7 @@ Iterator* VersionSet::MakeInputIterator(Compaction* c, const Slice* begin, const
           (end != nullptr && ucmp->Compare(f->smallest.user_key(), *end) >= 0)) {
         continue;  // holds no key of the range
       }
-      list.push_back(table_cache_->NewIterator(options, f->number, f->file_size));
+      list.push_back(NewTableIterator(options, f.get()));
     }
   }
   return NewMergingIterator(&icmp_, list.data(), static_cast<int>(list.size()));

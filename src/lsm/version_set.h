@@ -21,10 +21,10 @@
 #include <vector>
 
 #include "src/lsm/dbformat.h"
-#include "src/lsm/table_cache.h"
 #include "src/lsm/version_edit.h"
 #include "src/sync/ref_guard.h"
 #include "src/table/iterator.h"
+#include "src/table/table.h"
 #include "src/wal/log_writer.h"
 
 namespace clsm {
@@ -72,8 +72,8 @@ class Version : public RefCounted {
   Version& operator=(const Version&) = delete;
 
   // Append iterators over this version's contents to *iters (for merged
-  // scans). Caller must hold a reference for the iterators' lifetime; the
-  // iterators additionally pin table-cache entries themselves.
+  // scans). Caller must hold a reference for the iterators' lifetime: the
+  // version's files own the Tables the iterators read.
   void AddIterators(const ReadOptions&, std::vector<Iterator*>* iters);
 
   // Point lookup as of lookup_key's embedded sequence. Returns OK with
@@ -112,7 +112,9 @@ class Version : public RefCounted {
 
 class VersionSet {
  public:
-  VersionSet(const std::string& dbname, const Options* options, TableCache* table_cache,
+  // Tables open with filter_policy and block_cache; either may be null.
+  VersionSet(const std::string& dbname, const Options* options,
+             const FilterPolicy* filter_policy, Cache* block_cache,
              const InternalKeyComparator* cmp, EpochManager* epochs);
 
   VersionSet(const VersionSet&) = delete;
@@ -209,9 +211,17 @@ class VersionSet {
   friend class Compaction;
 
   // Wrap a FileMetaData so that when the last Version referencing it dies,
-  // the underlying table file is deleted (unless disabled).
+  // its open Table is freed and the underlying table file is deleted
+  // (unless disabled).
   FileRef MakeFileRef(const FileMetaData& meta);
   void OnFileUnreferenced(FileMetaData* meta);
+
+  // The open Table of live file f, opened by the first probe. Concurrent
+  // first probes each open one and the loser of the install deletes its
+  // copy. A failed open is not remembered, so the next probe retries.
+  Status FindTable(const FileMetaData* f, Table** table);
+  // Iterator over live file f; the caller keeps f alive while it lives.
+  Iterator* NewTableIterator(const ReadOptions& options, const FileMetaData* f);
 
   void Finalize(Version* v);
   void InstallVersion(Version* v);
@@ -258,7 +268,8 @@ class VersionSet {
   Env* const env_;
   const std::string dbname_;
   const Options* const options_;
-  TableCache* const table_cache_;
+  const FilterPolicy* const filter_policy_;
+  Cache* const block_cache_;
   const InternalKeyComparator icmp_;
   EpochManager* const epochs_;
 

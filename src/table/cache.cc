@@ -14,7 +14,7 @@ Cache::~Cache() = default;
 namespace {
 
 // LRU cache entry. Entries are kept in a doubly-linked LRU list and a
-// chained hash table. An entry is "in the cache" until Erased or evicted;
+// chained hash table. An entry is "in the cache" until replaced or evicted;
 // it is destroyed when it is no longer in the cache and no handle pins it.
 struct LRUHandle {
   void* value;
@@ -120,7 +120,6 @@ class LRUCache {
                         void (*deleter)(const Slice& key, void* value));
   Cache::Handle* Lookup(const Slice& key, uint32_t hash);
   void Release(Cache::Handle* handle);
-  void Erase(const Slice& key, uint32_t hash);
   size_t TotalCharge() const {
     std::lock_guard<std::mutex> l(mutex_);
     return usage_;
@@ -263,11 +262,6 @@ bool LRUCache::FinishErase(LRUHandle* e) {
   return e != nullptr;
 }
 
-void LRUCache::Erase(const Slice& key, uint32_t hash) {
-  std::lock_guard<std::mutex> l(mutex_);
-  FinishErase(table_.Remove(key, hash));
-}
-
 constexpr int kNumShardBits = 4;
 constexpr int kNumShards = 1 << kNumShardBits;
 
@@ -292,10 +286,6 @@ class ShardedLRUCache final : public Cache {
   void Release(Handle* handle) override {
     LRUHandle* h = reinterpret_cast<LRUHandle*>(handle);
     shard_[Shard(h->hash)].Release(handle);
-  }
-  void Erase(const Slice& key) override {
-    const uint32_t hash = HashSlice(key);
-    shard_[Shard(hash)].Erase(key, hash);
   }
   void* Value(Handle* handle) override { return reinterpret_cast<LRUHandle*>(handle)->value; }
   uint64_t NewId() override {

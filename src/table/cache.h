@@ -1,7 +1,7 @@
-// Sharded LRU cache. Backs both the block cache (the "large RAM cache" the
-// paper's disk component leans on, §2.3) and the table cache of open
-// SSTables. 16-way sharding keeps mutex hold times out of the measured
-// concurrency paths.
+// Sharded LRU cache of data blocks: the "large RAM cache" the paper's disk
+// component leans on (§2.3). Open tables are not cached here; each live
+// file owns its Table. 16-way sharding keeps mutex hold times out of the
+// measured concurrency paths.
 #ifndef CLSM_TABLE_CACHE_H_
 #define CLSM_TABLE_CACHE_H_
 
@@ -33,7 +33,6 @@ class Cache {
 
   virtual void Release(Handle* handle) = 0;
   virtual void* Value(Handle* handle) = 0;
-  virtual void Erase(const Slice& key) = 0;
 
   // New numeric id, for partitioning the key space among multiple clients.
   virtual uint64_t NewId() = 0;

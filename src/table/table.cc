@@ -19,7 +19,7 @@ struct Table::Rep {
   const FilterPolicy* filter_policy;
   Cache* block_cache;
   Status status;
-  RandomAccessFile* file;
+  std::unique_ptr<RandomAccessFile> file;
   uint64_t cache_id;
   FilterBlockReader* filter;
   const char* filter_data;
@@ -29,8 +29,8 @@ struct Table::Rep {
 };
 
 Status Table::Open(const Options& options, const Comparator* comparator,
-                   const FilterPolicy* filter_policy, Cache* block_cache, RandomAccessFile* file,
-                   uint64_t size, Table** table) {
+                   const FilterPolicy* filter_policy, Cache* block_cache,
+                   std::unique_ptr<RandomAccessFile> file, uint64_t size, Table** table) {
   *table = nullptr;
   if (size < Footer::kEncodedLength) {
     return Status::Corruption("file is too short to be an sstable");
@@ -57,7 +57,7 @@ Status Table::Open(const Options& options, const Comparator* comparator,
   if (options.paranoid_checks) {
     opt.verify_checksums = true;
   }
-  s = ReadBlock(file, opt, footer.index_handle(), &index_block_contents);
+  s = ReadBlock(file.get(), opt, footer.index_handle(), &index_block_contents);
   if (!s.ok()) {
     return s;
   }
@@ -67,7 +67,7 @@ Status Table::Open(const Options& options, const Comparator* comparator,
   rep->comparator = comparator;
   rep->filter_policy = filter_policy;
   rep->block_cache = block_cache;
-  rep->file = file;
+  rep->file = std::move(file);
   rep->metaindex_handle = footer.metaindex_handle();
   rep->index_block = new Block(index_block_contents);
   rep->cache_id = (block_cache != nullptr ? block_cache->NewId() : 0);
@@ -88,7 +88,7 @@ void Table::ReadMeta(const Footer& footer) {
     opt.verify_checksums = true;
   }
   BlockContents contents;
-  if (!ReadBlock(rep_->file, opt, footer.metaindex_handle(), &contents).ok()) {
+  if (!ReadBlock(rep_->file.get(), opt, footer.metaindex_handle(), &contents).ok()) {
     // Do not propagate errors since meta info is not needed for operation.
     return;
   }
@@ -117,7 +117,7 @@ void Table::ReadFilter(const Slice& filter_handle_value) {
     opt.verify_checksums = true;
   }
   BlockContents block;
-  if (!ReadBlock(rep_->file, opt, filter_handle, &block).ok()) {
+  if (!ReadBlock(rep_->file.get(), opt, filter_handle, &block).ok()) {
     return;
   }
   if (block.heap_allocated) {
@@ -165,7 +165,7 @@ Iterator* Table::BlockReader(void* arg, const ReadOptions& options, const Slice&
         block = reinterpret_cast<Block*>(block_cache->Value(cache_handle));
         CLSM_PERF_COUNT_ADD(block_cache_hits, 1);
       } else {
-        s = ReadBlock(table->rep_->file, options, handle, &contents);
+        s = ReadBlock(table->rep_->file.get(), options, handle, &contents);
         if (s.ok()) {
           block = new Block(contents);
           if (contents.cachable && options.fill_cache) {
@@ -174,7 +174,7 @@ Iterator* Table::BlockReader(void* arg, const ReadOptions& options, const Slice&
         }
       }
     } else {
-      s = ReadBlock(table->rep_->file, options, handle, &contents);
+      s = ReadBlock(table->rep_->file.get(), options, handle, &contents);
       if (s.ok()) {
         block = new Block(contents);
       }

@@ -19,11 +19,11 @@ namespace clsm {
 class Table {
  public:
   // Opens the table stored in file [0..file_size). On success *table is
-  // non-null; the Table keeps a reference to file (caller retains
-  // ownership and must keep it alive). block_cache may be null.
+  // non-null and owns file, which it closes when deleted; on failure file
+  // is closed here. block_cache may be null.
   static Status Open(const Options& options, const Comparator* comparator,
                      const FilterPolicy* filter_policy, Cache* block_cache,
-                     RandomAccessFile* file, uint64_t file_size, Table** table);
+                     std::unique_ptr<RandomAccessFile> file, uint64_t file_size, Table** table);
 
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;

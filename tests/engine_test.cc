@@ -1,7 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <mutex>
+#include <sstream>
+#include <thread>
+#include <vector>
 
+#include "src/core/clsm_db.h"
 #include "src/lsm/storage_engine.h"
 #include "tests/test_util.h"
 
@@ -225,6 +236,248 @@ TEST_F(EngineTest, ErrorIfExistsFails) {
   SequenceNumber max_seq = 0;
   Status s = engine.Open(&recovered, &max_seq);
   EXPECT_FALSE(s.ok());
+}
+
+// Forwards to Env::Default() and counts the table files (.sst) open for
+// reading: each live table owns one, from its first probe until the last
+// version drops the file.
+class OpenTableCountingEnv final : public Env {
+ public:
+  int open_tables() const { return open_tables_.load(); }
+
+  Status NewSequentialFile(const std::string& fname,
+                           std::unique_ptr<SequentialFile>* result) override {
+    return base_->NewSequentialFile(fname, result);
+  }
+  Status NewRandomAccessFile(const std::string& fname,
+                             std::unique_ptr<RandomAccessFile>* result) override {
+    Status s = base_->NewRandomAccessFile(fname, result);
+    const std::string suffix = ".sst";
+    if (s.ok() && fname.size() >= suffix.size() &&
+        fname.compare(fname.size() - suffix.size(), suffix.size(), suffix) == 0) {
+      result->reset(new CountedFile(std::move(*result), &open_tables_));
+    }
+    return s;
+  }
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    return base_->NewWritableFile(fname, result);
+  }
+  bool FileExists(const std::string& fname) override { return base_->FileExists(fname); }
+  Status GetChildren(const std::string& dir, std::vector<std::string>* result) override {
+    return base_->GetChildren(dir, result);
+  }
+  Status RemoveFile(const std::string& fname) override { return base_->RemoveFile(fname); }
+  Status CreateDir(const std::string& dirname) override { return base_->CreateDir(dirname); }
+  Status RemoveDir(const std::string& dirname) override { return base_->RemoveDir(dirname); }
+  Status GetFileSize(const std::string& fname, uint64_t* file_size) override {
+    return base_->GetFileSize(fname, file_size);
+  }
+  Status RenameFile(const std::string& src, const std::string& target) override {
+    return base_->RenameFile(src, target);
+  }
+  uint64_t NowMicros() override { return base_->NowMicros(); }
+
+ private:
+  class CountedFile final : public RandomAccessFile {
+   public:
+    CountedFile(std::unique_ptr<RandomAccessFile> base, std::atomic<int>* count)
+        : base_(std::move(base)), count_(count) {
+      count_->fetch_add(1);
+    }
+    ~CountedFile() override { count_->fetch_sub(1); }
+    Status Read(uint64_t offset, size_t n, Slice* result, char* scratch) const override {
+      return base_->Read(offset, n, result, scratch);
+    }
+
+   private:
+    std::unique_ptr<RandomAccessFile> base_;
+    std::atomic<int>* count_;
+  };
+
+  Env* base_ = Env::Default();
+  std::atomic<int> open_tables_{0};
+};
+
+// Holds the first compaction at its begin event until Open() is called
+// (or 30 s pass), and records whether any compaction merged its inputs.
+class HoldFirstCompaction final : public EventListener {
+ public:
+  void Open() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  void OnCompactionBegin(const CompactionJobInfo& info) override {
+    if (!info.trivial_move) {
+      merged_ = true;
+    }
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait_for(lock, std::chrono::seconds(30), [this] { return open_; });
+  }
+  bool merged() const { return merged_.load(); }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool open_ = false;
+  std::atomic<bool> merged_{false};
+};
+
+// Table lifetime without a table cache: a live file's Table opens on its
+// first probe and closes when the last version referencing the file dies.
+class TableLifetimeTest : public ::testing::Test {
+ protected:
+  static constexpr int kKeys = 20000;
+
+  TableLifetimeTest() : dir_("table-lifetime") {
+    options_.env = &env_;
+    options_.write_buffer_size = 64 * 1024;
+    options_.target_file_size = 64 * 1024;
+    options_.level1_max_bytes = 256 * 1024;
+  }
+
+  std::unique_ptr<DB> Open() {
+    DB* raw = nullptr;
+    Status s = ClsmDb::Open(options_, dir_.path() + "/db", &raw);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return std::unique_ptr<DB>(raw);
+  }
+
+  static std::string Key(int i) { return "key" + std::to_string(i); }
+  static std::string Value(int i) { return std::string(100, static_cast<char>('a' + i % 26)); }
+
+  // Writes every key once, in a scrambled order, and waits for the merges.
+  void Fill() {
+    auto db = Open();
+    WriteOptions wo;
+    for (int i = 0; i < kKeys; i++) {
+      const int k = static_cast<int>(static_cast<int64_t>(i) * 7919 % kKeys);
+      ASSERT_TRUE(db->Put(wo, Key(k), Value(k)).ok());
+    }
+    db->WaitForMaintenance();
+  }
+
+  // Files per level from "clsm.levels".
+  static std::vector<int> LevelFiles(DB* db) {
+    std::istringstream in(db->GetProperty("clsm.levels").substr(std::strlen("files[")));
+    std::vector<int> files;
+    int n;
+    while (in >> n) {
+      files.push_back(n);
+    }
+    return files;
+  }
+
+  // Sum of levels[].files in clsm.stats.json.
+  static int LiveTables(DB* db) {
+    const std::string json = db->GetProperty("clsm.stats.json");
+    size_t at = json.find("\"levels\":[");
+    const size_t end = json.find(']', at);
+    EXPECT_NE(std::string::npos, end) << json;
+    int total = 0;
+    const std::string field = "\"files\":";
+    while ((at = json.find(field, at)) < end) {
+      at += field.size();
+      total += std::atoi(json.c_str() + at);
+    }
+    return total;
+  }
+
+  // Reads every key back through one iterator, which probes every table.
+  static int ScanAll(DB* db) {
+    std::unique_ptr<Iterator> it(db->NewIterator(ReadOptions()));
+    int n = 0;
+    for (it->SeekToFirst(); it->Valid(); it->Next()) {
+      n++;
+    }
+    EXPECT_TRUE(it->status().ok()) << it->status().ToString();
+    return n;
+  }
+
+  ScratchDir dir_;
+  OpenTableCountingEnv env_;
+  Options options_;
+};
+
+// (a) After a reopen no table is open; concurrent Gets race to open each
+// one first. Every Get reads its value, and exactly one file stays open
+// per live table (a losing open is closed, none is leaked).
+TEST_F(TableLifetimeTest, ConcurrentFirstProbesOpenEachTableOnce) {
+  Fill();
+  options_.l0_compaction_trigger = 100;  // the reopened file set stays put
+  auto db = Open();
+  EXPECT_EQ(0, env_.open_tables());
+  const std::string levels = db->GetProperty("clsm.levels");
+  int populated = 0;
+  for (int files : LevelFiles(db.get())) {
+    populated += files > 0 ? 1 : 0;
+  }
+  ASSERT_GE(populated, 2) << levels;
+
+  // The readers start together and walk the keys in key order, so they
+  // reach each table's first key at about the same time, and a reader that
+  // opens a table is caught up by the others meanwhile.
+  std::vector<int> order(kKeys);
+  for (int i = 0; i < kKeys; i++) {
+    order[i] = i;
+  }
+  std::sort(order.begin(), order.end(), [](int a, int b) { return Key(a) < Key(b); });
+  constexpr int kReaders = 4;
+  std::atomic<int> ready{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; t++) {
+    readers.emplace_back([&] {
+      ready++;
+      while (ready.load() < kReaders) {
+      }
+      ReadOptions ro;
+      std::string v;
+      for (int i : order) {
+        if (!db->Get(ro, Key(i), &v).ok() || v != Value(i)) {
+          wrong++;
+        }
+      }
+    });
+  }
+  for (auto& th : readers) {
+    th.join();
+  }
+  EXPECT_EQ(0, wrong.load());
+  EXPECT_EQ(LiveTables(db.get()), env_.open_tables()) << levels;
+}
+
+// (b) An iterator made before a merge reads every key after the merge has
+// taken its input tables out of the current version. (c) Once it is gone
+// and maintenance is done, the open files are exactly the live tables.
+TEST_F(TableLifetimeTest, IteratorOutlivesCompactionOfItsTables) {
+  options_.l0_compaction_trigger = 100;  // level 0 piles up
+  Fill();
+  auto hold = std::make_shared<HoldFirstCompaction>();
+  options_.l0_compaction_trigger = 4;
+  options_.listeners.push_back(hold);
+  auto db = Open();
+  ASSERT_GE(LevelFiles(db.get())[0], 4);
+
+  std::unique_ptr<Iterator> it(db->NewIterator(ReadOptions()));
+  hold->Open();
+  db->WaitForMaintenance();
+  EXPECT_TRUE(hold->merged());
+  EXPECT_EQ(0, LevelFiles(db.get())[0]);
+
+  int n = 0;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    EXPECT_EQ(Value(std::atoi(it->key().ToString().c_str() + 3)), it->value().ToString());
+    n++;
+  }
+  EXPECT_TRUE(it->status().ok()) << it->status().ToString();
+  EXPECT_EQ(kKeys, n);
+  it.reset();
+  db->WaitForMaintenance();
+
+  EXPECT_EQ(kKeys, ScanAll(db.get()));
+  EXPECT_EQ(LiveTables(db.get()), env_.open_tables());
 }
 
 }  // namespace

@@ -313,6 +313,23 @@ TEST_F(FaultTest, FailedSplitCompactionLeavesNoSiblingTables) {
   EXPECT_GT(LevelFiles(db.get())[1], passed_syncs);
 }
 
+// A table whose first open fails is opened again by the next probe: a
+// failed open is not remembered, so a transient read error heals.
+TEST_F(FaultTest, FailedTableOpenIsRetried) {
+  WriteLevel0(3000);  // "key0" is written first, so a table holds it
+  auto db = Open();
+  ASSERT_GT(LevelFiles(db.get())[0], 0);
+  ReadOptions ro;
+  std::string v;
+  fault_env_.FailReads(true);
+  Status s = db->Get(ro, "key0", &v);
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  fault_env_.FailReads(false);
+  s = db->Get(ro, "key0", &v);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(std::string(100, 'v'), v);
+}
+
 TEST_F(FaultTest, RecoveryAfterFaultyRun) {
   {
     auto db = Open();

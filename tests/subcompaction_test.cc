@@ -16,7 +16,7 @@
 
 #include "src/lsm/filename.h"
 #include "src/lsm/storage_engine.h"
-#include "src/lsm/table_cache.h"
+#include "src/table/table.h"
 #include "src/table/table_builder.h"
 #include "tests/test_util.h"
 
@@ -85,10 +85,19 @@ class SplitMergeRun {
       EXPECT_EQ(1, level);
       outputs.push_back(meta);
     }
-    TableCache tables(engine_->dbname(), engine_->options(), engine_->icmp(), nullptr, nullptr,
-                      100);
     for (const FileMetaData& f : outputs) {
-      std::unique_ptr<Iterator> it(tables.NewIterator(ReadOptions(), f.number, f.file_size));
+      std::unique_ptr<RandomAccessFile> file;
+      EXPECT_TRUE(
+          engine_->env()->NewRandomAccessFile(TableFileName(engine_->dbname(), f.number), &file).ok());
+      Table* raw = nullptr;
+      EXPECT_TRUE(Table::Open(engine_->options(), engine_->icmp(), nullptr, nullptr,
+                              std::move(file), f.file_size, &raw)
+                      .ok());
+      std::unique_ptr<Table> table(raw);
+      if (table == nullptr) {
+        continue;
+      }
+      std::unique_ptr<Iterator> it(table->NewIterator(ReadOptions()));
       for (it->SeekToFirst(); it->Valid(); it->Next()) {
         entries->push_back(it->key().ToString() + "=" + it->value().ToString());
       }

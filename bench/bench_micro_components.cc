@@ -5,11 +5,13 @@
 // structures" claim (§1) at the component level. BM_Crc32c times the
 // checksum every WAL record and table block pays; BM_TableBuild the table
 // output every flush and compaction writes; BM_TableGetAbsent the Bloom
-// filter's worth on a table probe that misses.
+// filter's worth on a table probe that misses; BM_BlockCache the block
+// cache's hit and miss paths.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <barrier>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +25,8 @@
 #include "src/sync/active_set.h"
 #include "src/sync/shared_exclusive_lock.h"
 #include "src/sync/time_counter.h"
+#include "src/table/block.h"
+#include "src/table/block_builder.h"
 #include "src/table/table.h"
 #include "src/table/table_builder.h"
 #include "src/util/coding.h"
@@ -383,7 +387,7 @@ void BM_TableGetAbsent(benchmark::State& state) {
   }
   uint64_t file_size = 0;
   std::unique_ptr<RandomAccessFile> file;
-  std::unique_ptr<Cache> cache(NewLRUCache(8 << 20));
+  BlockCache cache(8 << 20);
   Table* raw = nullptr;
   if (s.ok()) {
     s = env->GetFileSize(fname, &file_size);
@@ -392,7 +396,7 @@ void BM_TableGetAbsent(benchmark::State& state) {
     s = env->NewRandomAccessFile(fname, &file);
   }
   if (s.ok()) {
-    s = Table::Open(options, BytewiseComparator(), policy.get(), cache.get(), std::move(file),
+    s = Table::Open(options, BytewiseComparator(), policy.get(), &cache, std::move(file),
                     file_size, &raw);
   }
   std::unique_ptr<Table> table(raw);
@@ -419,6 +423,70 @@ void BM_TableGetAbsent(benchmark::State& state) {
   env->RemoveDir(dir);
 }
 BENCHMARK(BM_TableGetAbsent);
+
+// The block cache as Table::BlockReader drives it: 4 KiB blocks (16 B keys,
+// 256 B values) in an 8 MiB cache, the store's default. hit: each op looks
+// up one of 512 cached blocks and releases it. miss: each op looks up a
+// block no reader has asked for, builds it from a copy of the encoded block
+// (standing in for the read), inserts it and releases it; once the cache is
+// full every insert evicts the oldest block.
+template <bool kHit>
+void BM_BlockCache(benchmark::State& state) {
+  constexpr uint64_t kCachedBlocks = 512;
+  static BlockCache* cache = nullptr;
+  static std::string* encoded = nullptr;
+  auto new_block = [] {
+    BlockContents contents{std::unique_ptr<char[]>(new char[encoded->size()]), encoded->size()};
+    std::memcpy(contents.data.get(), encoded->data(), encoded->size());
+    return new Block(std::move(contents));
+  };
+  if (state.thread_index() == 0) {
+    Options options;
+    BlockBuilder builder(&options, BytewiseComparator());
+    char key[16];
+    for (uint64_t i = 0; builder.CurrentSizeEstimate() < options.block_size; i++) {
+      EncodeBigEndianKey(i, key);
+      EncodeBigEndianKey(i, key + 8);
+      builder.Add(Slice(key, sizeof(key)), std::string(256, 'v'));
+    }
+    encoded = new std::string(builder.Finish().ToString());
+    cache = new BlockCache(8 << 20);
+    for (uint64_t i = 0; i < kCachedBlocks; i++) {
+      cache->Release(cache->Insert(1, i * encoded->size(), new_block()));
+    }
+  }
+  Random64 rnd(state.thread_index() + 1);
+  const uint64_t table_id = 2 + state.thread_index();  // misses: one table per thread
+  uint64_t next_offset = 0;
+  for (auto _ : state) {
+    BlockCache::Entry* h;
+    if (kHit) {
+      h = cache->Lookup(1, rnd.Uniform(kCachedBlocks) * encoded->size());
+    } else {
+      h = cache->Lookup(table_id, next_offset);
+      if (h == nullptr) {
+        h = cache->Insert(table_id, next_offset, new_block());
+      }
+      next_offset += encoded->size();
+    }
+    benchmark::DoNotOptimize(BlockCache::Value(h));
+    cache->Release(h);
+  }
+  if (state.thread_index() == 0) {
+    delete cache;
+    delete encoded;
+  }
+}
+BENCHMARK_TEMPLATE(BM_BlockCache, true)
+    ->Name("BM_BlockCache/hit")
+    ->Threads(1)
+    ->Threads(4)
+    ->UseRealTime();
+BENCHMARK_TEMPLATE(BM_BlockCache, false)
+    ->Name("BM_BlockCache/miss")
+    ->Threads(1)
+    ->Threads(4)
+    ->UseRealTime();
 
 void BM_ConcurrentArenaAllocate(benchmark::State& state) {
   static ConcurrentArena* arena = nullptr;

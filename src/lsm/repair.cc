@@ -201,7 +201,8 @@ class Repairer {
       return s;
     }
     Table* table = nullptr;
-    s = Table::Open(options_, &icmp_, nullptr, nullptr, std::move(file), info->file_size, &table);
+    s = Table::Open(options_, &icmp_, nullptr, &block_cache_, std::move(file), info->file_size,
+                    &table);
     if (!s.ok()) {
       return s;
     }
@@ -285,6 +286,7 @@ class Repairer {
   const std::string dbname_;
   Env* env_;
   InternalKeyComparator icmp_;
+  BlockCache block_cache_{0};  // each table is scanned once
 
   std::vector<uint64_t> logs_;
   std::vector<uint64_t> table_numbers_;

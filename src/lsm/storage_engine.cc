@@ -43,6 +43,7 @@ StorageEngine::StorageEngine(const Options& options, const std::string& dbname)
       dbname_(dbname),
       env_(options.env != nullptr ? options.env : Env::Default()),
       icmp_(options.comparator != nullptr ? options.comparator : BytewiseComparator()),
+      block_cache_(options.block_cache_size),
       listeners_(options.listeners) {
   options_.env = env_;
   options_.comparator = icmp_.user_comparator();
@@ -50,11 +51,8 @@ StorageEngine::StorageEngine(const Options& options, const std::string& dbname)
     user_filter_policy_.reset(NewBloomFilterPolicy(options_.bloom_bits_per_key));
     filter_policy_ = std::make_unique<InternalFilterPolicy>(user_filter_policy_.get());
   }
-  if (options_.block_cache_size > 0) {
-    block_cache_.reset(NewLRUCache(options_.block_cache_size));
-  }
   versions_ = std::make_unique<VersionSet>(dbname_, &options_, filter_policy_.get(),
-                                           block_cache_.get(), &icmp_, &epochs_);
+                                           &block_cache_, &icmp_, &epochs_);
 }
 
 StorageEngine::~StorageEngine() { StopCompactionScheduler(); }

@@ -1,5 +1,5 @@
 // StorageEngine: the disk component and merge machinery shared by cLSM and
-// every baseline DB variant. It owns the version set, table/block caches,
+// every baseline DB variant. It owns the version set, the block cache,
 // WAL files, compaction logic and the background compaction scheduler; the
 // DB variants on top differ only in their in-memory concurrency control —
 // exactly the variable the paper's evaluation isolates (§5: all systems
@@ -215,7 +215,7 @@ class StorageEngine {
   InternalKeyComparator icmp_;
   std::unique_ptr<const FilterPolicy> user_filter_policy_;
   std::unique_ptr<InternalFilterPolicy> filter_policy_;
-  std::unique_ptr<Cache> block_cache_;
+  BlockCache block_cache_;
   EpochManager epochs_;
   std::unique_ptr<VersionSet> versions_;
 

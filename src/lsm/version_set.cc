@@ -443,7 +443,7 @@ class VersionSet::Builder {
 };
 
 VersionSet::VersionSet(const std::string& dbname, const Options* options,
-                       const FilterPolicy* filter_policy, Cache* block_cache,
+                       const FilterPolicy* filter_policy, BlockCache* block_cache,
                        const InternalKeyComparator* cmp, EpochManager* epochs)
     : env_(options->env),
       dbname_(dbname),

@@ -112,9 +112,9 @@ class Version : public RefCounted {
 
 class VersionSet {
  public:
-  // Tables open with filter_policy and block_cache; either may be null.
+  // Tables open with filter_policy (null for none) and block_cache.
   VersionSet(const std::string& dbname, const Options* options,
-             const FilterPolicy* filter_policy, Cache* block_cache,
+             const FilterPolicy* filter_policy, BlockCache* block_cache,
              const InternalKeyComparator* cmp, EpochManager* epochs);
 
   VersionSet(const VersionSet&) = delete;
@@ -269,7 +269,7 @@ class VersionSet {
   const std::string dbname_;
   const Options* const options_;
   const FilterPolicy* const filter_policy_;
-  Cache* const block_cache_;
+  BlockCache* const block_cache_;
   const InternalKeyComparator icmp_;
   EpochManager* const epochs_;
 

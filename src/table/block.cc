@@ -12,11 +12,10 @@ namespace clsm {
 
 inline uint32_t Block::NumRestarts() const {
   assert(size_ >= sizeof(uint32_t));
-  return DecodeFixed32(data_ + size_ - sizeof(uint32_t));
+  return DecodeFixed32(data_.get() + size_ - sizeof(uint32_t));
 }
 
-Block::Block(const BlockContents& contents)
-    : data_(contents.data.data()), size_(contents.data.size()), owned_(contents.heap_allocated) {
+Block::Block(BlockContents contents) : data_(std::move(contents.data)), size_(contents.size) {
   if (size_ < sizeof(uint32_t)) {
     size_ = 0;  // Error marker
   } else {
@@ -27,12 +26,6 @@ Block::Block(const BlockContents& contents)
     } else {
       restart_offset_ = static_cast<uint32_t>(size_ - (1 + NumRestarts()) * sizeof(uint32_t));
     }
-  }
-}
-
-Block::~Block() {
-  if (owned_) {
-    delete[] data_;
   }
 }
 
@@ -240,7 +233,7 @@ Iterator* Block::NewIterator(const Comparator* comparator) {
   if (num_restarts == 0) {
     return NewEmptyIterator();
   }
-  return new Iter(comparator, data_, restart_offset_, num_restarts);
+  return new Iter(comparator, data_.get(), restart_offset_, num_restarts);
 }
 
 }  // namespace clsm

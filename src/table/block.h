@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 
 #include "src/table/format.h"
 
@@ -15,12 +16,11 @@ class Iterator;
 
 class Block {
  public:
-  explicit Block(const BlockContents& contents);
+  // Takes ownership of contents' buffer.
+  explicit Block(BlockContents contents);
 
   Block(const Block&) = delete;
   Block& operator=(const Block&) = delete;
-
-  ~Block();
 
   size_t size() const { return size_; }
   Iterator* NewIterator(const Comparator* comparator);
@@ -30,10 +30,9 @@ class Block {
 
   uint32_t NumRestarts() const;
 
-  const char* data_;
+  std::unique_ptr<char[]> data_;
   size_t size_;
   uint32_t restart_offset_;  // Offset in data_ of restart array
-  bool owned_;               // Block owns data_[]
 };
 
 }  // namespace clsm

@@ -1,81 +1,87 @@
 #include "src/table/cache.h"
 
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 
-#include "src/util/hash.h"
+#include "src/table/block.h"
 
 namespace clsm {
 
-Cache::~Cache() = default;
+// Cache entry. Entries are kept in a doubly-linked LRU list and a chained
+// hash table. An entry is "in the cache" until replaced or evicted; it and
+// its block are deleted when it is no longer in the cache and no reader
+// pins it.
+struct BlockCache::Entry {
+  Block* block = nullptr;
+  uint64_t table_id = 0;
+  uint64_t offset = 0;
+  Entry* next_hash = nullptr;
+  Entry* next = nullptr;
+  Entry* prev = nullptr;
+  uint32_t hash = 0;
+  uint32_t refs = 0;  // pins, plus one while in the cache
+  bool in_cache = false;
 
-namespace {
-
-// LRU cache entry. Entries are kept in a doubly-linked LRU list and a
-// chained hash table. An entry is "in the cache" until replaced or evicted;
-// it is destroyed when it is no longer in the cache and no handle pins it.
-struct LRUHandle {
-  void* value;
-  void (*deleter)(const Slice&, void* value);
-  LRUHandle* next_hash;
-  LRUHandle* next;
-  LRUHandle* prev;
-  size_t charge;
-  size_t key_length;
-  bool in_cache;     // Whether entry is in the cache
-  uint32_t refs;     // References, including cache reference, if present
-  uint32_t hash;     // Hash of key(); used for fast sharding and comparisons
-  char key_data[1];  // Beginning of key
-
-  Slice key() const {
-    assert(next != this);  // not a list head
-    return Slice(key_data, key_length);
+  bool Is(uint64_t id, uint64_t off, uint32_t h) const {
+    return hash == h && table_id == id && offset == off;
   }
 };
 
+namespace {
+
+using Entry = BlockCache::Entry;
+
+// murmur3's 64-bit finalizer over both key halves: the shard (top bits) and
+// the bucket (low bits) both depend on every bit of the key.
+uint32_t HashKey(uint64_t table_id, uint64_t offset) {
+  uint64_t h = table_id * 0x9e3779b97f4a7c15ull ^ offset;
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return static_cast<uint32_t>(h);
+}
+
+constexpr int kNumShardBits = 4;
+constexpr int kNumShards = 1 << kNumShardBits;
+
+uint32_t ShardOf(uint32_t hash) { return hash >> (32 - kNumShardBits); }
+
 // Hand-rolled chained hash table: ~10% faster than std::unordered_map for
 // this access pattern (LevelDB heritage).
-class HandleTable {
+class EntryTable {
  public:
-  HandleTable() : length_(0), elems_(0), list_(nullptr) { Resize(); }
-  ~HandleTable() { delete[] list_; }
+  EntryTable() { Resize(); }
+  ~EntryTable() { delete[] list_; }
 
-  LRUHandle* Lookup(const Slice& key, uint32_t hash) { return *FindPointer(key, hash); }
+  Entry* Lookup(uint64_t table_id, uint64_t offset, uint32_t hash) {
+    return *FindPointer(table_id, offset, hash);
+  }
 
-  LRUHandle* Insert(LRUHandle* h) {
-    LRUHandle** ptr = FindPointer(h->key(), h->hash);
-    LRUHandle* old = *ptr;
+  // Links h in and returns the entry it replaces, if any.
+  Entry* Insert(Entry* h) {
+    Entry** ptr = FindPointer(h->table_id, h->offset, h->hash);
+    Entry* old = *ptr;
     h->next_hash = (old == nullptr ? nullptr : old->next_hash);
     *ptr = h;
-    if (old == nullptr) {
-      ++elems_;
-      if (elems_ > length_) {
-        Resize();
-      }
+    if (old == nullptr && ++elems_ > length_) {
+      Resize();
     }
     return old;
   }
 
-  LRUHandle* Remove(const Slice& key, uint32_t hash) {
-    LRUHandle** ptr = FindPointer(key, hash);
-    LRUHandle* result = *ptr;
-    if (result != nullptr) {
-      *ptr = result->next_hash;
-      --elems_;
-    }
-    return result;
+  void Remove(Entry* h) {
+    Entry** ptr = FindPointer(h->table_id, h->offset, h->hash);
+    assert(*ptr == h);
+    *ptr = h->next_hash;
+    --elems_;
   }
 
  private:
-  uint32_t length_;
-  uint32_t elems_;
-  LRUHandle** list_;
-
-  LRUHandle** FindPointer(const Slice& key, uint32_t hash) {
-    LRUHandle** ptr = &list_[hash & (length_ - 1)];
-    while (*ptr != nullptr && ((*ptr)->hash != hash || key != (*ptr)->key())) {
+  Entry** FindPointer(uint64_t table_id, uint64_t offset, uint32_t hash) {
+    Entry** ptr = &list_[hash & (length_ - 1)];
+    while (*ptr != nullptr && !(*ptr)->Is(table_id, offset, hash)) {
       ptr = &(*ptr)->next_hash;
     }
     return ptr;
@@ -86,51 +92,143 @@ class HandleTable {
     while (new_length < elems_) {
       new_length *= 2;
     }
-    LRUHandle** new_list = new LRUHandle*[new_length];
-    memset(new_list, 0, sizeof(new_list[0]) * new_length);
-    uint32_t count = 0;
+    Entry** new_list = new Entry*[new_length]();
     for (uint32_t i = 0; i < length_; i++) {
-      LRUHandle* h = list_[i];
+      Entry* h = list_[i];
       while (h != nullptr) {
-        LRUHandle* next = h->next_hash;
-        uint32_t hash = h->hash;
-        LRUHandle** ptr = &new_list[hash & (new_length - 1)];
+        Entry* next = h->next_hash;
+        Entry** ptr = &new_list[h->hash & (new_length - 1)];
         h->next_hash = *ptr;
         *ptr = h;
         h = next;
-        count++;
       }
     }
-    assert(elems_ == count);
     delete[] list_;
     list_ = new_list;
     length_ = new_length;
   }
+
+  uint32_t length_ = 0;
+  uint32_t elems_ = 0;
+  Entry** list_ = nullptr;
 };
 
-// A single shard of the cache.
-class LRUCache {
+}  // namespace
+
+// One shard: an LRU list of unpinned entries, bounded by capacity_. The
+// shards share one array; a cache line each keeps a hot shard's lock off
+// its neighbours' lines.
+class alignas(64) BlockCache::Shard {
  public:
-  LRUCache();
-  ~LRUCache();
+  Shard() {
+    lru_.next = lru_.prev = &lru_;
+    in_use_.next = in_use_.prev = &in_use_;
+  }
+
+  ~Shard() {
+    assert(in_use_.next == &in_use_);  // Error if a reader still pins an entry
+    while (lru_.next != &lru_) {
+      Erase(lru_.next);
+    }
+  }
 
   void SetCapacity(size_t capacity) { capacity_ = capacity; }
 
-  Cache::Handle* Insert(const Slice& key, uint32_t hash, void* value, size_t charge,
-                        void (*deleter)(const Slice& key, void* value));
-  Cache::Handle* Lookup(const Slice& key, uint32_t hash);
-  void Release(Cache::Handle* handle);
+  Entry* Lookup(uint64_t table_id, uint64_t offset, uint32_t hash) {
+    std::lock_guard<std::mutex> l(mutex_);
+    Entry* e = table_.Lookup(table_id, offset, hash);
+    if (e != nullptr) {
+      Ref(e);
+    }
+    return e;
+  }
+
+  // e is new and pinned once by the caller.
+  void Insert(Entry* e) {
+    if (capacity_ == 0) {
+      return;  // caches nothing: e dies with its last pin
+    }
+    std::lock_guard<std::mutex> l(mutex_);
+    e->refs++;
+    e->in_cache = true;
+    LRU_Append(&in_use_, e);
+    usage_ += e->block->size();
+    Entry* replaced = table_.Insert(e);
+    if (replaced != nullptr) {
+      FinishErase(replaced);
+    }
+    EvictOverflow();
+  }
+
+  void Release(Entry* e) {
+    std::lock_guard<std::mutex> l(mutex_);
+    Unref(e);
+    EvictOverflow();
+  }
+
   size_t TotalCharge() const {
     std::lock_guard<std::mutex> l(mutex_);
     return usage_;
   }
 
  private:
-  void LRU_Remove(LRUHandle* e);
-  void LRU_Append(LRUHandle* list, LRUHandle* e);
-  void Ref(LRUHandle* e);
-  void Unref(LRUHandle* e);
-  bool FinishErase(LRUHandle* e);
+  static void LRU_Remove(Entry* e) {
+    e->next->prev = e->prev;
+    e->prev->next = e->next;
+  }
+
+  // Makes e the newest entry of list.
+  static void LRU_Append(Entry* list, Entry* e) {
+    e->next = list;
+    e->prev = list->prev;
+    e->prev->next = e;
+    e->next->prev = e;
+  }
+
+  void Ref(Entry* e) {
+    if (e->refs == 1 && e->in_cache) {  // If on lru_ list, move to in_use_ list.
+      LRU_Remove(e);
+      LRU_Append(&in_use_, e);
+    }
+    e->refs++;
+  }
+
+  void Unref(Entry* e) {
+    assert(e->refs > 0);
+    e->refs--;
+    if (e->refs == 0) {
+      assert(!e->in_cache);
+      delete e->block;
+      delete e;
+    } else if (e->in_cache && e->refs == 1) {
+      // No longer in use; move to lru_ list.
+      LRU_Remove(e);
+      LRU_Append(&lru_, e);
+    }
+  }
+
+  // Takes e, already unlinked from table_, out of the cache; its block
+  // lives on while pinned.
+  void FinishErase(Entry* e) {
+    assert(e->in_cache);
+    LRU_Remove(e);
+    e->in_cache = false;
+    usage_ -= e->block->size();
+    Unref(e);
+  }
+
+  void Erase(Entry* e) {
+    table_.Remove(e);
+    FinishErase(e);
+  }
+
+  // Evicts the oldest unpinned entries while the shard is over capacity.
+  void EvictOverflow() {
+    while (usage_ > capacity_ && lru_.next != &lru_) {
+      assert(lru_.next->refs == 1);
+      Erase(lru_.next);
+    }
+  }
 
   size_t capacity_ = 0;
 
@@ -139,178 +237,48 @@ class LRUCache {
 
   // Dummy head of LRU list: lru_.prev is newest, lru_.next is oldest.
   // Entries have refs==1 and in_cache==true.
-  LRUHandle lru_;
-  // Dummy head of in-use list: entries clients hold handles to.
-  LRUHandle in_use_;
+  Entry lru_;
+  // Dummy head of in-use list: entries readers pin.
+  Entry in_use_;
 
-  HandleTable table_;
+  EntryTable table_;
 };
 
-LRUCache::LRUCache() {
-  lru_.next = &lru_;
-  lru_.prev = &lru_;
-  in_use_.next = &in_use_;
-  in_use_.prev = &in_use_;
-}
-
-LRUCache::~LRUCache() {
-  assert(in_use_.next == &in_use_);  // Error if caller has an unreleased handle
-  for (LRUHandle* e = lru_.next; e != &lru_;) {
-    LRUHandle* next = e->next;
-    assert(e->in_cache);
-    e->in_cache = false;
-    assert(e->refs == 1);  // Invariant of lru_ list.
-    Unref(e);
-    e = next;
+BlockCache::BlockCache(size_t capacity) : shards_(new Shard[kNumShards]) {
+  const size_t per_shard = (capacity + (kNumShards - 1)) / kNumShards;
+  for (int s = 0; s < kNumShards; s++) {
+    shards_[s].SetCapacity(per_shard);
   }
 }
 
-void LRUCache::Ref(LRUHandle* e) {
-  if (e->refs == 1 && e->in_cache) {  // If on lru_ list, move to in_use_ list.
-    LRU_Remove(e);
-    LRU_Append(&in_use_, e);
-  }
-  e->refs++;
+BlockCache::~BlockCache() = default;
+
+Entry* BlockCache::Lookup(uint64_t table_id, uint64_t offset) {
+  const uint32_t hash = HashKey(table_id, offset);
+  return shards_[ShardOf(hash)].Lookup(table_id, offset, hash);
 }
 
-void LRUCache::Unref(LRUHandle* e) {
-  assert(e->refs > 0);
-  e->refs--;
-  if (e->refs == 0) {  // Deallocate.
-    assert(!e->in_cache);
-    (*e->deleter)(e->key(), e->value);
-    free(e);
-  } else if (e->in_cache && e->refs == 1) {
-    // No longer in use; move to lru_ list.
-    LRU_Remove(e);
-    LRU_Append(&lru_, e);
-  }
+Entry* BlockCache::Insert(uint64_t table_id, uint64_t offset, Block* block) {
+  Entry* e = new Entry;
+  e->block = block;
+  e->table_id = table_id;
+  e->offset = offset;
+  e->hash = HashKey(table_id, offset);
+  e->refs = 1;  // the caller's pin
+  shards_[ShardOf(e->hash)].Insert(e);
+  return e;
 }
 
-void LRUCache::LRU_Remove(LRUHandle* e) {
-  e->next->prev = e->prev;
-  e->prev->next = e->next;
+void BlockCache::Release(Entry* entry) { shards_[ShardOf(entry->hash)].Release(entry); }
+
+Block* BlockCache::Value(Entry* entry) { return entry->block; }
+
+size_t BlockCache::TotalCharge() const {
+  size_t total = 0;
+  for (int s = 0; s < kNumShards; s++) {
+    total += shards_[s].TotalCharge();
+  }
+  return total;
 }
-
-void LRUCache::LRU_Append(LRUHandle* list, LRUHandle* e) {
-  // Make "e" newest entry by inserting just before *list.
-  e->next = list;
-  e->prev = list->prev;
-  e->prev->next = e;
-  e->next->prev = e;
-}
-
-Cache::Handle* LRUCache::Lookup(const Slice& key, uint32_t hash) {
-  std::lock_guard<std::mutex> l(mutex_);
-  LRUHandle* e = table_.Lookup(key, hash);
-  if (e != nullptr) {
-    Ref(e);
-  }
-  return reinterpret_cast<Cache::Handle*>(e);
-}
-
-void LRUCache::Release(Cache::Handle* handle) {
-  std::lock_guard<std::mutex> l(mutex_);
-  Unref(reinterpret_cast<LRUHandle*>(handle));
-}
-
-Cache::Handle* LRUCache::Insert(const Slice& key, uint32_t hash, void* value, size_t charge,
-                                void (*deleter)(const Slice& key, void* value)) {
-  std::lock_guard<std::mutex> l(mutex_);
-
-  LRUHandle* e = reinterpret_cast<LRUHandle*>(malloc(sizeof(LRUHandle) - 1 + key.size()));
-  e->value = value;
-  e->deleter = deleter;
-  e->charge = charge;
-  e->key_length = key.size();
-  e->hash = hash;
-  e->in_cache = false;
-  e->refs = 1;  // for the returned handle.
-  std::memcpy(e->key_data, key.data(), key.size());
-
-  if (capacity_ > 0) {
-    e->refs++;  // for the cache's reference.
-    e->in_cache = true;
-    LRU_Append(&in_use_, e);
-    usage_ += charge;
-    FinishErase(table_.Insert(e));
-  } else {  // don't cache. (capacity_==0 means caching turned off)
-    e->next = nullptr;
-  }
-  while (usage_ > capacity_ && lru_.next != &lru_) {
-    LRUHandle* old = lru_.next;
-    assert(old->refs == 1);
-    bool erased = FinishErase(table_.Remove(old->key(), old->hash));
-    if (!erased) {  // to avoid unused variable when compiled NDEBUG
-      assert(erased);
-    }
-  }
-
-  return reinterpret_cast<Cache::Handle*>(e);
-}
-
-// If e != nullptr, finish removing *e from the cache; it has already been
-// removed from the hash table. Return whether e != nullptr.
-bool LRUCache::FinishErase(LRUHandle* e) {
-  if (e != nullptr) {
-    assert(e->in_cache);
-    LRU_Remove(e);
-    e->in_cache = false;
-    usage_ -= e->charge;
-    Unref(e);
-  }
-  return e != nullptr;
-}
-
-constexpr int kNumShardBits = 4;
-constexpr int kNumShards = 1 << kNumShardBits;
-
-class ShardedLRUCache final : public Cache {
- public:
-  explicit ShardedLRUCache(size_t capacity) : last_id_(0) {
-    const size_t per_shard = (capacity + (kNumShards - 1)) / kNumShards;
-    for (int s = 0; s < kNumShards; s++) {
-      shard_[s].SetCapacity(per_shard);
-    }
-  }
-
-  Handle* Insert(const Slice& key, void* value, size_t charge,
-                 void (*deleter)(const Slice& key, void* value)) override {
-    const uint32_t hash = HashSlice(key);
-    return shard_[Shard(hash)].Insert(key, hash, value, charge, deleter);
-  }
-  Handle* Lookup(const Slice& key) override {
-    const uint32_t hash = HashSlice(key);
-    return shard_[Shard(hash)].Lookup(key, hash);
-  }
-  void Release(Handle* handle) override {
-    LRUHandle* h = reinterpret_cast<LRUHandle*>(handle);
-    shard_[Shard(h->hash)].Release(handle);
-  }
-  void* Value(Handle* handle) override { return reinterpret_cast<LRUHandle*>(handle)->value; }
-  uint64_t NewId() override {
-    std::lock_guard<std::mutex> l(id_mutex_);
-    return ++(last_id_);
-  }
-  size_t TotalCharge() const override {
-    size_t total = 0;
-    for (int s = 0; s < kNumShards; s++) {
-      total += shard_[s].TotalCharge();
-    }
-    return total;
-  }
-
- private:
-  static uint32_t HashSlice(const Slice& s) { return Hash(s.data(), s.size(), 0); }
-  static uint32_t Shard(uint32_t hash) { return hash >> (32 - kNumShardBits); }
-
-  LRUCache shard_[kNumShards];
-  std::mutex id_mutex_;
-  uint64_t last_id_;
-};
-
-}  // namespace
-
-Cache* NewLRUCache(size_t capacity) { return new ShardedLRUCache(capacity); }
 
 }  // namespace clsm

@@ -5,43 +5,53 @@
 #ifndef CLSM_TABLE_CACHE_H_
 #define CLSM_TABLE_CACHE_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
-
-#include "src/util/slice.h"
+#include <memory>
 
 namespace clsm {
 
-class Cache {
+class Block;
+
+// Blocks keyed by (table id, block offset), each charged its Block::size().
+// Each of the 16 shards holds at most ceil(capacity / 16) bytes of blocks
+// no reader pins; capacity 0 caches nothing. Thread-safe.
+class BlockCache {
  public:
-  Cache() = default;
-  virtual ~Cache();
+  // A pinned entry: its block stays alive, even once evicted, until the
+  // entry is released.
+  struct Entry;
 
-  Cache(const Cache&) = delete;
-  Cache& operator=(const Cache&) = delete;
+  explicit BlockCache(size_t capacity);
+  ~BlockCache();
 
-  // Opaque handle to a cached entry.
-  struct Handle {};
+  BlockCache(const BlockCache&) = delete;
+  BlockCache& operator=(const BlockCache&) = delete;
 
-  // Insert key->value with the given charge against capacity. The returned
-  // handle pins the entry; caller must Release() it. deleter is invoked when
-  // the entry is evicted and unpinned.
-  virtual Handle* Insert(const Slice& key, void* value, size_t charge,
-                         void (*deleter)(const Slice& key, void* value)) = 0;
+  // Id for a newly opened table, unique within this cache.
+  uint64_t NewTableId() { return next_table_id_.fetch_add(1, std::memory_order_relaxed); }
 
-  // Returns nullptr on miss; otherwise a pinned handle (must be Released).
-  virtual Handle* Lookup(const Slice& key) = 0;
+  // The cached block's entry, pinned, or nullptr on a miss.
+  Entry* Lookup(uint64_t table_id, uint64_t offset);
 
-  virtual void Release(Handle* handle) = 0;
-  virtual void* Value(Handle* handle) = 0;
+  // Takes ownership of block, caches it (replacing any block under the same
+  // key) and returns it pinned. The block is deleted once it is out of the
+  // cache and unpinned.
+  Entry* Insert(uint64_t table_id, uint64_t offset, Block* block);
 
-  // New numeric id, for partitioning the key space among multiple clients.
-  virtual uint64_t NewId() = 0;
+  void Release(Entry* entry);
+  static Block* Value(Entry* entry);
 
-  virtual size_t TotalCharge() const = 0;
+  // Bytes of blocks in the cache, pinned ones included.
+  size_t TotalCharge() const;
+
+ private:
+  class Shard;
+
+  std::unique_ptr<Shard[]> shards_;
+  std::atomic<uint64_t> next_table_id_{1};
 };
-
-// LRU cache with the given total capacity (bytes of charge).
-Cache* NewLRUCache(size_t capacity);
 
 }  // namespace clsm
 

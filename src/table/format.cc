@@ -1,5 +1,7 @@
 #include "src/table/format.h"
 
+#include <cassert>
+
 #include "src/obs/metrics.h"  // MonotonicNanos (inline; no clsm_obs link dep)
 #include "src/obs/perf_context.h"
 #include "src/util/coding.h"
@@ -59,22 +61,17 @@ Status Footer::DecodeFrom(Slice* input) {
 
 Status ReadBlock(RandomAccessFile* file, const ReadOptions& options, const BlockHandle& handle,
                  BlockContents* result) {
-  result->data = Slice();
-  result->cachable = false;
-  result->heap_allocated = false;
-
   const size_t n = static_cast<size_t>(handle.size());
-  char* buf = new char[n + kBlockTrailerSize];
+  std::unique_ptr<char[]> buf(new char[n + kBlockTrailerSize]);
   Slice contents;
-  Status s = file->Read(handle.offset(), n + kBlockTrailerSize, &contents, buf);
+  Status s = file->Read(handle.offset(), n + kBlockTrailerSize, &contents, buf.get());
   if (!s.ok()) {
-    delete[] buf;
     return s;
   }
   if (contents.size() != n + kBlockTrailerSize) {
-    delete[] buf;
     return Status::Corruption("truncated block read");
   }
+  assert(contents.data() == buf.get());
   // Per-op attribution: every SSTable block IO funnels through here, so
   // this is the one point that counts physical block reads and bytes.
   {
@@ -85,33 +82,20 @@ Status ReadBlock(RandomAccessFile* file, const ReadOptions& options, const Block
     }
   }
 
-  const char* data = contents.data();
   if (options.verify_checksums) {
     const bool timed = tls_perf_context.timers_enabled();
     const uint64_t crc_t0 = timed ? MonotonicNanos() : 0;
-    const uint32_t crc = crc32c::Unmask(DecodeFixed32(data + n + 1));
-    const uint32_t actual = crc32c::Value(data, n + 1);
+    const uint32_t crc = crc32c::Unmask(DecodeFixed32(buf.get() + n + 1));
+    const uint32_t actual = crc32c::Value(buf.get(), n + 1);
     if (timed) {
       tls_perf_context.crc_verify_nanos += MonotonicNanos() - crc_t0;
     }
     if (actual != crc) {
-      delete[] buf;
       return Status::Corruption("block checksum mismatch");
     }
   }
-
-  if (data != buf) {
-    // File implementation returned a pointer into its own storage; copy not
-    // needed, but we must not cache or free it.
-    delete[] buf;
-    result->data = Slice(data, n);
-    result->cachable = false;
-    result->heap_allocated = false;
-  } else {
-    result->data = Slice(buf, n);
-    result->cachable = true;
-    result->heap_allocated = true;
-  }
+  result->data = std::move(buf);
+  result->size = n;
   return Status::OK();
 }
 

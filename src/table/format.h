@@ -4,6 +4,7 @@
 #define CLSM_TABLE_FORMAT_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "src/util/env.h"
@@ -57,10 +58,10 @@ static const uint64_t kTableMagicNumber = 0xc1540ce5c1540ce5ull;
 // 1-byte type (reserved for compression; always raw here) + 32-bit crc.
 static const size_t kBlockTrailerSize = 5;
 
+// A block's bytes, without its trailer, in a heap buffer the holder owns.
 struct BlockContents {
-  Slice data;
-  bool cachable;       // false if data points into memory not owned by caller
-  bool heap_allocated;  // true iff caller should delete[] data.data()
+  std::unique_ptr<char[]> data;
+  size_t size = 0;
 };
 
 // Read the block identified by handle from file; verify CRC if requested.

@@ -3,33 +3,24 @@
 #include "src/obs/perf_context.h"
 #include "src/table/block.h"
 #include "src/table/filter_block.h"
-#include "src/util/coding.h"
 
 namespace clsm {
 
 struct Table::Rep {
-  ~Rep() {
-    delete filter;
-    delete[] filter_data;
-    delete index_block;
-  }
-
-  Options options;
   const Comparator* comparator;
   const FilterPolicy* filter_policy;
-  Cache* block_cache;
-  Status status;
-  std::unique_ptr<RandomAccessFile> file;
+  BlockCache* block_cache;
   uint64_t cache_id;
-  FilterBlockReader* filter;
-  const char* filter_data;
+  std::unique_ptr<RandomAccessFile> file;
+  std::unique_ptr<char[]> filter_data;
+  std::unique_ptr<FilterBlockReader> filter;
 
   BlockHandle metaindex_handle;  // Handle to metaindex_block: saved from footer
-  Block* index_block;
+  std::unique_ptr<Block> index_block;
 };
 
 Status Table::Open(const Options& options, const Comparator* comparator,
-                   const FilterPolicy* filter_policy, Cache* block_cache,
+                   const FilterPolicy* filter_policy, BlockCache* block_cache,
                    std::unique_ptr<RandomAccessFile> file, uint64_t size, Table** table) {
   *table = nullptr;
   if (size < Footer::kEncodedLength) {
@@ -52,145 +43,106 @@ Status Table::Open(const Options& options, const Comparator* comparator,
   }
 
   // Read the index block.
-  BlockContents index_block_contents;
   ReadOptions opt;
-  if (options.paranoid_checks) {
-    opt.verify_checksums = true;
-  }
+  opt.verify_checksums = options.paranoid_checks;
+  BlockContents index_block_contents;
   s = ReadBlock(file.get(), opt, footer.index_handle(), &index_block_contents);
   if (!s.ok()) {
     return s;
   }
 
   Rep* rep = new Table::Rep;
-  rep->options = options;
   rep->comparator = comparator;
   rep->filter_policy = filter_policy;
   rep->block_cache = block_cache;
+  rep->cache_id = block_cache->NewTableId();
   rep->file = std::move(file);
   rep->metaindex_handle = footer.metaindex_handle();
-  rep->index_block = new Block(index_block_contents);
-  rep->cache_id = (block_cache != nullptr ? block_cache->NewId() : 0);
-  rep->filter_data = nullptr;
-  rep->filter = nullptr;
+  rep->index_block = std::make_unique<Block>(std::move(index_block_contents));
   *table = new Table(rep);
-  (*table)->ReadMeta(footer);
+  (*table)->ReadMeta(opt, footer);
   return Status::OK();
 }
 
-void Table::ReadMeta(const Footer& footer) {
+void Table::ReadMeta(const ReadOptions& options, const Footer& footer) {
   if (rep_->filter_policy == nullptr) {
     return;  // Do not need any metadata
   }
 
-  ReadOptions opt;
-  if (rep_->options.paranoid_checks) {
-    opt.verify_checksums = true;
-  }
   BlockContents contents;
-  if (!ReadBlock(rep_->file.get(), opt, footer.metaindex_handle(), &contents).ok()) {
+  if (!ReadBlock(rep_->file.get(), options, footer.metaindex_handle(), &contents).ok()) {
     // Do not propagate errors since meta info is not needed for operation.
     return;
   }
-  Block* meta = new Block(contents);
+  Block meta(std::move(contents));
 
-  Iterator* iter = meta->NewIterator(BytewiseComparator());
+  std::unique_ptr<Iterator> iter(meta.NewIterator(BytewiseComparator()));
   std::string key = "filter.";
   key.append(rep_->filter_policy->Name());
   iter->Seek(key);
   if (iter->Valid() && iter->key() == Slice(key)) {
-    ReadFilter(iter->value());
+    ReadFilter(options, iter->value());
   }
-  delete iter;
-  delete meta;
 }
 
-void Table::ReadFilter(const Slice& filter_handle_value) {
+void Table::ReadFilter(const ReadOptions& options, const Slice& filter_handle_value) {
   Slice v = filter_handle_value;
   BlockHandle filter_handle;
   if (!filter_handle.DecodeFrom(&v).ok()) {
     return;
   }
 
-  ReadOptions opt;
-  if (rep_->options.paranoid_checks) {
-    opt.verify_checksums = true;
-  }
   BlockContents block;
-  if (!ReadBlock(rep_->file.get(), opt, filter_handle, &block).ok()) {
+  if (!ReadBlock(rep_->file.get(), options, filter_handle, &block).ok()) {
     return;
   }
-  if (block.heap_allocated) {
-    rep_->filter_data = block.data.data();  // Will need to delete later
-  }
-  rep_->filter = new FilterBlockReader(rep_->filter_policy, block.data);
+  rep_->filter_data = std::move(block.data);
+  rep_->filter = std::make_unique<FilterBlockReader>(rep_->filter_policy,
+                                                     Slice(rep_->filter_data.get(), block.size));
 }
 
 Table::~Table() { delete rep_; }
 
 static void DeleteBlock(void* arg, void* ignored) { delete reinterpret_cast<Block*>(arg); }
 
-static void DeleteCachedBlock(const Slice& key, void* value) {
-  Block* block = reinterpret_cast<Block*>(value);
-  delete block;
-}
-
 static void ReleaseBlock(void* arg, void* h) {
-  Cache* cache = reinterpret_cast<Cache*>(arg);
-  Cache::Handle* handle = reinterpret_cast<Cache::Handle*>(h);
-  cache->Release(handle);
+  reinterpret_cast<BlockCache*>(arg)->Release(reinterpret_cast<BlockCache::Entry*>(h));
 }
 
 // Converts an index iterator value (an encoded BlockHandle) into an iterator
 // over the contents of the corresponding block, consulting the block cache.
 Iterator* Table::BlockReader(void* arg, const ReadOptions& options, const Slice& index_value) {
   Table* table = reinterpret_cast<Table*>(arg);
-  Cache* block_cache = table->rep_->block_cache;
-  Block* block = nullptr;
-  Cache::Handle* cache_handle = nullptr;
-
+  BlockCache* block_cache = table->rep_->block_cache;
   BlockHandle handle;
   Slice input = index_value;
   Status s = handle.DecodeFrom(&input);
+  if (!s.ok()) {
+    return NewErrorIterator(s);
+  }
 
-  if (s.ok()) {
+  BlockCache::Entry* entry = block_cache->Lookup(table->rep_->cache_id, handle.offset());
+  Block* block = nullptr;
+  if (entry != nullptr) {
+    block = BlockCache::Value(entry);
+    CLSM_PERF_COUNT_ADD(block_cache_hits, 1);
+  } else {
     BlockContents contents;
-    if (block_cache != nullptr) {
-      char cache_key_buffer[16];
-      EncodeFixed64(cache_key_buffer, table->rep_->cache_id);
-      EncodeFixed64(cache_key_buffer + 8, handle.offset());
-      Slice key(cache_key_buffer, sizeof(cache_key_buffer));
-      cache_handle = block_cache->Lookup(key);
-      if (cache_handle != nullptr) {
-        block = reinterpret_cast<Block*>(block_cache->Value(cache_handle));
-        CLSM_PERF_COUNT_ADD(block_cache_hits, 1);
-      } else {
-        s = ReadBlock(table->rep_->file.get(), options, handle, &contents);
-        if (s.ok()) {
-          block = new Block(contents);
-          if (contents.cachable && options.fill_cache) {
-            cache_handle = block_cache->Insert(key, block, block->size(), &DeleteCachedBlock);
-          }
-        }
-      }
-    } else {
-      s = ReadBlock(table->rep_->file.get(), options, handle, &contents);
-      if (s.ok()) {
-        block = new Block(contents);
-      }
+    s = ReadBlock(table->rep_->file.get(), options, handle, &contents);
+    if (!s.ok()) {
+      return NewErrorIterator(s);
+    }
+    block = new Block(std::move(contents));
+    if (options.fill_cache) {
+      entry = block_cache->Insert(table->rep_->cache_id, handle.offset(), block);
     }
   }
 
-  Iterator* iter;
-  if (block != nullptr) {
-    iter = block->NewIterator(table->rep_->comparator);
-    if (cache_handle == nullptr) {
-      iter->RegisterCleanup(&DeleteBlock, block, nullptr);
-    } else {
-      iter->RegisterCleanup(&ReleaseBlock, block_cache, cache_handle);
-    }
+  Iterator* iter = block->NewIterator(table->rep_->comparator);
+  if (entry != nullptr) {
+    iter->RegisterCleanup(&ReleaseBlock, block_cache, entry);
   } else {
-    iter = NewErrorIterator(s);
+    iter->RegisterCleanup(&DeleteBlock, block, nullptr);
   }
   return iter;
 }
@@ -207,7 +159,7 @@ Status Table::InternalGet(const ReadOptions& options, const Slice& k, void* arg,
   iiter->Seek(k);
   if (iiter->Valid()) {
     Slice handle_value = iiter->value();
-    FilterBlockReader* filter = rep_->filter;
+    FilterBlockReader* filter = rep_->filter.get();
     BlockHandle handle;
     if (filter != nullptr && handle.DecodeFrom(&handle_value).ok() &&
         !filter->KeyMayMatch(handle.offset(), k)) {

@@ -20,9 +20,10 @@ class Table {
  public:
   // Opens the table stored in file [0..file_size). On success *table is
   // non-null and owns file, which it closes when deleted; on failure file
-  // is closed here. block_cache may be null.
+  // is closed here. Its data blocks go through block_cache, which must
+  // outlive it.
   static Status Open(const Options& options, const Comparator* comparator,
-                     const FilterPolicy* filter_policy, Cache* block_cache,
+                     const FilterPolicy* filter_policy, BlockCache* block_cache,
                      std::unique_ptr<RandomAccessFile> file, uint64_t file_size, Table** table);
 
   Table(const Table&) = delete;
@@ -51,8 +52,8 @@ class Table {
 
   explicit Table(Rep* rep) : rep_(rep) {}
 
-  void ReadMeta(const Footer& footer);
-  void ReadFilter(const Slice& filter_handle_value);
+  void ReadMeta(const ReadOptions& options, const Footer& footer);
+  void ReadFilter(const ReadOptions& options, const Slice& filter_handle_value);
 
   Rep* const rep_;
 };

@@ -27,6 +27,8 @@ class SequentialFile {
 class RandomAccessFile {
  public:
   virtual ~RandomAccessFile() = default;
+  // Reads up to n bytes at offset into scratch[0..n) and sets *result to
+  // the bytes read, which start at scratch.
   virtual Status Read(uint64_t offset, size_t n, Slice* result, char* scratch) const = 0;
 };
 

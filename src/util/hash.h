@@ -1,5 +1,5 @@
-// Non-cryptographic hashing for Bloom filters, cache sharding, and
-// lock striping.
+// Non-cryptographic hashing for Bloom filters, shard routing and lock
+// striping.
 #ifndef CLSM_UTIL_HASH_H_
 #define CLSM_UTIL_HASH_H_
 

@@ -21,7 +21,6 @@ class Comparator;
 class Env;
 class EventListener;
 class Snapshot;
-class BlockCache;
 
 struct Options {
   // Comparator used to order user keys. Must outlive the DB.
@@ -45,7 +44,7 @@ struct Options {
   // Bloom filter bits per key; 0 disables filters.
   int bloom_bits_per_key = 10;
 
-  // Capacity of the shared block cache in bytes; 0 disables caching.
+  // Capacity of the shared block cache in bytes; 0 caches nothing.
   size_t block_cache_size = 8 * 1024 * 1024;
 
   // Target size of compaction output files (every level shares one target).

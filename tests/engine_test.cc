@@ -480,5 +480,23 @@ TEST_F(TableLifetimeTest, IteratorOutlivesCompactionOfItsTables) {
   EXPECT_EQ(LiveTables(db.get()), env_.open_tables());
 }
 
+// (d) An open table keeps no copy of the store's Options: opening every
+// table leaves the use count of a listener's shared_ptr where it was.
+TEST_F(TableLifetimeTest, OpenTablesHoldNoCopyOfOptions) {
+  options_.l0_compaction_trigger = 100;  // level 0 piles up and stays put
+  Fill();
+  auto listener = std::make_shared<EventListener>();
+  options_.listeners.push_back(listener);
+  auto db = Open();
+  ASSERT_GE(LiveTables(db.get()), 20);
+  const long refs = listener.use_count();
+  const int open_before = env_.open_tables();
+
+  EXPECT_EQ(kKeys, ScanAll(db.get()));
+  EXPECT_EQ(LiveTables(db.get()), env_.open_tables());
+  EXPECT_EQ(refs, listener.use_count())
+      << "after opening " << env_.open_tables() - open_before << " tables";
+}
+
 }  // namespace
 }  // namespace clsm

@@ -89,8 +89,9 @@ class SplitMergeRun {
       std::unique_ptr<RandomAccessFile> file;
       EXPECT_TRUE(
           engine_->env()->NewRandomAccessFile(TableFileName(engine_->dbname(), f.number), &file).ok());
+      BlockCache block_cache(0);
       Table* raw = nullptr;
-      EXPECT_TRUE(Table::Open(engine_->options(), engine_->icmp(), nullptr, nullptr,
+      EXPECT_TRUE(Table::Open(engine_->options(), engine_->icmp(), nullptr, &block_cache,
                               std::move(file), f.file_size, &raw)
                       .ok());
       std::unique_ptr<Table> table(raw);

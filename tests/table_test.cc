@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstring>
 #include <map>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "src/core/clsm_db.h"
@@ -18,7 +21,6 @@
 #include "src/table/merging_iterator.h"
 #include "src/table/table.h"
 #include "src/table/table_builder.h"
-#include "src/util/coding.h"
 #include "src/util/env.h"
 #include "src/util/hash.h"
 #include "src/util/random.h"
@@ -27,13 +29,17 @@
 namespace clsm {
 namespace {
 
+// Copies bytes into a heap buffer of their own, as ReadBlock returns a block.
+BlockContents CopyOf(const Slice& bytes) {
+  BlockContents contents{std::make_unique<char[]>(bytes.size()), bytes.size()};
+  std::memcpy(contents.data.get(), bytes.data(), bytes.size());
+  return contents;
+}
+
 TEST(BlockTest, EmptyBlock) {
   Options options;
   BlockBuilder builder(&options, BytewiseComparator());
-  Slice raw = builder.Finish();
-  std::string copy = raw.ToString();
-  BlockContents contents{Slice(copy), false, false};
-  Block block(contents);
+  Block block(CopyOf(builder.Finish()));
   std::unique_ptr<Iterator> iter(block.NewIterator(BytewiseComparator()));
   iter->SeekToFirst();
   EXPECT_FALSE(iter->Valid());
@@ -57,9 +63,7 @@ TEST_P(BlockRoundTripTest, RoundTripWithRestartInterval) {
   for (const auto& [k, v] : model) {
     builder.Add(k, v);
   }
-  std::string copy = builder.Finish().ToString();
-  BlockContents contents{Slice(copy), false, false};
-  Block block(contents);
+  Block block(CopyOf(builder.Finish()));
   std::unique_ptr<Iterator> iter(block.NewIterator(BytewiseComparator()));
 
   // Full forward scan.
@@ -269,103 +273,136 @@ TEST(FilterBlockTest, SingleChunk) {
   EXPECT_FALSE(reader.KeyMayMatch(100, "other"));
 }
 
+// A one-entry block holding value: a cache value the tests can tell apart.
+Block* ValueBlock(int value) {
+  Options options;
+  BlockBuilder builder(&options, BytewiseComparator());
+  builder.Add("v", std::to_string(value));
+  return new Block(CopyOf(builder.Finish()));
+}
+
+int BlockValue(Block* block) {
+  std::unique_ptr<Iterator> iter(block->NewIterator(BytewiseComparator()));
+  iter->SeekToFirst();
+  return std::stoi(iter->value().ToString());
+}
+
 TEST(CacheTest, HitAndMiss) {
-  std::unique_ptr<Cache> cache(NewLRUCache(1000));
-  auto encode_key = [](int k) {
-    std::string s;
-    PutFixed32(&s, k);
-    return s;
+  BlockCache cache(1000);
+  auto insert = [&](uint64_t offset, int value) {
+    cache.Release(cache.Insert(1, offset, ValueBlock(value)));
   };
-  auto insert = [&](int key, int value, int charge = 1) {
-    std::string k = encode_key(key);
-    cache->Release(cache->Insert(k, reinterpret_cast<void*>(static_cast<intptr_t>(value)), charge,
-                                 [](const Slice&, void*) {}));
-  };
-  auto lookup = [&](int key) -> int {
-    std::string k = encode_key(key);
-    Cache::Handle* h = cache->Lookup(k);
-    if (h == nullptr) {
+  auto lookup = [&](uint64_t table_id, uint64_t offset) -> int {
+    BlockCache::Entry* e = cache.Lookup(table_id, offset);
+    if (e == nullptr) {
       return -1;
     }
-    int v = static_cast<int>(reinterpret_cast<intptr_t>(cache->Value(h)));
-    cache->Release(h);
+    int v = BlockValue(BlockCache::Value(e));
+    cache.Release(e);
     return v;
   };
 
-  EXPECT_EQ(-1, lookup(100));
+  EXPECT_EQ(-1, lookup(1, 100));
   insert(100, 101);
-  EXPECT_EQ(101, lookup(100));
+  EXPECT_EQ(101, lookup(1, 100));
+  EXPECT_EQ(-1, lookup(2, 100));  // another table's block at the same offset
   insert(100, 102);  // overwrite
-  EXPECT_EQ(102, lookup(100));
+  EXPECT_EQ(102, lookup(1, 100));
 }
 
 TEST(CacheTest, EvictionRespectsPins) {
-  std::unique_ptr<Cache> cache(NewLRUCache(16));  // tiny per-shard capacity
-  std::string pinned_key;
-  PutFixed32(&pinned_key, 7);
-  Cache::Handle* pinned =
-      cache->Insert(pinned_key, reinterpret_cast<void*>(intptr_t{7}), 1, [](const Slice&, void*) {});
+  BlockCache cache(16);  // tiny per-shard capacity
+  BlockCache::Entry* pinned = cache.Insert(1, 7, ValueBlock(7));
   // Flood the cache far past capacity.
   for (int i = 100; i < 400; i++) {
-    std::string k;
-    PutFixed32(&k, i);
-    cache->Release(cache->Insert(k, reinterpret_cast<void*>(static_cast<intptr_t>(i)), 1,
-                                 [](const Slice&, void*) {}));
+    cache.Release(cache.Insert(1, i, ValueBlock(i)));
   }
-  // The pinned entry must still be retrievable through its handle.
-  EXPECT_EQ(7, static_cast<int>(reinterpret_cast<intptr_t>(cache->Value(pinned))));
-  cache->Release(pinned);
+  // The pinned entry's block must still be readable.
+  EXPECT_EQ(7, BlockValue(BlockCache::Value(pinned)));
+  // Replacing the entry takes it out of the cache; its block lives on.
+  cache.Release(cache.Insert(1, 7, ValueBlock(8)));
+  EXPECT_EQ(7, BlockValue(BlockCache::Value(pinned)));
+  cache.Release(pinned);
+}
+
+// keys k00000000, k00000002, ... each with a value of value_size bytes.
+std::map<std::string, std::string> EvenKeys(int n, size_t value_size) {
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < n; i++) {
+    char key[32];
+    std::snprintf(key, sizeof(key), "k%08d", i * 2);
+    std::string value = "value-" + std::to_string(i);
+    value.resize(std::max(value.size(), value_size), '.');
+    model[key] = value;
+  }
+  return model;
+}
+
+// Point-reads key through InternalGet: its value, or "NOTFOUND".
+std::string TableGet(Table* table, const std::string& key) {
+  struct Probe {
+    Slice key;
+    std::string value = "NOTFOUND";
+  } probe{key};
+  auto handler = [](void* arg, const Slice& k, const Slice& v) {
+    Probe* p = reinterpret_cast<Probe*>(arg);
+    if (k != p->key) {
+      return false;
+    }
+    p->value = v.ToString();
+    return true;
+  };
+  Status s = table->InternalGet(ReadOptions(), key, &probe, handler);
+  return s.ok() ? probe.value : s.ToString();
 }
 
 class TableRoundTripTest : public ::testing::Test {
  protected:
   TableRoundTripTest() : dir_("table"), env_(Env::Default()) {}
 
+  // Writes model as table `name` with the default Bloom policy and opens
+  // it through block_cache.
+  std::unique_ptr<Table> BuildTable(const std::string& name, const Options& options,
+                                    const std::map<std::string, std::string>& model,
+                                    BlockCache* block_cache) {
+    const std::string fname = dir_.path() + "/" + name;
+    std::unique_ptr<WritableFile> out;
+    EXPECT_TRUE(env_->NewWritableFile(fname, &out).ok());
+    TableBuilder builder(options, BytewiseComparator(), policy_.get(), out.get());
+    for (const auto& [k, v] : model) {
+      builder.Add(k, v);
+    }
+    EXPECT_TRUE(builder.Finish().ok());
+    EXPECT_EQ(model.size(), builder.NumEntries());
+    EXPECT_TRUE(out->Close().ok());
+
+    uint64_t file_size = 0;
+    EXPECT_TRUE(env_->GetFileSize(fname, &file_size).ok());
+    std::unique_ptr<RandomAccessFile> file;
+    EXPECT_TRUE(env_->NewRandomAccessFile(fname, &file).ok());
+    Table* table = nullptr;
+    EXPECT_TRUE(Table::Open(options, BytewiseComparator(), policy_.get(), block_cache,
+                            std::move(file), file_size, &table)
+                    .ok());
+    return std::unique_ptr<Table>(table);
+  }
+
   ScratchDir dir_;
   Env* env_;
+  std::unique_ptr<const FilterPolicy> policy_{NewBloomFilterPolicy(10)};
 };
 
 TEST_F(TableRoundTripTest, BuildOpenIterateGet) {
   Options options;
   options.block_size = 1024;  // force many blocks
-  std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(10));
-
-  std::map<std::string, std::string> model;
-  for (int i = 0; i < 5000; i++) {
-    char key[32];
-    std::snprintf(key, sizeof(key), "k%08d", i * 2);
-    model[key] = "value-" + std::to_string(i);
-  }
-
-  std::string fname = dir_.path() + "/t.sst";
-  {
-    std::unique_ptr<WritableFile> file;
-    ASSERT_TRUE(env_->NewWritableFile(fname, &file).ok());
-    TableBuilder builder(options, BytewiseComparator(), policy.get(), file.get());
-    for (const auto& [k, v] : model) {
-      builder.Add(k, v);
-    }
-    ASSERT_TRUE(builder.Finish().ok());
-    EXPECT_EQ(model.size(), builder.NumEntries());
-    ASSERT_TRUE(file->Close().ok());
-  }
-
-  uint64_t file_size;
-  ASSERT_TRUE(env_->GetFileSize(fname, &file_size).ok());
-  std::unique_ptr<RandomAccessFile> file;
-  ASSERT_TRUE(env_->NewRandomAccessFile(fname, &file).ok());
-  std::unique_ptr<Cache> block_cache(NewLRUCache(1 << 20));
-
-  Table* table_raw = nullptr;
-  ASSERT_TRUE(Table::Open(options, BytewiseComparator(), policy.get(), block_cache.get(),
-                          std::move(file), file_size, &table_raw)
-                  .ok());
-  std::unique_ptr<Table> table(table_raw);
+  std::map<std::string, std::string> model = EvenKeys(5000, 0);
+  BlockCache block_cache(1 << 20);
+  std::unique_ptr<Table> table = BuildTable("t.sst", options, model, &block_cache);
+  ASSERT_NE(nullptr, table);
 
   // Full scan matches the model.
-  ReadOptions ro;
   {
-    std::unique_ptr<Iterator> iter(table->NewIterator(ro));
+    std::unique_ptr<Iterator> iter(table->NewIterator(ReadOptions()));
     iter->SeekToFirst();
     for (const auto& [k, v] : model) {
       ASSERT_TRUE(iter->Valid());
@@ -377,30 +414,99 @@ TEST_F(TableRoundTripTest, BuildOpenIterateGet) {
   }
 
   // Point gets through InternalGet.
-  struct Result {
-    bool found = false;
-    std::string key, value;
-  };
-  auto handler = [](void* arg, const Slice& k, const Slice& v) {
-    Result* r = reinterpret_cast<Result*>(arg);
-    r->found = true;
-    r->key = k.ToString();
-    r->value = v.ToString();
-    return true;  // every key probed below is present
-  };
   for (int i = 0; i < 5000; i += 97) {
     char key[32];
     std::snprintf(key, sizeof(key), "k%08d", i * 2);
-    Result r;
-    ASSERT_TRUE(table->InternalGet(ro, key, &r, handler).ok());
-    ASSERT_TRUE(r.found);
-    EXPECT_EQ(key, r.key);
-    EXPECT_EQ(model[key], r.value);
+    EXPECT_EQ(model[key], TableGet(table.get(), key));
   }
 
-  // Reads served twice hit the block cache (usage grows then stabilizes).
-  size_t usage_after = block_cache->TotalCharge();
-  EXPECT_GT(usage_after, 0u);
+  // The blocks read are cached.
+  EXPECT_GT(block_cache.TotalCharge(), 0u);
+}
+
+// A zero-capacity cache caches nothing: every probe reads its block, even
+// the second probe of the same key.
+TEST_F(TableRoundTripTest, ZeroCapacityCacheReadsEveryBlock) {
+  Options options;
+  options.block_size = 1024;
+  std::map<std::string, std::string> model = EvenKeys(2000, 0);
+  BlockCache block_cache(0);
+  std::unique_ptr<Table> table = BuildTable("zero.sst", options, model, &block_cache);
+  ASSERT_NE(nullptr, table);
+
+  uint64_t probes = 0;
+  PerfContextStartOp(PerfLevel::kEnableCounts);
+  for (int round = 0; round < 2; round++) {
+    for (int i = 0; i < 2000; i += 37) {
+      char key[32];
+      std::snprintf(key, sizeof(key), "k%08d", i * 2);
+      EXPECT_EQ(model[key], TableGet(table.get(), key));
+      probes++;
+    }
+  }
+  const PerfContext counts = *GetPerfContext();
+  PerfContextStartOp(PerfLevel::kDisabled);
+  EXPECT_EQ(probes, counts.block_reads);
+  EXPECT_EQ(0u, counts.block_cache_hits);
+  EXPECT_EQ(0u, block_cache.TotalCharge());
+}
+
+// Four readers mix point gets and full scans over a table of 1 KiB blocks
+// through a 4 KiB cache. A shard (256 B) keeps no block once it is
+// unpinned, so each block is evicted as its last reader lets go. Most gets
+// go to the first four blocks: readers then miss the same block at about
+// the same time, and each inserts its own copy, replacing (evicting) the
+// copy another reader still reads. Every value read must be right, and the
+// cache must fit its capacity once no reader pins a block.
+TEST_F(TableRoundTripTest, ConcurrentReadersThroughATinyCache) {
+  Options options;
+  options.block_size = 1024;
+  const std::map<std::string, std::string> model = EvenKeys(2000, 100);
+  const std::vector<std::pair<std::string, std::string>> entries(model.begin(), model.end());
+  constexpr int kHotKeys = 36;  // ~9 entries per block
+  constexpr size_t kCapacity = 4 << 10;
+  BlockCache block_cache(kCapacity);
+  std::unique_ptr<Table> table = BuildTable("tiny.sst", options, model, &block_cache);
+  ASSERT_NE(nullptr, table);
+
+  constexpr int kReaders = 4;
+  std::atomic<int> ready{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; t++) {
+    readers.emplace_back([&, t] {
+      Random rnd(301 + t);
+      ready++;
+      while (ready.load() < kReaders) {
+      }
+      for (int round = 0; round < 4; round++) {
+        for (int i = 0; i < 5000; i++) {
+          const int n = i % 4 == 0 ? static_cast<int>(entries.size()) : kHotKeys;
+          const auto& [k, v] = entries[rnd.Uniform(n)];
+          if (TableGet(table.get(), k) != v) {
+            wrong++;
+          }
+        }
+        std::unique_ptr<Iterator> iter(table->NewIterator(ReadOptions()));
+        iter->SeekToFirst();
+        for (const auto& [k, v] : entries) {
+          if (!iter->Valid() || iter->key() != Slice(k) || iter->value() != Slice(v)) {
+            wrong++;
+            break;
+          }
+          iter->Next();
+        }
+        if (iter->Valid() || !iter->status().ok()) {
+          wrong++;
+        }
+      }
+    });
+  }
+  for (auto& th : readers) {
+    th.join();
+  }
+  EXPECT_EQ(0, wrong.load());
+  EXPECT_LE(block_cache.TotalCharge(), kCapacity);
 }
 
 // Forwards to a real file and counts the Flush calls made on it.
@@ -459,9 +565,10 @@ TEST_F(TableRoundTripTest, BuilderLeavesFlushingToTheFile) {
   ASSERT_TRUE(env_->GetFileSize(fname, &file_size).ok());
   std::unique_ptr<RandomAccessFile> file;
   ASSERT_TRUE(env_->NewRandomAccessFile(fname, &file).ok());
+  BlockCache block_cache(0);
   Table* table_raw = nullptr;
-  ASSERT_TRUE(Table::Open(options, BytewiseComparator(), policy.get(), nullptr, std::move(file),
-                          file_size, &table_raw)
+  ASSERT_TRUE(Table::Open(options, BytewiseComparator(), policy.get(), &block_cache,
+                          std::move(file), file_size, &table_raw)
                   .ok());
   std::unique_ptr<Table> table(table_raw);
   std::unique_ptr<Iterator> iter(table->NewIterator(ReadOptions()));
@@ -525,11 +632,12 @@ TEST_F(TableRoundTripTest, OldFilterIsIgnoredNotMisread) {
   }
   uint64_t file_size;
   ASSERT_TRUE(env_->GetFileSize(fname, &file_size).ok());
+  BlockCache block_cache(0);
   auto open = [&](const FilterPolicy* policy) {
     std::unique_ptr<RandomAccessFile> file;
     EXPECT_TRUE(env_->NewRandomAccessFile(fname, &file).ok());
     Table* table = nullptr;
-    EXPECT_TRUE(Table::Open(options, BytewiseComparator(), policy, nullptr, std::move(file),
+    EXPECT_TRUE(Table::Open(options, BytewiseComparator(), policy, &block_cache, std::move(file),
                             file_size, &table)
                     .ok());
     return std::unique_ptr<Table>(table);
@@ -613,9 +721,10 @@ TEST_F(TableRoundTripTest, CorruptFooterIsRejected) {
   std::unique_ptr<RandomAccessFile> file;
   ASSERT_TRUE(env_->NewRandomAccessFile(fname, &file).ok());
   Options options;
+  BlockCache block_cache(0);
   Table* table = nullptr;
-  Status s =
-      Table::Open(options, BytewiseComparator(), nullptr, nullptr, std::move(file), 2000, &table);
+  Status s = Table::Open(options, BytewiseComparator(), nullptr, &block_cache, std::move(file),
+                         2000, &table);
   EXPECT_FALSE(s.ok());
   EXPECT_TRUE(s.IsCorruption());
   EXPECT_EQ(nullptr, table);
@@ -625,7 +734,7 @@ TEST(MergingIteratorTest, MergesSortedStreams) {
   Options options;
   options.block_restart_interval = 4;
   // Build three blocks with interleaved keys and merge their iterators.
-  std::vector<std::string> storage;
+  std::vector<std::unique_ptr<Block>> blocks;
   std::vector<Iterator*> children;
   for (int c = 0; c < 3; c++) {
     BlockBuilder builder(&options, BytewiseComparator());
@@ -634,12 +743,7 @@ TEST(MergingIteratorTest, MergesSortedStreams) {
       std::snprintf(key, sizeof(key), "key%05d", i * 3 + c);
       builder.Add(key, "v");
     }
-    storage.push_back(builder.Finish().ToString());
-  }
-  std::vector<std::unique_ptr<Block>> blocks;
-  for (auto& s : storage) {
-    BlockContents contents{Slice(s), false, false};
-    blocks.push_back(std::make_unique<Block>(contents));
+    blocks.push_back(std::make_unique<Block>(CopyOf(builder.Finish())));
     children.push_back(blocks.back()->NewIterator(BytewiseComparator()));
   }
   std::unique_ptr<Iterator> merged(

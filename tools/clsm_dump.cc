@@ -62,8 +62,9 @@ int DumpTable(const char* fname) {
   }
   Options options;
   InternalKeyComparator icmp(BytewiseComparator());
+  BlockCache block_cache(0);
   Table* table = nullptr;
-  s = Table::Open(options, &icmp, nullptr, nullptr, std::move(file), file_size, &table);
+  s = Table::Open(options, &icmp, nullptr, &block_cache, std::move(file), file_size, &table);
   if (!s.ok()) {
     fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;

@@ -117,14 +117,21 @@ class InternalKey {
   std::string rep_;
 };
 
-// Filter policy wrapper that builds filters over user keys (the sequence
-// tag would otherwise defeat Bloom lookups).
+// Filter policy wrapper that hashes the user key of an internal key (the
+// sequence tag would otherwise defeat Bloom lookups).
 class InternalFilterPolicy final : public FilterPolicy {
  public:
   explicit InternalFilterPolicy(const FilterPolicy* p) : user_policy_(p) {}
   const char* Name() const override { return user_policy_->Name(); }
-  void CreateFilter(const Slice* keys, int n, std::string* dst) const override;
-  bool KeyMayMatch(const Slice& key, const Slice& filter) const override;
+  uint32_t KeyHash(const Slice& key) const override {
+    return user_policy_->KeyHash(ExtractUserKey(key));
+  }
+  void CreateFilter(const uint32_t* hashes, size_t n, std::string* dst) const override {
+    user_policy_->CreateFilter(hashes, n, dst);
+  }
+  bool HashMayMatch(uint32_t hash, const Slice& filter) const override {
+    return user_policy_->HashMayMatch(hash, filter);
+  }
 
  private:
   const FilterPolicy* const user_policy_;

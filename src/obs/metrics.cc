@@ -31,38 +31,6 @@ const char* OpMetricName(OpMetric m) {
   return "unknown";
 }
 
-#if defined(CLSM_HAVE_CNTVCT)
-double LatencyClock::NanosPerTick() {
-  // The generic timer's frequency is architecturally discoverable — no
-  // calibration spin needed.
-  static const double scale = [] {
-    uint64_t freq_hz;
-    asm volatile("mrs %0, cntfrq_el0" : "=r"(freq_hz));
-    return freq_hz != 0 ? 1e9 / static_cast<double>(freq_hz) : 1.0;
-  }();
-  return scale;
-}
-#elif defined(CLSM_HAVE_RDTSC)
-double LatencyClock::NanosPerTick() {
-  // Calibrated once per process against steady_clock over a ~200us spin
-  // (sub-0.1% error; the TSC is invariant on x86-64). Thread-safe magic
-  // static; the winner pays the spin, everyone else a guard-acquire load.
-  static const double scale = [] {
-    const uint64_t t0 = __rdtsc();
-    const auto c0 = std::chrono::steady_clock::now();
-    std::chrono::steady_clock::time_point c1;
-    do {
-      c1 = std::chrono::steady_clock::now();
-    } while (c1 - c0 < std::chrono::microseconds(200));
-    const uint64_t t1 = __rdtsc();
-    const double nanos =
-        static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(c1 - c0).count());
-    return t1 > t0 ? nanos / static_cast<double>(t1 - t0) : 1.0;
-  }();
-  return scale;
-}
-#endif
-
 int ThisThreadStatsShard() {
   thread_local const int shard =
       static_cast<int>(std::hash<std::thread::id>()(std::this_thread::get_id()) % kNumStatsShards);

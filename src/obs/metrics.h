@@ -93,6 +93,40 @@ class LatencyClock {
   static double NanosPerTick();  // calibrated / read once on first use
 };
 
+// Defined here rather than in metrics.cc so that layers below clsm_obs (the
+// table reader's phase timers) can convert ticks without linking it.
+#if defined(CLSM_HAVE_CNTVCT)
+inline double LatencyClock::NanosPerTick() {
+  // The generic timer's frequency is architecturally discoverable — no
+  // calibration spin needed.
+  static const double scale = [] {
+    uint64_t freq_hz;
+    asm volatile("mrs %0, cntfrq_el0" : "=r"(freq_hz));
+    return freq_hz != 0 ? 1e9 / static_cast<double>(freq_hz) : 1.0;
+  }();
+  return scale;
+}
+#elif defined(CLSM_HAVE_RDTSC)
+inline double LatencyClock::NanosPerTick() {
+  // Calibrated once per process against steady_clock over a ~200us spin
+  // (sub-0.1% error; the TSC is invariant on x86-64). Thread-safe magic
+  // static; the winner pays the spin, everyone else a guard-acquire load.
+  static const double scale = [] {
+    const uint64_t t0 = __rdtsc();
+    const auto c0 = std::chrono::steady_clock::now();
+    std::chrono::steady_clock::time_point c1;
+    do {
+      c1 = std::chrono::steady_clock::now();
+    } while (c1 - c0 < std::chrono::microseconds(200));
+    const uint64_t t1 = __rdtsc();
+    const double nanos =
+        static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(c1 - c0).count());
+    return t1 > t0 ? nanos / static_cast<double>(t1 - t0) : 1.0;
+  }();
+  return scale;
+}
+#endif
+
 // Shard of the calling thread in [0, kNumStatsShards): a hash of the
 // thread id, computed once per thread. Distinct threads may collide on a
 // shard; the counters stay correct, only contention rises.

@@ -30,7 +30,7 @@ std::string PerfContext::ToJson() const {
   // emitted at every level so consumers need no presence checks; fields a
   // level does not populate are 0.
   std::string out;
-  out.reserve(672);
+  out.reserve(768);
   out.push_back('{');
   out.append("\"level\":\"");
   out.append(PerfLevelName(level));
@@ -45,6 +45,7 @@ std::string PerfContext::ToJson() const {
     out.append(buf);
   }
   out.append("],");
+  AppendU64(&out, "index_seeks", index_seeks);
   AppendU64(&out, "block_reads", block_reads);
   AppendU64(&out, "block_read_bytes", block_read_bytes);
   AppendU64(&out, "block_cache_hits", block_cache_hits);
@@ -61,6 +62,9 @@ std::string PerfContext::ToJson() const {
   AppendU64(&out, "wal_append", wal_append_nanos);
   AppendU64(&out, "mem_search", mem_search_nanos);
   AppendU64(&out, "disk_search", disk_search_nanos);
+  AppendU64(&out, "filter_probe", filter_probe_nanos);
+  AppendU64(&out, "index_seek", index_seek_nanos);
+  AppendU64(&out, "block_read", block_read_nanos);
   AppendU64(&out, "crc_verify", crc_verify_nanos, /*comma=*/false);
   out.append("}}");
   return out;

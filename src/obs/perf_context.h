@@ -50,6 +50,7 @@ struct PerfContext {
   uint64_t skiplist_search_nodes = 0;  // node hops across all skiplist searches
   uint64_t memtable_probes = 0;        // memtable Get calls (Cm + C'm)
   uint64_t table_reads_per_level[kMaxLevels] = {};  // SSTable probes by level
+  uint64_t index_seeks = 0;            // index-block seeks: probes the filter let through
   uint64_t block_reads = 0;            // data/index blocks read from disk
   uint64_t block_read_bytes = 0;       // bytes of those reads (incl. trailer)
   uint64_t block_cache_hits = 0;       // block served from the block cache
@@ -74,7 +75,10 @@ struct PerfContext {
   uint64_t wal_append_nanos = 0;         // put: record encode + enqueue (+ sync wait)
   uint64_t mem_search_nanos = 0;         // get: Cm + C'm probe
   uint64_t disk_search_nanos = 0;        // get: disk-component search
-  uint64_t crc_verify_nanos = 0;         // block checksum verification
+  uint64_t filter_probe_nanos = 0;       //   of which: table Bloom filter probes
+  uint64_t index_seek_nanos = 0;         //   of which: index-block seeks
+  uint64_t block_read_nanos = 0;         // block buffer allocation + read + checksum
+  uint64_t crc_verify_nanos = 0;         //   of which: block checksum verification
 
   bool counts_enabled() const { return level >= PerfLevel::kEnableCounts; }
   bool timers_enabled() const { return level == PerfLevel::kEnableTimers; }

@@ -33,13 +33,13 @@ class BloomFilterPolicy final : public FilterPolicy {
     }
   }
 
-  // The name versions the hash: a table carries its filter under
-  // "filter." + Name(), so a table whose filter was built with the earlier,
-  // unmixed hash ("clsm.BuiltinBloomFilter") has no filter under this name
-  // and is read unfiltered until a compaction rewrites it.
+  // The name versions the hash ("clsm.BuiltinBloomFilter" was the earlier,
+  // unmixed one): a filter stored under another name is never probed.
   const char* Name() const override { return "clsm.BuiltinBloomFilter2"; }
 
-  void CreateFilter(const Slice* keys, int n, std::string* dst) const override {
+  uint32_t KeyHash(const Slice& key) const override { return BloomHash(key); }
+
+  void CreateFilter(const uint32_t* hashes, size_t n, std::string* dst) const override {
     // Compute bloom filter size (in both bits and bytes).
     size_t bits = n * bits_per_key_;
     // A tiny filter has a huge false-positive rate; enforce a floor.
@@ -53,9 +53,9 @@ class BloomFilterPolicy final : public FilterPolicy {
     dst->resize(init_size + bytes, 0);
     dst->push_back(static_cast<char>(k_));  // Remember # of probes
     char* array = &(*dst)[init_size];
-    for (int i = 0; i < n; i++) {
+    for (size_t i = 0; i < n; i++) {
       // Double-hashing: one hash, rotated delta per probe.
-      uint32_t h = BloomHash(keys[i]);
+      uint32_t h = hashes[i];
       const uint32_t delta = (h >> 17) | (h << 15);
       for (size_t j = 0; j < k_; j++) {
         const uint32_t bitpos = h % bits;
@@ -65,7 +65,7 @@ class BloomFilterPolicy final : public FilterPolicy {
     }
   }
 
-  bool KeyMayMatch(const Slice& key, const Slice& bloom_filter) const override {
+  bool HashMayMatch(uint32_t h, const Slice& bloom_filter) const override {
     const size_t len = bloom_filter.size();
     if (len < 2) {
       return false;
@@ -80,7 +80,6 @@ class BloomFilterPolicy final : public FilterPolicy {
       return true;
     }
 
-    uint32_t h = BloomHash(key);
     const uint32_t delta = (h >> 17) | (h << 15);
     for (size_t j = 0; j < k; j++) {
       const uint32_t bitpos = h % bits;

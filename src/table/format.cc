@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "src/obs/metrics.h"  // MonotonicNanos (inline; no clsm_obs link dep)
+#include "src/obs/metrics.h"  // LatencyClock (inline; no clsm_obs link dep)
 #include "src/obs/perf_context.h"
 #include "src/util/coding.h"
 #include "src/util/crc32c.h"
@@ -61,6 +61,12 @@ Status Footer::DecodeFrom(Slice* input) {
 
 Status ReadBlock(RandomAccessFile* file, const ReadOptions& options, const BlockHandle& handle,
                  BlockContents* result) {
+  // Per-op attribution: every SSTable block IO funnels through here, so
+  // this is the one point that counts physical block reads and bytes and
+  // times them (buffer allocation, read and checksum).
+  PerfContext& ctx = tls_perf_context;
+  const bool timed = ctx.timers_enabled();
+  const uint64_t t0 = timed ? LatencyClock::Ticks() : 0;
   const size_t n = static_cast<size_t>(handle.size());
   std::unique_ptr<char[]> buf(new char[n + kBlockTrailerSize]);
   Slice contents;
@@ -72,27 +78,24 @@ Status ReadBlock(RandomAccessFile* file, const ReadOptions& options, const Block
     return Status::Corruption("truncated block read");
   }
   assert(contents.data() == buf.get());
-  // Per-op attribution: every SSTable block IO funnels through here, so
-  // this is the one point that counts physical block reads and bytes.
-  {
-    PerfContext& ctx = tls_perf_context;
-    if (ctx.counts_enabled()) {
-      ctx.block_reads++;
-      ctx.block_read_bytes += n + kBlockTrailerSize;
-    }
+  if (ctx.counts_enabled()) {
+    ctx.block_reads++;
+    ctx.block_read_bytes += n + kBlockTrailerSize;
   }
 
   if (options.verify_checksums) {
-    const bool timed = tls_perf_context.timers_enabled();
-    const uint64_t crc_t0 = timed ? MonotonicNanos() : 0;
+    const uint64_t crc_t0 = timed ? LatencyClock::Ticks() : 0;
     const uint32_t crc = crc32c::Unmask(DecodeFixed32(buf.get() + n + 1));
     const uint32_t actual = crc32c::Value(buf.get(), n + 1);
     if (timed) {
-      tls_perf_context.crc_verify_nanos += MonotonicNanos() - crc_t0;
+      ctx.crc_verify_nanos += LatencyClock::ToNanos(LatencyClock::Ticks() - crc_t0);
     }
     if (actual != crc) {
       return Status::Corruption("block checksum mismatch");
     }
+  }
+  if (timed) {
+    ctx.block_read_nanos += LatencyClock::ToNanos(LatencyClock::Ticks() - t0);
   }
   result->data = std::move(buf);
   result->size = n;

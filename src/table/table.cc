@@ -1,8 +1,8 @@
 #include "src/table/table.h"
 
+#include "src/obs/metrics.h"  // LatencyClock (inline; no clsm_obs link dep)
 #include "src/obs/perf_context.h"
 #include "src/table/block.h"
-#include "src/table/filter_block.h"
 
 namespace clsm {
 
@@ -12,8 +12,10 @@ struct Table::Rep {
   BlockCache* block_cache;
   uint64_t cache_id;
   std::unique_ptr<RandomAccessFile> file;
+  // One filter over every key of the table; empty when the table has none
+  // under filter_policy's key (or there is no policy).
   std::unique_ptr<char[]> filter_data;
-  std::unique_ptr<FilterBlockReader> filter;
+  Slice filter;
 
   BlockHandle metaindex_handle;  // Handle to metaindex_block: saved from footer
   std::unique_ptr<Block> index_block;
@@ -77,8 +79,7 @@ void Table::ReadMeta(const ReadOptions& options, const Footer& footer) {
   Block meta(std::move(contents));
 
   std::unique_ptr<Iterator> iter(meta.NewIterator(BytewiseComparator()));
-  std::string key = "filter.";
-  key.append(rep_->filter_policy->Name());
+  const std::string key = FilterMetaKey(*rep_->filter_policy);
   iter->Seek(key);
   if (iter->Valid() && iter->key() == Slice(key)) {
     ReadFilter(options, iter->value());
@@ -97,8 +98,7 @@ void Table::ReadFilter(const ReadOptions& options, const Slice& filter_handle_va
     return;
   }
   rep_->filter_data = std::move(block.data);
-  rep_->filter = std::make_unique<FilterBlockReader>(rep_->filter_policy,
-                                                     Slice(rep_->filter_data.get(), block.size));
+  rep_->filter = Slice(rep_->filter_data.get(), block.size);
 }
 
 Table::~Table() { delete rep_; }
@@ -154,34 +154,44 @@ Iterator* Table::NewIterator(const ReadOptions& options) const {
 
 Status Table::InternalGet(const ReadOptions& options, const Slice& k, void* arg,
                           bool (*handle_result)(void*, const Slice&, const Slice&)) {
-  Status s;
-  Iterator* iiter = rep_->index_block->NewIterator(rep_->comparator);
-  iiter->Seek(k);
-  if (iiter->Valid()) {
-    Slice handle_value = iiter->value();
-    FilterBlockReader* filter = rep_->filter.get();
-    BlockHandle handle;
-    if (filter != nullptr && handle.DecodeFrom(&handle_value).ok() &&
-        !filter->KeyMayMatch(handle.offset(), k)) {
-      // Not found: the Bloom filter rules the key out without any I/O.
-      CLSM_PERF_COUNT_ADD(bloom_useful, 1);
-    } else {
-      Iterator* block_iter = BlockReader(this, options, iiter->value());
-      block_iter->Seek(k);
-      const bool matched =
-          block_iter->Valid() && (*handle_result)(arg, block_iter->key(), block_iter->value());
-      s = block_iter->status();
-      if (filter != nullptr && !matched && s.ok()) {
-        // The filter said "maybe" and the block read was wasted.
-        CLSM_PERF_COUNT_ADD(bloom_false_positives, 1);
-      }
-      delete block_iter;
+  PerfContext& ctx = tls_perf_context;
+  const bool timed = ctx.timers_enabled();
+  const bool filtered = !rep_->filter.empty();
+  if (filtered) {
+    const uint64_t t0 = timed ? LatencyClock::Ticks() : 0;
+    const bool may_match = rep_->filter_policy->KeyMayMatch(k, rep_->filter);
+    if (timed) {
+      ctx.filter_probe_nanos += LatencyClock::ToNanos(LatencyClock::Ticks() - t0);
     }
+    if (!may_match) {
+      // Not found: the filter rules the key out before any index seek.
+      CLSM_PERF_COUNT_ADD(bloom_useful, 1);
+      return Status::OK();
+    }
+  }
+
+  CLSM_PERF_COUNT_ADD(index_seeks, 1);
+  const uint64_t t0 = timed ? LatencyClock::Ticks() : 0;
+  std::unique_ptr<Iterator> iiter(rep_->index_block->NewIterator(rep_->comparator));
+  iiter->Seek(k);
+  if (timed) {
+    ctx.index_seek_nanos += LatencyClock::ToNanos(LatencyClock::Ticks() - t0);
+  }
+  Status s;
+  bool matched = false;
+  if (iiter->Valid()) {
+    std::unique_ptr<Iterator> block_iter(BlockReader(this, options, iiter->value()));
+    block_iter->Seek(k);
+    matched = block_iter->Valid() && (*handle_result)(arg, block_iter->key(), block_iter->value());
+    s = block_iter->status();
   }
   if (s.ok()) {
     s = iiter->status();
   }
-  delete iiter;
+  if (filtered && !matched && s.ok()) {
+    // The filter said "maybe" and the table holds no such entry.
+    CLSM_PERF_COUNT_ADD(bloom_false_positives, 1);
+  }
   return s;
 }
 

@@ -34,11 +34,13 @@ class Table {
   // New iterator over the table contents (two-level: index then block).
   Iterator* NewIterator(const ReadOptions&) const;
 
-  // Point lookup: seeks to the first entry >= k and, if one exists in the
-  // candidate block (after the Bloom filter check), invokes
-  // handle_result(arg, found_key, found_value), which returns whether that
-  // entry is the key looked for. A block the filter let through that holds
-  // no such entry counts as a Bloom false positive.
+  // Point lookup. The table's Bloom filter is probed first; a key it rules
+  // out ends the lookup with no index seek and no block read. Otherwise
+  // seeks the index, then the candidate block, to the first entry >= k and,
+  // if there is one, invokes handle_result(arg, found_key, found_value),
+  // which returns whether that entry is the key looked for. A probe the
+  // filter let through that finds no such entry counts as a Bloom false
+  // positive.
   Status InternalGet(const ReadOptions&, const Slice& key, void* arg,
                      bool (*handle_result)(void* arg, const Slice& k, const Slice& v));
 

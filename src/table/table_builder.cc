@@ -1,9 +1,9 @@
 #include "src/table/table_builder.h"
 
 #include <cassert>
+#include <vector>
 
 #include "src/table/block_builder.h"
-#include "src/table/filter_block.h"
 #include "src/table/format.h"
 #include "src/util/coding.h"
 #include "src/util/crc32c.h"
@@ -20,7 +20,6 @@ struct TableBuilder::Rep {
         index_block(&options, cmp),
         num_entries(0),
         closed(false),
-        filter_block(policy == nullptr ? nullptr : new FilterBlockBuilder(policy)),
         filter_policy(policy),
         pending_index_entry(false) {}
 
@@ -34,8 +33,12 @@ struct TableBuilder::Rep {
   std::string last_key;
   int64_t num_entries;
   bool closed;  // Either Finish() or Abandon() has been called.
-  FilterBlockBuilder* filter_block;
+  // The hashes of the table's keys, turned into one filter by Finish: four
+  // bytes per key however long the keys are. A hash equal to the one before
+  // it (another version of the same user key) is kept once; the filter
+  // depends only on which hashes it holds.
   const FilterPolicy* filter_policy;
+  std::vector<uint32_t> filter_hashes;
 
   // Index entries are emitted lazily, only when the following block's first
   // key is known, so FindShortestSeparator can shrink them.
@@ -47,15 +50,10 @@ struct TableBuilder::Rep {
 
 TableBuilder::TableBuilder(const Options& options, const Comparator* comparator,
                            const FilterPolicy* filter_policy, WritableFile* file)
-    : rep_(new Rep(options, comparator, filter_policy, file)) {
-  if (rep_->filter_block != nullptr) {
-    rep_->filter_block->StartBlock(0);
-  }
-}
+    : rep_(new Rep(options, comparator, filter_policy, file)) {}
 
 TableBuilder::~TableBuilder() {
   assert(rep_->closed);  // Catch errors where caller forgot to call Finish()
-  delete rep_->filter_block;
   delete rep_;
 }
 
@@ -78,8 +76,11 @@ void TableBuilder::Add(const Slice& key, const Slice& value) {
     r->pending_index_entry = false;
   }
 
-  if (r->filter_block != nullptr) {
-    r->filter_block->AddKey(key);
+  if (r->filter_policy != nullptr) {
+    const uint32_t h = r->filter_policy->KeyHash(key);
+    if (r->filter_hashes.empty() || r->filter_hashes.back() != h) {
+      r->filter_hashes.push_back(h);
+    }
   }
 
   r->last_key.assign(key.data(), key.size());
@@ -107,9 +108,6 @@ void TableBuilder::Flush() {
   WriteBlock(&r->data_block, &r->pending_handle);
   if (ok()) {
     r->pending_index_entry = true;
-  }
-  if (r->filter_block != nullptr) {
-    r->filter_block->StartBlock(r->offset);
   }
 }
 
@@ -149,19 +147,19 @@ Status TableBuilder::Finish() {
   BlockHandle filter_block_handle, metaindex_block_handle, index_block_handle;
 
   // Write filter block.
-  if (ok() && r->filter_block != nullptr) {
-    WriteRawBlock(r->filter_block->Finish(), &filter_block_handle);
+  if (ok() && r->filter_policy != nullptr) {
+    std::string filter;
+    r->filter_policy->CreateFilter(r->filter_hashes.data(), r->filter_hashes.size(), &filter);
+    WriteRawBlock(filter, &filter_block_handle);
   }
 
   // Write metaindex block.
   if (ok()) {
     BlockBuilder meta_index_block(&r->options, BytewiseComparator());
-    if (r->filter_block != nullptr) {
-      std::string key = "filter.";
-      key.append(r->filter_policy->Name());
+    if (r->filter_policy != nullptr) {
       std::string handle_encoding;
       filter_block_handle.EncodeTo(&handle_encoding);
-      meta_index_block.Add(key, handle_encoding);
+      meta_index_block.Add(FilterMetaKey(*r->filter_policy), handle_encoding);
     }
     WriteBlock(&meta_index_block, &metaindex_block_handle);
   }

@@ -53,6 +53,10 @@ class FaultInjectionEnv final : public Env {
   void DelaySyncs(uint64_t micros) {
     sync_delay_micros_.store(micros, std::memory_order_release);
   }
+  // Pin NowMicros() to `micros`, so that a test places the edge of a time
+  // window (the slow-op rate bound's, say) where it needs one. 0 passes the
+  // base clock through again.
+  void SetNowMicros(uint64_t micros) { now_micros_.store(micros, std::memory_order_release); }
   void FailNewFiles(bool enabled) { fail_new_files_.store(enabled, std::memory_order_release); }
   void FailRenames(bool enabled) { fail_renames_.store(enabled, std::memory_order_release); }
   void FailCreateDir(bool enabled) { fail_create_dir_.store(enabled, std::memory_order_release); }
@@ -115,7 +119,10 @@ class FaultInjectionEnv final : public Env {
   Status RemoveDir(const std::string& dirname) override;
   Status GetFileSize(const std::string& fname, uint64_t* file_size) override;
   Status RenameFile(const std::string& src, const std::string& target) override;
-  uint64_t NowMicros() override { return base_->NowMicros(); }
+  uint64_t NowMicros() override {
+    const uint64_t pinned = now_micros_.load(std::memory_order_acquire);
+    return pinned != 0 ? pinned : base_->NowMicros();
+  }
 
  private:
   friend class FaultyWritableFile;
@@ -154,6 +161,7 @@ class FaultInjectionEnv final : public Env {
   std::atomic<int> sync_failures_left_{0};
   std::atomic<int> syncs_to_pass_{0};
   std::atomic<uint64_t> sync_delay_micros_{0};
+  std::atomic<uint64_t> now_micros_{0};  // 0: the base clock
   std::atomic<uint64_t> write_failures_{0};
 
   std::atomic<bool> kill_armed_{false};

@@ -446,8 +446,7 @@ TEST(CompactionPickerGoldenTest, SeededLayoutReplayMatchesGolden) {
     actual += PickerReplay(layout, dir.path() + "/layout" + std::to_string(layout)).Run();
   }
 
-  const std::string golden_path =
-      std::string(CLSM_TESTS_SOURCE_DIR) + "/golden/compaction_picker_replay.txt";
+  const std::string golden_path = GoldenPath("compaction_picker_replay.txt");
   std::string golden;
   if (FILE* f = std::fopen(golden_path.c_str(), "rb")) {
     char buf[4096];

@@ -14,6 +14,7 @@
 
 #include "src/core/clsm_db.h"
 #include "src/lsm/storage_engine.h"
+#include "src/obs/perf_context.h"
 #include "tests/test_util.h"
 
 namespace clsm {
@@ -496,6 +497,63 @@ TEST_F(TableLifetimeTest, OpenTablesHoldNoCopyOfOptions) {
   EXPECT_EQ(LiveTables(db.get()), env_.open_tables());
   EXPECT_EQ(refs, listener.use_count())
       << "after opening " << env_.open_tables() - open_before << " tables";
+}
+
+// tests/golden/per_block_filter_store/ is a store written by the release
+// that kept one Bloom filter per 2 KiB of each table
+// ("filter.clsm.BuiltinBloomFilter2"; see tests/golden/README.md): four
+// level-0 tables over keys BigEndianKey(2 * i), i < 1000, and an empty
+// log. Its
+// tables have no filter this release reads, so they are read unfiltered
+// (every value intact, no probe skipped) until a compaction rewrites them
+// with one filter each.
+TEST(PerBlockFilterUpgradeTest, CompactionRestoresFiltering) {
+  ScratchDir dir("perblock-upgrade");
+  Env* env = Env::Default();
+  const std::string golden = GoldenPath("per_block_filter_store");
+  const std::string dbname = dir.path() + "/db";
+  ASSERT_TRUE(env->CreateDir(dbname).ok());
+  std::vector<std::string> children;
+  ASSERT_TRUE(env->GetChildren(golden, &children).ok());
+  for (const std::string& child : children) {
+    std::string data;
+    if (child == "." || child == ".." || !ReadFileToString(env, golden + "/" + child, &data).ok()) {
+      continue;
+    }
+    ASSERT_TRUE(WriteStringToFileSync(env, data, dbname + "/" + child).ok()) << child;
+  }
+
+  constexpr uint64_t kKeys = 1000;
+  Options options;
+  options.perf_level = PerfLevel::kEnableCounts;
+  options.l0_compaction_trigger = 100;
+  // Reads every key and returns the bloom skips of the absent ones.
+  auto read_all = [&](DB* db) {
+    uint64_t useful = 0;
+    std::string v;
+    for (uint64_t i = 0; i < kKeys; i++) {
+      EXPECT_TRUE(db->Get(ReadOptions(), BigEndianKey(2 * i), &v).ok()) << i;
+      EXPECT_EQ(GoldenValue(i), v) << i;
+      EXPECT_TRUE(db->Get(ReadOptions(), BigEndianKey(2 * i + 1), &v).IsNotFound()) << i;
+      useful += GetPerfContext()->bloom_useful;
+    }
+    return useful;
+  };
+  {
+    DB* raw = nullptr;
+    ASSERT_TRUE(ClsmDb::Open(options, dbname, &raw).ok());
+    std::unique_ptr<DB> db(raw);
+    ASSERT_EQ("files[4 0 ", db->GetProperty("clsm.levels").substr(0, 10));
+    EXPECT_EQ(0u, read_all(db.get()));
+  }
+  // A compaction of every level-0 table into level 1.
+  options.l0_compaction_trigger = 2;
+  DB* raw = nullptr;
+  ASSERT_TRUE(ClsmDb::Open(options, dbname, &raw).ok());
+  std::unique_ptr<DB> db(raw);
+  db->WaitForMaintenance();
+  EXPECT_EQ("files[0 ", db->GetProperty("clsm.levels").substr(0, 8));
+  EXPECT_GT(read_all(db.get()), kKeys / 2);
 }
 
 }  // namespace

@@ -6,6 +6,9 @@
 //  * kEnableTimers: the contiguous phase timers of a Put or a batch Write
 //    (throttle + lock_getts + mem_insert + wal_append) sum to the measured
 //    total within 10% (averaged over many ops);
+//  * a disk Get's table probes end at the filter or seek the index once
+//    (index_seeks == probes - bloom_useful), and its filter, index-seek and
+//    block-read timers nest inside the disk search;
 //  * op entry resets the previous op's numbers;
 //  * GetProperty("clsm.perf.json") renders the calling thread's snapshot.
 #include <gtest/gtest.h>
@@ -136,6 +139,62 @@ TEST(PerfContextTest, BloomCountersAccountForEveryAbsentKeyProbe) {
   EXPECT_LT(false_positives, probes / 20);
 }
 
+// A table probe asks the table's Bloom filter first and seeks the index
+// only if the filter lets the key through, so over present and absent keys
+// alike index_seeks == probes - bloom_useful. At timers level the filter
+// probe, index seek and block read of a disk Get are each timed, and being
+// nested in the disk search they sum to at most its time.
+TEST(PerfContextTest, DiskGetSplitsIntoFilterIndexSeekAndBlockRead) {
+  ScratchDir dir("perf-split");
+  Options options;
+  options.perf_level = PerfLevel::kEnableCounts;
+  options.write_buffer_size = 32 * 1024;
+  options.block_cache_size = 0;  // every index seek reads its block
+  {
+    std::unique_ptr<DB> db = OpenFresh(DbVariant::kClsm, options, dir.path() + "/db");
+    for (int i = 0; i < 2000; i++) {
+      ASSERT_TRUE(db->Put(WriteOptions(), Key(2 * i), std::string(128, 'v')).ok());
+    }
+    db->WaitForMaintenance();
+
+    uint64_t probes = 0, useful = 0, seeks = 0;
+    std::string value;
+    for (int i = 0; i < 4000; i++) {
+      const Status s = db->Get(ReadOptions(), Key(i), &value);
+      ASSERT_TRUE(i % 2 == 0 ? s.ok() : s.IsNotFound()) << i;
+      const PerfContext* ctx = GetPerfContext();
+      for (int l = 0; l < PerfContext::kMaxLevels; l++) {
+        probes += ctx->table_reads_per_level[l];
+      }
+      useful += ctx->bloom_useful;
+      seeks += ctx->index_seeks;
+    }
+    ASSERT_GT(useful, 1000u) << "absent keys should be ruled out by the filters";
+    ASSERT_GT(seeks, 1000u) << "present keys should be searched on disk";
+    EXPECT_EQ(seeks, probes - useful);
+  }
+
+  options.perf_level = PerfLevel::kEnableTimers;
+  std::unique_ptr<DB> db = OpenFresh(DbVariant::kClsm, options, dir.path() + "/db");
+  PerfContext* ctx = GetPerfContext();
+  int disk_gets = 0;
+  std::string value;
+  for (int i = 0; i < 4000; i += 2) {
+    ASSERT_TRUE(db->Get(ReadOptions(), Key(i), &value).ok()) << i;
+    if (ctx->disk_search_nanos == 0) {
+      continue;  // served from the memtable
+    }
+    disk_gets++;
+    EXPECT_GT(ctx->filter_probe_nanos, 0u) << i;
+    EXPECT_GT(ctx->index_seek_nanos, 0u) << i;
+    EXPECT_GT(ctx->block_read_nanos, 0u) << i;
+    EXPECT_LE(ctx->filter_probe_nanos + ctx->index_seek_nanos + ctx->block_read_nanos,
+              ctx->disk_search_nanos)
+        << i;
+  }
+  EXPECT_GT(disk_gets, 1000);
+}
+
 TEST(PerfContextTest, PutPhaseTimersSumToTotalWithinTenPercent) {
   ScratchDir dir("perf-sum");
   Options options;
@@ -226,11 +285,13 @@ TEST(PerfContextTest, PerfJsonPropertyRendersThisThreadsSnapshot) {
   EXPECT_NE(json.find("\"level\":\"counts+timers\""), std::string::npos) << json;
   for (const char* key :
        {"\"counters\"", "\"skiplist_search_nodes\"", "\"memtable_probes\"",
-        "\"table_reads_per_level\"", "\"block_reads\"", "\"block_read_bytes\"",
+        "\"table_reads_per_level\"", "\"index_seeks\"", "\"block_reads\"",
+        "\"block_read_bytes\"",
         "\"block_cache_hits\"", "\"bloom_useful\"", "\"bloom_false_positives\"",
         "\"timers_nanos\"", "\"total\"", "\"throttle\"", "\"memtable_roll_wait\"",
         "\"write_delay\"", "\"lock_getts\"", "\"shared_lock_wait\"", "\"mem_insert\"",
-        "\"wal_append\"", "\"mem_search\"", "\"disk_search\"", "\"crc_verify\""}) {
+        "\"wal_append\"", "\"mem_search\"", "\"disk_search\"", "\"filter_probe\"",
+        "\"index_seek\"", "\"block_read\"", "\"crc_verify\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key << " in " << json;
   }
   // The put populated the write-path timers; they render as nonzero.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -169,6 +170,26 @@ TEST_P(SlowOpDbTest, DegradedSyncDeviceFiresStructuredRecords) {
   EXPECT_EQ(lines, records.size());
 }
 
+// Key of slow put i: its first 8 bytes encode i, so the key_prefix_hash of
+// a record names the put behind it.
+std::string SlowPutKey(int i) { return BigEndianKey(i) + "-slow"; }
+
+// The index of the put behind each record: the i < puts whose key's prefix
+// hash it carries, or -1.
+std::vector<int> PutIndexOfRecords(const std::vector<SlowOpInfo>& records, int puts) {
+  std::map<uint64_t, int> put_of_hash;
+  for (int i = 0; i < puts; i++) {
+    put_of_hash[SlowOpKeyPrefixHash(SlowPutKey(i))] = i;
+  }
+  EXPECT_EQ(static_cast<size_t>(puts), put_of_hash.size()) << "prefix hashes collide";
+  std::vector<int> put_index;
+  for (const SlowOpInfo& r : records) {
+    auto it = put_of_hash.find(r.key_prefix_hash);
+    put_index.push_back(it == put_of_hash.end() ? -1 : it->second);
+  }
+  return put_index;
+}
+
 TEST_P(SlowOpDbTest, RateBoundSuppressesButCounts) {
   auto collector = std::make_shared<SlowOpCollector>();
   Options options;
@@ -182,7 +203,7 @@ TEST_P(SlowOpDbTest, RateBoundSuppressesButCounts) {
   sync_wo.sync = true;
   constexpr int kSlowPuts = 30;
   for (int i = 0; i < kSlowPuts; i++) {
-    ASSERT_TRUE(db->Put(sync_wo, "bounded-key-" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(db->Put(sync_wo, SlowPutKey(i), "v").ok());
   }
   fault_env_.Heal();
 
@@ -201,12 +222,56 @@ TEST_P(SlowOpDbTest, RateBoundSuppressesButCounts) {
   char expect_reported[64];
   snprintf(expect_reported, sizeof(expect_reported), "\"slow_ops_reported\":%zu", reported);
   EXPECT_NE(stats.find(expect_reported), std::string::npos) << stats;
-  // A record admitted after the bound engaged carries the cumulative
-  // suppressed count (only observable when a second window opened).
-  std::vector<SlowOpInfo> records = collector->Snapshot();
-  if (records.size() >= 2) {
-    EXPECT_GT(records.back().suppressed, 0u);
+  // Puts are reported in order and each record carries the cumulative
+  // suppressed count: before put p, the r-th record, p puts ran and r were
+  // reported, so it carries exactly p - r, wherever the window edges fell.
+  const std::vector<SlowOpInfo> records = collector->Snapshot();
+  const std::vector<int> put_index = PutIndexOfRecords(records, kSlowPuts);
+  ASSERT_FALSE(records.empty());
+  ASSERT_EQ(0, put_index.front()) << "the first slow put opens a window";
+  for (size_t r = 0; r < records.size(); r++) {
+    ASSERT_GE(put_index[r], static_cast<int>(r)) << r;
+    EXPECT_EQ(static_cast<uint64_t>(put_index[r]) - r, records[r].suppressed)
+        << "record " << r << " of put " << put_index[r];
   }
+}
+
+// A window edge between the first two slow puts: each opens its own window
+// and is reported before anything was suppressed, so the last of the two
+// records carries suppressed 0 (a check that the last record of two carries
+// a nonzero count fails on this schedule); the other 28 puts fall in the
+// second window and are suppressed.
+TEST_P(SlowOpDbTest, RateBoundWindowEdgeBetweenFirstTwoPuts) {
+  auto collector = std::make_shared<SlowOpCollector>();
+  Options options;
+  options.slow_op_threshold_micros = 500;
+  options.slow_op_max_per_sec = 1;
+  options.listeners.push_back(collector);
+  std::unique_ptr<DB> db = OpenFresh(options, "edge");
+
+  constexpr uint64_t kWindow = 1'000'000;  // the bound's window, microseconds
+  constexpr uint64_t kEdge = 1'700'000'000 * kWindow;
+  fault_env_.DelaySyncs(1000);
+  WriteOptions sync_wo;
+  sync_wo.sync = true;
+  constexpr int kSlowPuts = 30;
+  fault_env_.SetNowMicros(kEdge - 1);  // the last microsecond of a window
+  ASSERT_TRUE(db->Put(sync_wo, SlowPutKey(0), "v").ok());
+  fault_env_.SetNowMicros(kEdge);
+  for (int i = 1; i < kSlowPuts; i++) {
+    ASSERT_TRUE(db->Put(sync_wo, SlowPutKey(i), "v").ok());
+  }
+  fault_env_.Heal();
+  fault_env_.SetNowMicros(0);
+
+  const std::vector<SlowOpInfo> records = collector->Snapshot();
+  ASSERT_EQ(2u, records.size());
+  EXPECT_EQ((std::vector<int>{0, 1}), PutIndexOfRecords(records, kSlowPuts));
+  EXPECT_EQ(0u, records[0].suppressed);
+  EXPECT_EQ(0u, records[1].suppressed);
+  const std::string stats = db->GetProperty("clsm.stats.json");
+  EXPECT_NE(stats.find("\"slow_ops_total\":30"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"slow_ops_reported\":2"), std::string::npos) << stats;
 }
 
 TEST_P(SlowOpDbTest, ThresholdZeroDisablesDispatch) {

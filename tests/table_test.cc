@@ -8,16 +8,12 @@
 #include <thread>
 #include <vector>
 
-#include "src/core/clsm_db.h"
-#include "src/lsm/dbformat.h"
-#include "src/lsm/filename.h"
-#include "src/lsm/repair.h"
 #include "src/obs/perf_context.h"
 #include "src/table/block.h"
 #include "src/table/block_builder.h"
 #include "src/table/bloom.h"
 #include "src/table/cache.h"
-#include "src/table/filter_block.h"
+#include "src/table/format.h"
 #include "src/table/merging_iterator.h"
 #include "src/table/table.h"
 #include "src/table/table_builder.h"
@@ -98,25 +94,30 @@ TEST_P(BlockRoundTripTest, RoundTripWithRestartInterval) {
 
 INSTANTIATE_TEST_SUITE_P(RestartIntervals, BlockRoundTripTest, ::testing::Values(1, 2, 16, 128));
 
+// A filter over keys, built as a table builder builds one: from their hashes.
+std::string FilterOver(const FilterPolicy& policy, const std::vector<std::string>& keys) {
+  std::vector<uint32_t> hashes;
+  for (const std::string& k : keys) {
+    hashes.push_back(policy.KeyHash(k));
+  }
+  std::string filter;
+  policy.CreateFilter(hashes.data(), hashes.size(), &filter);
+  return filter;
+}
+
 TEST(BloomTest, EmptyFilter) {
   std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(10));
-  std::string filter;
-  policy->CreateFilter(nullptr, 0, &filter);
+  const std::string filter = FilterOver(*policy, {});
   EXPECT_FALSE(policy->KeyMayMatch("hello", filter));
 }
 
 TEST(BloomTest, NoFalseNegatives) {
   std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(10));
   std::vector<std::string> keys;
-  std::vector<Slice> key_slices;
   for (int i = 0; i < 10000; i++) {
     keys.push_back("bloom-key-" + std::to_string(i * 7));
   }
-  for (const auto& k : keys) {
-    key_slices.push_back(Slice(k));
-  }
-  std::string filter;
-  policy->CreateFilter(key_slices.data(), static_cast<int>(key_slices.size()), &filter);
+  const std::string filter = FilterOver(*policy, keys);
   for (const auto& k : keys) {
     EXPECT_TRUE(policy->KeyMayMatch(k, filter)) << "false negative for " << k;
   }
@@ -125,15 +126,10 @@ TEST(BloomTest, NoFalseNegatives) {
 TEST(BloomTest, FalsePositiveRateIsReasonable) {
   std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(10));
   std::vector<std::string> keys;
-  std::vector<Slice> key_slices;
   for (int i = 0; i < 10000; i++) {
     keys.push_back("member-" + std::to_string(i));
   }
-  for (const auto& k : keys) {
-    key_slices.push_back(Slice(k));
-  }
-  std::string filter;
-  policy->CreateFilter(key_slices.data(), static_cast<int>(key_slices.size()), &filter);
+  const std::string filter = FilterOver(*policy, keys);
   int false_positives = 0;
   for (int i = 0; i < 10000; i++) {
     std::string probe = "nonmember-" + std::to_string(i);
@@ -145,18 +141,10 @@ TEST(BloomTest, FalsePositiveRateIsReasonable) {
   EXPECT_LT(false_positives, 400);
 }
 
-// An 8-byte big-endian integer, the key layout of the store's workloads.
-std::string BigEndianKey(uint64_t v) {
-  std::string key(8, '\0');
-  for (int b = 0; b < 8; b++) {
-    key[b] = static_cast<char>(v >> (56 - 8 * b));
-  }
-  return key;
-}
-
 // Filters the size of one data block (15 keys, as a 4 KiB block of 256-byte
 // values holds) over integer keys in three layouts, each probed with every
-// absent key inside its range and within 15 of either end.
+// absent key inside its range and within 15 of either end: a small table's
+// filter, and the layout tables carried when each block had its own.
 TEST(BloomTest, StructuredKeysInBlockSizedFilters) {
   std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(10));
   constexpr int kKeysPerFilter = 15;
@@ -183,9 +171,7 @@ TEST(BloomTest, StructuredKeysInBlockSizedFilters) {
         keys.push_back(BigEndianKey(next));
         next += layout.gap(&rnd);
       }
-      std::vector<Slice> key_slices(keys.begin(), keys.end());
-      std::string filter;
-      policy->CreateFilter(key_slices.data(), kKeysPerFilter, &filter);
+      const std::string filter = FilterOver(*policy, keys);
       for (const std::string& k : keys) {
         ASSERT_TRUE(policy->KeyMayMatch(k, filter)) << layout.name;
       }
@@ -209,21 +195,48 @@ TEST(BloomTest, StructuredKeysInBlockSizedFilters) {
   }
 }
 
-// The filter tables carried before the probe hash was finalized: the same
-// layout and name as then, over the unmixed Hash().
+// One filter the size of a 2 MiB table's (~7.5K keys of 256-byte values):
+// integer keys at stride 2, probed with every odd key between them.
+TEST(BloomTest, TableSizedFilterOverStridedIntegerKeys) {
+  std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(10));
+  constexpr uint64_t kKeys = 7500;
+  std::vector<std::string> keys;
+  for (uint64_t i = 0; i < kKeys; i++) {
+    keys.push_back(BigEndianKey(2 * i));
+  }
+  const std::string filter = FilterOver(*policy, keys);
+  EXPECT_EQ(kKeys * 10 / 8 + 1, filter.size()) << "10 bits per key and the probe count";
+  for (const std::string& k : keys) {
+    ASSERT_TRUE(policy->KeyMayMatch(k, filter));
+  }
+  uint64_t false_positives = 0;
+  for (uint64_t i = 0; i < kKeys; i++) {
+    if (policy->KeyMayMatch(BigEndianKey(2 * i + 1), filter)) {
+      false_positives++;
+    }
+  }
+  EXPECT_LT(false_positives, kKeys * 2 / 100) << false_positives << " in " << kKeys;
+}
+
+// The hash filters used before it was finalized, under the name they had
+// then: a policy that hashes as the current one does not.
 class UnmixedBloomPolicy final : public FilterPolicy {
  public:
   const char* Name() const override { return "clsm.BuiltinBloomFilter"; }
 
-  void CreateFilter(const Slice* keys, int n, std::string* dst) const override {
+  uint32_t KeyHash(const Slice& key) const override {
+    return Hash(key.data(), key.size(), 0xbc9f1d34);
+  }
+
+  void CreateFilter(const uint32_t* hashes, size_t n, std::string* dst) const override {
     const size_t bytes = (std::max<size_t>(n * 10, 64) + 7) / 8;
     const size_t bits = bytes * 8;
     const size_t init_size = dst->size();
     dst->resize(init_size + bytes, 0);
     dst->push_back(static_cast<char>(kProbes));
     char* array = &(*dst)[init_size];
-    for (int i = 0; i < n; i++) {
-      uint32_t h = Hash(keys[i].data(), keys[i].size(), 0xbc9f1d34);
+    for (size_t i = 0; i < n; i++) {
+      uint32_t h = hashes[i];
       const uint32_t delta = (h >> 17) | (h << 15);
       for (int j = 0; j < kProbes; j++) {
         const uint32_t bitpos = h % bits;
@@ -233,9 +246,8 @@ class UnmixedBloomPolicy final : public FilterPolicy {
     }
   }
 
-  bool KeyMayMatch(const Slice& key, const Slice& filter) const override {
+  bool HashMayMatch(uint32_t h, const Slice& filter) const override {
     const size_t bits = (filter.size() - 1) * 8;
-    uint32_t h = Hash(key.data(), key.size(), 0xbc9f1d34);
     const uint32_t delta = (h >> 17) | (h << 15);
     for (int j = 0; j < kProbes; j++) {
       const uint32_t bitpos = h % bits;
@@ -250,28 +262,6 @@ class UnmixedBloomPolicy final : public FilterPolicy {
  private:
   static constexpr int kProbes = 6;  // 10 bits/key * ln 2, rounded down
 };
-
-TEST(FilterBlockTest, SingleChunk) {
-  std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(10));
-  FilterBlockBuilder builder(policy.get());
-  builder.StartBlock(100);
-  builder.AddKey("foo");
-  builder.AddKey("bar");
-  builder.AddKey("box");
-  builder.StartBlock(200);
-  builder.AddKey("box");
-  builder.StartBlock(300);
-  builder.AddKey("hello");
-  Slice block = builder.Finish();
-  FilterBlockReader reader(policy.get(), block);
-  EXPECT_TRUE(reader.KeyMayMatch(100, "foo"));
-  EXPECT_TRUE(reader.KeyMayMatch(100, "bar"));
-  EXPECT_TRUE(reader.KeyMayMatch(100, "box"));
-  EXPECT_TRUE(reader.KeyMayMatch(100, "hello"));
-  EXPECT_TRUE(reader.KeyMayMatch(100, "box"));
-  EXPECT_FALSE(reader.KeyMayMatch(100, "missing"));
-  EXPECT_FALSE(reader.KeyMayMatch(100, "other"));
-}
 
 // A one-entry block holding value: a cache value the tests can tell apart.
 Block* ValueBlock(int value) {
@@ -583,35 +573,105 @@ TEST_F(TableRoundTripTest, BuilderLeavesFlushingToTheFile) {
   EXPECT_TRUE(iter->status().ok());
 }
 
-// Sums the bloom counters of a run of InternalGet probes on this thread.
-struct BloomCounts {
+// Sums the filter and read counters of a run of InternalGet probes on this
+// thread.
+struct ProbeTotals {
   uint64_t useful = 0;
   uint64_t false_positives = 0;
+  uint64_t index_seeks = 0;
+  uint64_t block_reads = 0;
 };
-BloomCounts ProbeCounts(Table* table, const std::vector<std::string>& keys, bool expect_found) {
+ProbeTotals ProbeCounts(Table* table, const std::vector<std::string>& keys, bool expect_found) {
   auto handler = [](void* arg, const Slice& k, const Slice&) {
     const bool matched = k == *reinterpret_cast<Slice*>(arg);
     *reinterpret_cast<Slice*>(arg) = matched ? Slice("found") : Slice();
     return matched;
   };
-  BloomCounts counts;
+  ProbeTotals totals;
   PerfContextStartOp(PerfLevel::kEnableCounts);
   for (const std::string& key : keys) {
     Slice probe(key);
     EXPECT_TRUE(table->InternalGet(ReadOptions(), key, &probe, handler).ok());
     EXPECT_EQ(expect_found, probe == Slice("found"));
   }
-  counts.useful = GetPerfContext()->bloom_useful;
-  counts.false_positives = GetPerfContext()->bloom_false_positives;
+  const PerfContext& ctx = *GetPerfContext();
+  totals.useful = ctx.bloom_useful;
+  totals.false_positives = ctx.bloom_false_positives;
+  totals.index_seeks = ctx.index_seeks;
+  totals.block_reads = ctx.block_reads;
   PerfContextStartOp(PerfLevel::kDisabled);
-  return counts;
+  return totals;
 }
 
-// A table whose filter was built with the unmixed hash keeps that filter
-// under the old name. The current policy finds no filter of its own there
-// and reads the table unfiltered, so the old filter is never probed with
-// the new hash: every key is found and no probe is skipped.
-TEST_F(TableRoundTripTest, OldFilterIsIgnoredNotMisread) {
+// The metaindex of table file fname: each key and the handle it names.
+std::map<std::string, BlockHandle> MetaIndexOf(Env* env, const std::string& fname) {
+  std::map<std::string, BlockHandle> entries;
+  uint64_t size = 0;
+  EXPECT_TRUE(env->GetFileSize(fname, &size).ok());
+  std::unique_ptr<RandomAccessFile> file;
+  EXPECT_TRUE(env->NewRandomAccessFile(fname, &file).ok());
+  char space[Footer::kEncodedLength];
+  Slice input;
+  EXPECT_TRUE(
+      file->Read(size - Footer::kEncodedLength, Footer::kEncodedLength, &input, space).ok());
+  Footer footer;
+  EXPECT_TRUE(footer.DecodeFrom(&input).ok());
+  BlockContents contents;
+  EXPECT_TRUE(ReadBlock(file.get(), ReadOptions(), footer.metaindex_handle(), &contents).ok());
+  Block meta(std::move(contents));
+  std::unique_ptr<Iterator> iter(meta.NewIterator(BytewiseComparator()));
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+    Slice v = iter->value();
+    EXPECT_TRUE(entries[iter->key().ToString()].DecodeFrom(&v).ok());
+  }
+  return entries;
+}
+
+// A table carries one filter over all its keys under FilterMetaKey, sized
+// by the key count alone (no per-block filters, no offset array). The
+// filter is probed before the index: a key it rules out seeks no index and
+// reads no block; one it lets through seeks the index once.
+TEST_F(TableRoundTripTest, OneFilterOverTheWholeTable) {
+  Options options;
+  options.block_size = 1024;  // ~70 data blocks
+  constexpr int kKeys = 5000;
+  const std::map<std::string, std::string> model = EvenKeys(kKeys, 0);
+  BlockCache block_cache(0);
+  std::unique_ptr<Table> table = BuildTable("full.sst", options, model, &block_cache);
+  ASSERT_NE(nullptr, table);
+
+  const std::map<std::string, BlockHandle> meta = MetaIndexOf(env_, dir_.path() + "/full.sst");
+  ASSERT_EQ(1u, meta.size());
+  EXPECT_EQ("fullfilter.clsm.BuiltinBloomFilter2", meta.begin()->first);
+  EXPECT_EQ(FilterMetaKey(*policy_), meta.begin()->first);
+  EXPECT_EQ(kKeys * 10 / 8 + 1, meta.begin()->second.size()) << "10 bits per key, probe count";
+
+  std::vector<std::string> present, absent;
+  for (const auto& [k, v] : model) {
+    present.push_back(k);
+  }
+  for (int i = 0; i < kKeys; i++) {
+    char key[32];
+    std::snprintf(key, sizeof(key), "k%08d", 2 * i + 1);
+    absent.push_back(key);
+  }
+  const ProbeTotals hits = ProbeCounts(table.get(), present, true);
+  EXPECT_EQ(0u, hits.useful);
+  EXPECT_EQ(0u, hits.false_positives);
+  EXPECT_EQ(present.size(), hits.index_seeks);
+  EXPECT_EQ(present.size(), hits.block_reads);
+
+  const ProbeTotals misses = ProbeCounts(table.get(), absent, false);
+  EXPECT_EQ(absent.size(), misses.useful + misses.false_positives);
+  EXPECT_EQ(misses.false_positives, misses.index_seeks);
+  EXPECT_EQ(misses.false_positives, misses.block_reads);
+  EXPECT_LT(misses.false_positives, absent.size() * 2 / 100);
+}
+
+// A filter stored under another policy's name (here the unmixed hash's) is
+// never probed: the table is read unfiltered, so every key is found and no
+// probe is skipped.
+TEST_F(TableRoundTripTest, OtherPolicysFilterIsIgnoredNotMisread) {
   Options options;
   std::vector<std::string> present, absent;
   for (uint64_t i = 0; i < 2000; i++) {
@@ -643,76 +703,59 @@ TEST_F(TableRoundTripTest, OldFilterIsIgnoredNotMisread) {
     return std::unique_ptr<Table>(table);
   };
 
-  // The old filter is there: read with its own policy it skips some
-  // blocks (few: an odd key next to even ones is its worst case).
+  // The old filter is there: read with its own policy it skips probes.
   std::unique_ptr<Table> as_written = open(&old_policy);
-  const BloomCounts filtered = ProbeCounts(as_written.get(), absent, false);
+  const ProbeTotals filtered = ProbeCounts(as_written.get(), absent, false);
   EXPECT_GT(filtered.useful, 0u);
   EXPECT_EQ(absent.size(), filtered.useful + filtered.false_positives);
 
-  std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(10));
-  std::unique_ptr<Table> table = open(policy.get());
-  const BloomCounts hits = ProbeCounts(table.get(), present, true);
+  std::unique_ptr<Table> table = open(policy_.get());
+  const ProbeTotals hits = ProbeCounts(table.get(), present, true);
   EXPECT_EQ(0u, hits.useful);
   EXPECT_EQ(0u, hits.false_positives);
-  const BloomCounts misses = ProbeCounts(table.get(), absent, false);
+  const ProbeTotals misses = ProbeCounts(table.get(), absent, false);
   EXPECT_EQ(0u, misses.useful);
   EXPECT_EQ(0u, misses.false_positives) << "an unfiltered read is no false positive";
+  EXPECT_EQ(absent.size(), misses.index_seeks);
 }
 
-// A store whose level-0 tables carry old filters reads them unfiltered and
-// filters again once a compaction has rewritten them.
-TEST_F(TableRoundTripTest, CompactionRestoresFilteringOfOldTables) {
-  const std::string dbname = dir_.path() + "/db";
-  ASSERT_TRUE(env_->CreateDir(dbname).ok());
-  const InternalKeyComparator icmp(BytewiseComparator());
-  UnmixedBloomPolicy old_user_policy;
-  const InternalFilterPolicy old_policy(&old_user_policy);
-  Options options;
-  options.perf_level = PerfLevel::kEnableCounts;
-  options.l0_compaction_trigger = 100;
-  constexpr uint64_t kTables = 4;
-  constexpr uint64_t kKeys = 4000;
-  const std::string value(100, 'v');
-  for (uint64_t t = 0; t < kTables; t++) {
-    std::unique_ptr<WritableFile> file;
-    ASSERT_TRUE(env_->NewWritableFile(TableFileName(dbname, t + 1), &file).ok());
-    TableBuilder builder(options, &icmp, &old_policy, file.get());
-    for (uint64_t i = t; i < kKeys; i += kTables) {
-      builder.Add(InternalKey(BigEndianKey(2 * i), i + 1, kTypeValue).Encode(), value);
-    }
-    ASSERT_TRUE(builder.Finish().ok());
-    ASSERT_TRUE(file->Sync().ok());
-    ASSERT_TRUE(file->Close().ok());
-  }
-  // The tables become the store's level 0.
-  ASSERT_TRUE(RepairDb(options, dbname).ok());
+// tests/golden/per_block_filter.sst was written by the table builder of the
+// per-block filter layout (one filter per 2 KiB of file offsets, under
+// "filter.clsm.BuiltinBloomFilter2"; see tests/golden/README.md). The
+// reader finds no filter under its key and reads the table unfiltered:
+// every key is found with its value and no probe is skipped.
+TEST_F(TableRoundTripTest, PerBlockFilterTableIsReadUnfiltered) {
+  const std::string fname = GoldenPath("per_block_filter.sst");
+  const std::map<std::string, BlockHandle> meta = MetaIndexOf(env_, fname);
+  ASSERT_EQ(1u, meta.size());
+  EXPECT_EQ("filter.clsm.BuiltinBloomFilter2", meta.begin()->first);
 
-  // Reads every key and returns the bloom skips of the absent ones.
-  auto read_all = [&](DB* db) {
-    uint64_t useful = 0;
-    std::string v;
-    for (uint64_t i = 0; i < kKeys; i++) {
-      EXPECT_TRUE(db->Get(ReadOptions(), BigEndianKey(2 * i), &v).ok()) << i;
-      EXPECT_TRUE(db->Get(ReadOptions(), BigEndianKey(2 * i + 1), &v).IsNotFound()) << i;
-      useful += GetPerfContext()->bloom_useful;
-    }
-    return useful;
-  };
-  {
-    DB* raw = nullptr;
-    ASSERT_TRUE(ClsmDb::Open(options, dbname, &raw).ok());
-    std::unique_ptr<DB> db(raw);
-    ASSERT_EQ("files[4 0 ", db->GetProperty("clsm.levels").substr(0, 10));
-    EXPECT_EQ(0u, read_all(db.get()));
+  uint64_t file_size = 0;
+  ASSERT_TRUE(env_->GetFileSize(fname, &file_size).ok());
+  std::unique_ptr<RandomAccessFile> file;
+  ASSERT_TRUE(env_->NewRandomAccessFile(fname, &file).ok());
+  BlockCache block_cache(1 << 20);
+  Table* raw = nullptr;
+  ASSERT_TRUE(Table::Open(Options(), BytewiseComparator(), policy_.get(), &block_cache,
+                          std::move(file), file_size, &raw)
+                  .ok());
+  std::unique_ptr<Table> table(raw);
+
+  constexpr uint64_t kKeys = 1000;
+  std::vector<std::string> present, absent;
+  for (uint64_t i = 0; i < kKeys; i++) {
+    present.push_back(BigEndianKey(2 * i));
+    absent.push_back(BigEndianKey(2 * i + 1));
+    ASSERT_EQ(GoldenValue(i), TableGet(table.get(), present.back())) << i;
   }
-  options.l0_compaction_trigger = 2;
-  DB* raw = nullptr;
-  ASSERT_TRUE(ClsmDb::Open(options, dbname, &raw).ok());
-  std::unique_ptr<DB> db(raw);
-  db->WaitForMaintenance();
-  EXPECT_EQ("files[0 ", db->GetProperty("clsm.levels").substr(0, 8));
-  EXPECT_GT(read_all(db.get()), kKeys / 2);
+  const ProbeTotals hits = ProbeCounts(table.get(), present, true);
+  EXPECT_EQ(0u, hits.useful);
+  EXPECT_EQ(0u, hits.false_positives);
+  EXPECT_EQ(kKeys, hits.index_seeks);
+  const ProbeTotals misses = ProbeCounts(table.get(), absent, false);
+  EXPECT_EQ(0u, misses.useful);
+  EXPECT_EQ(0u, misses.false_positives);
+  EXPECT_EQ(kKeys, misses.index_seeks);
 }
 
 TEST_F(TableRoundTripTest, CorruptFooterIsRejected) {

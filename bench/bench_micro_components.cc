@@ -5,8 +5,9 @@
 // structures" claim (§1) at the component level. BM_Crc32c times the
 // checksum every WAL record and table block pays; BM_TableBuild the table
 // output every flush and compaction writes; BM_TableGetAbsent the Bloom
-// filter's worth on a table probe that misses; BM_BlockCache the block
-// cache's hit and miss paths.
+// filter's worth on a table probe that misses; BM_TableGetPresent a probe
+// that finds its key, warm and through a cache smaller than the table;
+// BM_BlockCache the block cache's hit and miss paths.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -353,85 +354,105 @@ void BM_TableBuild(benchmark::State& state) {
 BENCHMARK(BM_TableBuild)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Point lookups inside one 2 MiB table of 8 B big-endian keys (the even
-// integers) and 256 B values, opened with the default Bloom policy and an
-// 8 MiB block cache. Absent keys (odd integers) measure the per-table cost
-// a disk Get pays for each table it probes without finding the key: a
-// probe the filter lets through seeks the index and reads (or finds
-// cached) a data block for nothing; the false_positives counter is their
-// share of the probes. Present keys measure the probe that finds its key.
-void TableGet(benchmark::State& state, bool present) {
+// integers) and 256 B values, opened with the default Bloom policy, at 1
+// and 4 threads. Absent keys (odd integers) measure the per-table cost a
+// disk Get pays for each table it probes without finding the key: a probe
+// the filter lets through seeks the index and reads (or finds cached) a
+// data block for nothing; the false_positives counter is their share of
+// the probes. Present keys measure the probe that finds its key, through
+// an 8 MiB block cache that holds the whole table or, cold, through a
+// 128 KiB one that holds ~6% of it, as read_hotblock's 8 MiB cache holds
+// ~6% of its store: a probe then mostly misses, reads its block, inserts
+// it and evicts another. cache_hits is the share of probes served from
+// the cache.
+void TableGet(benchmark::State& state, bool present, size_t cache_bytes) {
   constexpr uint64_t kTableBytes = 2 << 20;
+  static Table* table = nullptr;
+  static BlockCache* cache = nullptr;
+  static uint64_t keys = 0;
   Env* env = Env::Default();
   const std::string dir = "/tmp/clsm-bench-table-get";
-  env->CreateDir(dir);
   const std::string fname = dir + "/000001.sst";
   Options options;
   std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(options.bloom_bits_per_key));
-  uint64_t keys = 0;
-  Status s;
-  {
-    std::unique_ptr<WritableFile> file;
-    s = env->NewWritableFile(fname, &file);
-    if (s.ok()) {
-      TableBuilder builder(options, BytewiseComparator(), policy.get(), file.get());
-      const std::string value(256, 'v');
-      char key[8];
-      for (; builder.FileSize() < kTableBytes; keys++) {
-        EncodeBigEndianKey(2 * keys, key);
-        builder.Add(Slice(key, sizeof(key)), value);
-      }
-      s = builder.Finish();
+  if (state.thread_index() == 0) {
+    env->CreateDir(dir);
+    keys = 0;
+    Status s;
+    {
+      std::unique_ptr<WritableFile> file;
+      s = env->NewWritableFile(fname, &file);
       if (s.ok()) {
-        s = file->Close();
+        TableBuilder builder(options, BytewiseComparator(), policy.get(), file.get());
+        const std::string value(256, 'v');
+        char key[8];
+        for (; builder.FileSize() < kTableBytes; keys++) {
+          EncodeBigEndianKey(2 * keys, key);
+          builder.Add(Slice(key, sizeof(key)), value);
+        }
+        s = builder.Finish();
+        if (s.ok()) {
+          s = file->Close();
+        }
       }
     }
-  }
-  uint64_t file_size = 0;
-  std::unique_ptr<RandomAccessFile> file;
-  BlockCache cache(8 << 20);
-  Table* raw = nullptr;
-  if (s.ok()) {
-    s = env->GetFileSize(fname, &file_size);
-  }
-  if (s.ok()) {
-    s = env->NewRandomAccessFile(fname, &file);
-  }
-  if (s.ok()) {
-    s = Table::Open(options, BytewiseComparator(), policy.get(), &cache, std::move(file),
-                    file_size, &raw);
-  }
-  std::unique_ptr<Table> table(raw);
-  if (!s.ok()) {
-    state.SkipWithError(s.ToString().c_str());
-  } else {
-    auto match = [](void* arg, const Slice& k, const Slice&) {
-      return k == *reinterpret_cast<const Slice*>(arg);
-    };
-    Random64 rnd(301);
-    char key[8];
-    const Slice probe(key, sizeof(key));
-    PerfContextStartOp(PerfLevel::kEnableCounts);  // counts accumulate over the loop
-    for (auto _ : state) {
-      EncodeBigEndianKey(2 * rnd.Uniform(keys - 1) + (present ? 0 : 1), key);
-      Status get = table->InternalGet(ReadOptions(), probe, const_cast<Slice*>(&probe), match);
-      benchmark::DoNotOptimize(get);
+    uint64_t file_size = 0;
+    std::unique_ptr<RandomAccessFile> file;
+    cache = new BlockCache(cache_bytes);
+    if (s.ok()) {
+      s = env->GetFileSize(fname, &file_size);
     }
-    state.counters["false_positives"] =
-        benchmark::Counter(static_cast<double>(GetPerfContext()->bloom_false_positives),
-                           benchmark::Counter::kAvgIterations);
-    PerfContextStartOp(PerfLevel::kDisabled);
+    if (s.ok()) {
+      s = env->NewRandomAccessFile(fname, &file);
+    }
+    if (s.ok()) {
+      s = Table::Open(options, BytewiseComparator(), policy.get(), cache, std::move(file),
+                      file_size, &table);
+    }
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+    }
   }
-  table.reset();
-  file.reset();
-  env->RemoveFile(fname);
-  env->RemoveDir(dir);
+  auto match = [](void* arg, const Slice& k, const Slice&) {
+    return k == *reinterpret_cast<const Slice*>(arg);
+  };
+  Random64 rnd(301 + state.thread_index());
+  char key[8];
+  const Slice probe(key, sizeof(key));
+  PerfContextStartOp(PerfLevel::kEnableCounts);  // counts accumulate over the loop
+  for (auto _ : state) {
+    EncodeBigEndianKey(2 * rnd.Uniform(keys - 1) + (present ? 0 : 1), key);
+    Status get = table->InternalGet(ReadOptions(), probe, const_cast<Slice*>(&probe), match);
+    benchmark::DoNotOptimize(get);
+  }
+  const PerfContext& counts = *GetPerfContext();
+  state.counters["false_positives"] = benchmark::Counter(
+      static_cast<double>(counts.bloom_false_positives), benchmark::Counter::kAvgIterations);
+  state.counters["cache_hits"] = benchmark::Counter(static_cast<double>(counts.block_cache_hits),
+                                                    benchmark::Counter::kAvgIterations);
+  PerfContextStartOp(PerfLevel::kDisabled);
+  if (state.thread_index() == 0) {
+    delete table;
+    table = nullptr;
+    delete cache;
+    env->RemoveFile(fname);
+    env->RemoveDir(dir);
+  }
 }
-void BM_TableGetAbsent(benchmark::State& state) { TableGet(state, /*present=*/false); }
-BENCHMARK(BM_TableGetAbsent);
-void BM_TableGetPresent(benchmark::State& state) { TableGet(state, /*present=*/true); }
-BENCHMARK(BM_TableGetPresent);
+void BM_TableGetAbsent(benchmark::State& state) { TableGet(state, /*present=*/false, 8 << 20); }
+BENCHMARK(BM_TableGetAbsent)->Threads(1)->Threads(4)->UseRealTime();
+void BM_TableGetPresent(benchmark::State& state) { TableGet(state, /*present=*/true, 8 << 20); }
+BENCHMARK(BM_TableGetPresent)->Threads(1)->Threads(4)->UseRealTime();
+void BM_TableGetPresentCold(benchmark::State& state) {
+  TableGet(state, /*present=*/true, 128 << 10);
+}
+BENCHMARK(BM_TableGetPresentCold)
+    ->Name("BM_TableGetPresent/cold")
+    ->Threads(1)
+    ->Threads(4)
+    ->UseRealTime();
 
-// The block cache as Table::BlockReader drives it: 4 KiB blocks (16 B keys,
+// The block cache as Table::PinBlock drives it: 4 KiB blocks (16 B keys,
 // 256 B values) in an 8 MiB cache, the store's default. hit: each op looks
 // up one of 512 cached blocks and releases it. miss: each op looks up a
 // block no reader has asked for, builds it from a copy of the encoded block
@@ -442,11 +463,6 @@ void BM_BlockCache(benchmark::State& state) {
   constexpr uint64_t kCachedBlocks = 512;
   static BlockCache* cache = nullptr;
   static std::string* encoded = nullptr;
-  auto new_block = [] {
-    BlockContents contents{std::unique_ptr<char[]>(new char[encoded->size()]), encoded->size()};
-    std::memcpy(contents.data.get(), encoded->data(), encoded->size());
-    return new Block(std::move(contents));
-  };
   if (state.thread_index() == 0) {
     Options options;
     BlockBuilder builder(&options, BytewiseComparator());
@@ -459,25 +475,28 @@ void BM_BlockCache(benchmark::State& state) {
     encoded = new std::string(builder.Finish().ToString());
     cache = new BlockCache(8 << 20);
     for (uint64_t i = 0; i < kCachedBlocks; i++) {
-      cache->Release(cache->Insert(1, i * encoded->size(), new_block()));
+      Block* block = Block::Copy(*encoded);
+      cache->Insert(1, i * encoded->size(), block);
+      BlockCache::Release(block);
     }
   }
   Random64 rnd(state.thread_index() + 1);
   const uint64_t table_id = 2 + state.thread_index();  // misses: one table per thread
   uint64_t next_offset = 0;
   for (auto _ : state) {
-    BlockCache::Entry* h;
+    Block* block;
     if (kHit) {
-      h = cache->Lookup(1, rnd.Uniform(kCachedBlocks) * encoded->size());
+      block = cache->Lookup(1, rnd.Uniform(kCachedBlocks) * encoded->size());
     } else {
-      h = cache->Lookup(table_id, next_offset);
-      if (h == nullptr) {
-        h = cache->Insert(table_id, next_offset, new_block());
+      block = cache->Lookup(table_id, next_offset);
+      if (block == nullptr) {
+        block = Block::Copy(*encoded);
+        cache->Insert(table_id, next_offset, block);
       }
       next_offset += encoded->size();
     }
-    benchmark::DoNotOptimize(BlockCache::Value(h));
-    cache->Release(h);
+    benchmark::DoNotOptimize(block);
+    BlockCache::Release(block);
   }
   if (state.thread_index() == 0) {
     delete cache;

@@ -188,11 +188,12 @@ Status ClsmDb::Commit(const WriteOptions& options, DbOpType op, const Op* ops, s
     ctx.mem_insert_nanos += LatencyClock::ToNanos(t2 - t1);
     ctx.wal_append_nanos += LatencyClock::ToNanos(t3 - t2);
   }
-  // FinishOp closes total_nanos right after t3; the phase histograms are
-  // recorded after it so that their cost stays outside the op's attributed
-  // total.
+  // The op ends at t3, so total_nanos is exactly the four segments: a
+  // preemption after t3 falls outside both. The phase histograms are
+  // recorded after FinishOp so that their cost stays outside the op's
+  // attributed total.
   FinishOp(op, trace_key, trace_bytes, s.ok() ? OpOutcome::kOk : OpOutcome::kError, t0,
-           op_stalled);
+           op_stalled, t3);
   if (metrics_on_) {
     registry_.Record(OpMetric::kMemInsert, LatencyClock::ToNanos(t2 - t1));
     registry_.Record(OpMetric::kWalAppend, LatencyClock::ToNanos(t3 - t2));

@@ -130,13 +130,16 @@ DbChassis::~DbChassis() {
 }
 
 void DbChassis::FinishOp(DbOpType op, const Slice& key, uint32_t value_size, OpOutcome outcome,
-                         uint64_t start_ticks, bool stalled) {
+                         uint64_t start_ticks, bool stalled, uint64_t end_ticks) {
   // start_ticks == 0 means no attribution sink asked for timing at op
   // entry; there is nothing coherent to report.
   if (start_ticks == 0) {
     return;
   }
-  const uint64_t total_nanos = LatencyClock::ToNanos(LatencyClock::Ticks() - start_ticks);
+  if (end_ticks == 0) {
+    end_ticks = LatencyClock::Ticks();
+  }
+  const uint64_t total_nanos = LatencyClock::ToNanos(end_ticks - start_ticks);
   PerfContext& ctx = tls_perf_context;
   if (ctx.timers_enabled()) {
     ctx.total_nanos = total_nanos;

@@ -132,9 +132,10 @@ class DbChassis : public DB {
   // records the op's latency sample (batches have no series), emits a
   // rate-bounded slow-op record when the op crossed
   // Options::slow_op_threshold_micros, and appends a trace record when a
-  // listener opted into per-op records. No-op when start_ticks is 0.
+  // listener opted into per-op records. No-op when start_ticks is 0. The op
+  // ends at end_ticks, a clock read the caller already made, or now if 0.
   void FinishOp(DbOpType op, const Slice& key, uint32_t value_size, OpOutcome outcome,
-                uint64_t start_ticks, bool stalled);
+                uint64_t start_ticks, bool stalled, uint64_t end_ticks = 0);
 
   // The read timestamp of options: its snapshot's, else `latest`.
   static SequenceNumber ReadTimestamp(const ReadOptions& options, SequenceNumber latest) {

@@ -7,6 +7,7 @@
 #include <map>
 
 #include "src/lsm/filename.h"
+#include "src/obs/metrics.h"  // LatencyClock
 #include "src/obs/perf_context.h"
 #include "src/table/merging_iterator.h"
 #include "src/wal/log_reader.h"
@@ -201,6 +202,9 @@ bool SaveValue(void* arg, const Slice& ikey, const Slice& v) {
   if (s->ucmp->Compare(parsed_key.user_key, s->user_key) != 0) {
     return false;
   }
+  if (s->state != kNotFound && parsed_key.sequence < s->seq_found) {
+    return true;  // an older version than a level-0 file probed before held
+  }
   s->seq_found = parsed_key.sequence;
   s->state = (parsed_key.type == kTypeValue) ? kFound : kDeleted;
   if (s->state == kFound) {
@@ -222,32 +226,21 @@ Status Version::Get(const ReadOptions& options, const LookupKey& k, std::string*
   saver.user_key = user_key;
   saver.value = value;
 
-  // Level-0 files may overlap; collect candidates and probe newest first.
-  std::vector<const FileMetaData*> tmp;
-  tmp.reserve(files_[0].size());
-  for (const auto& f : files_[0]) {
-    if (ucmp->Compare(user_key, f->smallest.user_key()) >= 0 &&
-        ucmp->Compare(user_key, f->largest.user_key()) <= 0) {
-      tmp.push_back(f.get());
+  // Level-0 files may overlap; files_[0] holds them newest first. In normal
+  // operation level-0 files have disjoint timestamp ranges that grow with
+  // the file number, so the first hit is the newest. After a RepairDb,
+  // however, all surviving tables land in level 0 with arbitrary
+  // number-vs-recency order — so probe every candidate and let the saver
+  // keep the hit with the highest timestamp.
+  saver.state = kNotFound;
+  for (const FileRef& f : files_[0]) {
+    if (ucmp->Compare(user_key, f->smallest.user_key()) < 0 ||
+        ucmp->Compare(user_key, f->largest.user_key()) > 0) {
+      continue;
     }
-  }
-  std::sort(tmp.begin(), tmp.end(),
-            [](const FileMetaData* a, const FileMetaData* b) { return a->number > b->number; });
-  // In normal operation level-0 files have disjoint timestamp ranges that
-  // grow with the file number, so the first hit is the newest. After a
-  // RepairDb, however, all surviving tables land in level 0 with arbitrary
-  // number-vs-recency order — so probe every candidate and keep the hit
-  // with the highest timestamp.
-  SaverState best_state = kNotFound;
-  SequenceNumber best_seq = 0;
-  std::string best_value;
-  for (const FileMetaData* f : tmp) {
-    std::string candidate;
-    saver.state = kNotFound;
-    saver.value = &candidate;
     CLSM_PERF_COUNT_ADD(table_reads_per_level[0], 1);
     Table* table;
-    Status s = vset_->FindTable(f, &table);
+    Status s = vset_->FindTable(f.get(), &table);
     if (s.ok()) {
       s = table->InternalGet(options, ikey, &saver, &SaveValue);
     }
@@ -257,23 +250,16 @@ Status Version::Get(const ReadOptions& options, const LookupKey& k, std::string*
     if (saver.state == kCorrupt) {
       return Status::Corruption("corrupted key for ", user_key);
     }
-    if (saver.state != kNotFound && saver.seq_found >= best_seq) {
-      best_state = saver.state;
-      best_seq = saver.seq_found;
-      best_value = std::move(candidate);
-    }
   }
-  saver.value = value;
-  if (best_state == kFound) {
-    *value = std::move(best_value);
+  if (saver.state == kFound) {
     if (seq_found != nullptr) {
-      *seq_found = best_seq;
+      *seq_found = saver.seq_found;
     }
     return Status::OK();
   }
-  if (best_state == kDeleted) {
+  if (saver.state == kDeleted) {
     if (seq_found != nullptr) {
-      *seq_found = best_seq;
+      *seq_found = saver.seq_found;
     }
     return Status::NotFound(Slice());
   }
@@ -493,6 +479,9 @@ Status VersionSet::FindTable(const FileMetaData* f, Table** table) {
   if (*table != nullptr) {
     return Status::OK();
   }
+  PerfContext& ctx = tls_perf_context;
+  const bool timed = ctx.timers_enabled();
+  const uint64_t t0 = timed ? LatencyClock::Ticks() : 0;
   std::unique_ptr<RandomAccessFile> file;
   Status s = env_->NewRandomAccessFile(TableFileName(dbname_, f->number), &file);
   Table* opened = nullptr;
@@ -500,17 +489,19 @@ Status VersionSet::FindTable(const FileMetaData* f, Table** table) {
     s = Table::Open(*options_, &icmp_, filter_policy_, block_cache_, std::move(file),
                     f->file_size, &opened);
   }
-  if (!s.ok()) {
-    return s;
+  if (s.ok()) {
+    Table* installed = nullptr;
+    if (!f->table.compare_exchange_strong(installed, opened, std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
+      delete opened;  // another probe's open was installed first
+      opened = installed;
+    }
+    *table = opened;
   }
-  Table* installed = nullptr;
-  if (!f->table.compare_exchange_strong(installed, opened, std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-    delete opened;  // another probe's open was installed first
-    opened = installed;
+  if (timed) {
+    ctx.table_open_nanos += LatencyClock::ToNanos(LatencyClock::Ticks() - t0);
   }
-  *table = opened;
-  return Status::OK();
+  return s;
 }
 
 Iterator* VersionSet::NewTableIterator(const ReadOptions& options, const FileMetaData* f) {

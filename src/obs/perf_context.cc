@@ -64,7 +64,9 @@ std::string PerfContext::ToJson() const {
   AppendU64(&out, "disk_search", disk_search_nanos);
   AppendU64(&out, "filter_probe", filter_probe_nanos);
   AppendU64(&out, "index_seek", index_seek_nanos);
+  AppendU64(&out, "block_cache", block_cache_nanos);
   AppendU64(&out, "block_read", block_read_nanos);
+  AppendU64(&out, "table_open", table_open_nanos);
   AppendU64(&out, "crc_verify", crc_verify_nanos, /*comma=*/false);
   out.append("}}");
   return out;

@@ -77,8 +77,11 @@ struct PerfContext {
   uint64_t disk_search_nanos = 0;        // get: disk-component search
   uint64_t filter_probe_nanos = 0;       //   of which: table Bloom filter probes
   uint64_t index_seek_nanos = 0;         //   of which: index-block seeks
-  uint64_t block_read_nanos = 0;         // block buffer allocation + read + checksum
-  uint64_t crc_verify_nanos = 0;         //   of which: block checksum verification
+  uint64_t block_cache_nanos = 0;        //   of which: cache lookup, insert (evictions
+                                         //   and their frees included) and release
+  uint64_t block_read_nanos = 0;         //   of which: data block allocation + read + checksum
+  uint64_t table_open_nanos = 0;         //   of which: first open of a table file
+  uint64_t crc_verify_nanos = 0;         // checksums, inside block_read or table_open
 
   bool counts_enabled() const { return level >= PerfLevel::kEnableCounts; }
   bool timers_enabled() const { return level == PerfLevel::kEnableTimers; }

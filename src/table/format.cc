@@ -60,33 +60,30 @@ Status Footer::DecodeFrom(Slice* input) {
 }
 
 Status ReadBlock(RandomAccessFile* file, const ReadOptions& options, const BlockHandle& handle,
-                 BlockContents* result) {
+                 char* buf) {
   // Per-op attribution: every SSTable block IO funnels through here, so
-  // this is the one point that counts physical block reads and bytes and
-  // times them (buffer allocation, read and checksum).
-  PerfContext& ctx = tls_perf_context;
-  const bool timed = ctx.timers_enabled();
-  const uint64_t t0 = timed ? LatencyClock::Ticks() : 0;
+  // this is the one point that counts physical block reads and bytes.
   const size_t n = static_cast<size_t>(handle.size());
-  std::unique_ptr<char[]> buf(new char[n + kBlockTrailerSize]);
   Slice contents;
-  Status s = file->Read(handle.offset(), n + kBlockTrailerSize, &contents, buf.get());
+  Status s = file->Read(handle.offset(), n + kBlockTrailerSize, &contents, buf);
   if (!s.ok()) {
     return s;
   }
   if (contents.size() != n + kBlockTrailerSize) {
     return Status::Corruption("truncated block read");
   }
-  assert(contents.data() == buf.get());
+  assert(contents.data() == buf);
+  PerfContext& ctx = tls_perf_context;
   if (ctx.counts_enabled()) {
     ctx.block_reads++;
     ctx.block_read_bytes += n + kBlockTrailerSize;
   }
 
   if (options.verify_checksums) {
+    const bool timed = ctx.timers_enabled();
     const uint64_t crc_t0 = timed ? LatencyClock::Ticks() : 0;
-    const uint32_t crc = crc32c::Unmask(DecodeFixed32(buf.get() + n + 1));
-    const uint32_t actual = crc32c::Value(buf.get(), n + 1);
+    const uint32_t crc = crc32c::Unmask(DecodeFixed32(buf + n + 1));
+    const uint32_t actual = crc32c::Value(buf, n + 1);
     if (timed) {
       ctx.crc_verify_nanos += LatencyClock::ToNanos(LatencyClock::Ticks() - crc_t0);
     }
@@ -94,11 +91,6 @@ Status ReadBlock(RandomAccessFile* file, const ReadOptions& options, const Block
       return Status::Corruption("block checksum mismatch");
     }
   }
-  if (timed) {
-    ctx.block_read_nanos += LatencyClock::ToNanos(LatencyClock::Ticks() - t0);
-  }
-  result->data = std::move(buf);
-  result->size = n;
   return Status::OK();
 }
 

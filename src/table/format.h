@@ -4,7 +4,6 @@
 #define CLSM_TABLE_FORMAT_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "src/util/env.h"
@@ -58,15 +57,11 @@ static const uint64_t kTableMagicNumber = 0xc1540ce5c1540ce5ull;
 // 1-byte type (reserved for compression; always raw here) + 32-bit crc.
 static const size_t kBlockTrailerSize = 5;
 
-// A block's bytes, without its trailer, in a heap buffer the holder owns.
-struct BlockContents {
-  std::unique_ptr<char[]> data;
-  size_t size = 0;
-};
-
-// Read the block identified by handle from file; verify CRC if requested.
+// Reads the block identified by handle, and its trailer, from file into
+// buf, which must hold handle.size() + kBlockTrailerSize bytes; verifies
+// the CRC if requested.
 Status ReadBlock(RandomAccessFile* file, const ReadOptions& options, const BlockHandle& handle,
-                 BlockContents* result);
+                 char* buf);
 
 }  // namespace clsm
 

@@ -47,8 +47,8 @@ Status Table::Open(const Options& options, const Comparator* comparator,
   // Read the index block.
   ReadOptions opt;
   opt.verify_checksums = options.paranoid_checks;
-  BlockContents index_block_contents;
-  s = ReadBlock(file.get(), opt, footer.index_handle(), &index_block_contents);
+  Block* index_block = nullptr;
+  s = Block::Read(file.get(), opt, footer.index_handle(), &index_block);
   if (!s.ok()) {
     return s;
   }
@@ -60,7 +60,7 @@ Status Table::Open(const Options& options, const Comparator* comparator,
   rep->cache_id = block_cache->NewTableId();
   rep->file = std::move(file);
   rep->metaindex_handle = footer.metaindex_handle();
-  rep->index_block = std::make_unique<Block>(std::move(index_block_contents));
+  rep->index_block.reset(index_block);
   *table = new Table(rep);
   (*table)->ReadMeta(opt, footer);
   return Status::OK();
@@ -71,18 +71,18 @@ void Table::ReadMeta(const ReadOptions& options, const Footer& footer) {
     return;  // Do not need any metadata
   }
 
-  BlockContents contents;
-  if (!ReadBlock(rep_->file.get(), options, footer.metaindex_handle(), &contents).ok()) {
+  Block* meta = nullptr;
+  if (!Block::Read(rep_->file.get(), options, footer.metaindex_handle(), &meta).ok()) {
     // Do not propagate errors since meta info is not needed for operation.
     return;
   }
-  Block meta(std::move(contents));
-
-  std::unique_ptr<Iterator> iter(meta.NewIterator(BytewiseComparator()));
+  std::unique_ptr<Block> owned(meta);
+  std::string found;
+  BlockCursor cursor(*meta, BytewiseComparator(), &found);
   const std::string key = FilterMetaKey(*rep_->filter_policy);
-  iter->Seek(key);
-  if (iter->Valid() && iter->key() == Slice(key)) {
-    ReadFilter(options, iter->value());
+  cursor.Seek(key);
+  if (cursor.Valid() && cursor.key() == Slice(key)) {
+    ReadFilter(options, cursor.value());
   }
 }
 
@@ -93,63 +93,75 @@ void Table::ReadFilter(const ReadOptions& options, const Slice& filter_handle_va
     return;
   }
 
-  BlockContents block;
-  if (!ReadBlock(rep_->file.get(), options, filter_handle, &block).ok()) {
+  const size_t n = static_cast<size_t>(filter_handle.size());
+  std::unique_ptr<char[]> buf(new char[n + kBlockTrailerSize]);
+  if (!ReadBlock(rep_->file.get(), options, filter_handle, buf.get()).ok()) {
     return;
   }
-  rep_->filter_data = std::move(block.data);
-  rep_->filter = Slice(rep_->filter_data.get(), block.size);
+  rep_->filter_data = std::move(buf);
+  rep_->filter = Slice(rep_->filter_data.get(), n);
 }
 
 Table::~Table() { delete rep_; }
 
-static void DeleteBlock(void* arg, void* ignored) { delete reinterpret_cast<Block*>(arg); }
-
-static void ReleaseBlock(void* arg, void* h) {
-  reinterpret_cast<BlockCache*>(arg)->Release(reinterpret_cast<BlockCache::Entry*>(h));
-}
-
-// Converts an index iterator value (an encoded BlockHandle) into an iterator
-// over the contents of the corresponding block, consulting the block cache.
-Iterator* Table::BlockReader(void* arg, const ReadOptions& options, const Slice& index_value) {
-  Table* table = reinterpret_cast<Table*>(arg);
-  BlockCache* block_cache = table->rep_->block_cache;
+Status Table::PinBlock(const ReadOptions& options, const Slice& index_value,
+                       Block** block) const {
   BlockHandle handle;
   Slice input = index_value;
   Status s = handle.DecodeFrom(&input);
   if (!s.ok()) {
+    return s;
+  }
+  PerfContext& ctx = tls_perf_context;
+  const bool timed = ctx.timers_enabled();
+  const uint64_t t0 = timed ? LatencyClock::Ticks() : 0;
+  BlockCache* block_cache = rep_->block_cache;
+  *block = block_cache->Lookup(rep_->cache_id, handle.offset());
+  if (*block != nullptr) {
+    CLSM_PERF_COUNT_ADD(block_cache_hits, 1);
+    if (timed) {
+      ctx.block_cache_nanos += LatencyClock::ToNanos(LatencyClock::Ticks() - t0);
+    }
+    return s;
+  }
+  const uint64_t t1 = timed ? LatencyClock::Ticks() : 0;
+  s = Block::Read(rep_->file.get(), options, handle, block);
+  const uint64_t t2 = timed ? LatencyClock::Ticks() : 0;
+  if (s.ok() && options.fill_cache) {
+    block_cache->Insert(rep_->cache_id, handle.offset(), *block);
+  }
+  if (timed) {
+    ctx.block_read_nanos += LatencyClock::ToNanos(t2 - t1);
+    ctx.block_cache_nanos += LatencyClock::ToNanos(LatencyClock::Ticks() - t2 + t1 - t0);
+  }
+  return s;
+}
+
+static void ReleaseBlock(void* block, void*) { BlockCache::Release(reinterpret_cast<Block*>(block)); }
+
+// Converts an index iterator value (an encoded BlockHandle) into an iterator
+// over the contents of the corresponding block, consulting the block cache.
+Iterator* Table::BlockReader(void* arg, const ReadOptions& options, const Slice& index_value) {
+  Block* block;
+  Status s = reinterpret_cast<const Table*>(arg)->PinBlock(options, index_value, &block);
+  if (!s.ok()) {
     return NewErrorIterator(s);
   }
-
-  BlockCache::Entry* entry = block_cache->Lookup(table->rep_->cache_id, handle.offset());
-  Block* block = nullptr;
-  if (entry != nullptr) {
-    block = BlockCache::Value(entry);
-    CLSM_PERF_COUNT_ADD(block_cache_hits, 1);
-  } else {
-    BlockContents contents;
-    s = ReadBlock(table->rep_->file.get(), options, handle, &contents);
-    if (!s.ok()) {
-      return NewErrorIterator(s);
-    }
-    block = new Block(std::move(contents));
-    if (options.fill_cache) {
-      entry = block_cache->Insert(table->rep_->cache_id, handle.offset(), block);
-    }
-  }
-
-  Iterator* iter = block->NewIterator(table->rep_->comparator);
-  if (entry != nullptr) {
-    iter->RegisterCleanup(&ReleaseBlock, block_cache, entry);
-  } else {
-    iter->RegisterCleanup(&DeleteBlock, block, nullptr);
-  }
+  Iterator* iter = block->NewIterator(reinterpret_cast<const Table*>(arg)->rep_->comparator);
+  iter->RegisterCleanup(&ReleaseBlock, block, nullptr);
   return iter;
 }
 
 Iterator* Table::NewIterator(const ReadOptions& options) const {
   return NewTwoLevelIterator(rep_->index_block->NewIterator(rep_->comparator),
                              &Table::BlockReader, const_cast<Table*>(this), options);
+}
+
+// The key buffer point lookups seek with, one per thread: a lookup reuses
+// the capacity earlier lookups grew, so it allocates nothing.
+static std::string* LookupKeyBuffer() {
+  static thread_local std::string key;
+  return &key;
 }
 
 Status Table::InternalGet(const ReadOptions& options, const Slice& k, void* arg,
@@ -170,23 +182,33 @@ Status Table::InternalGet(const ReadOptions& options, const Slice& k, void* arg,
     }
   }
 
+  // Both seeks run in place, on this thread's key buffer: the index
+  // entry's value (the data block's handle) points into the index block,
+  // so the buffer is free for the data block's keys once it is found.
   CLSM_PERF_COUNT_ADD(index_seeks, 1);
+  std::string* key_buffer = LookupKeyBuffer();
   const uint64_t t0 = timed ? LatencyClock::Ticks() : 0;
-  std::unique_ptr<Iterator> iiter(rep_->index_block->NewIterator(rep_->comparator));
-  iiter->Seek(k);
+  BlockCursor index(*rep_->index_block, rep_->comparator, key_buffer);
+  index.Seek(k);
   if (timed) {
     ctx.index_seek_nanos += LatencyClock::ToNanos(LatencyClock::Ticks() - t0);
   }
-  Status s;
+  Status s = index.status();
   bool matched = false;
-  if (iiter->Valid()) {
-    std::unique_ptr<Iterator> block_iter(BlockReader(this, options, iiter->value()));
-    block_iter->Seek(k);
-    matched = block_iter->Valid() && (*handle_result)(arg, block_iter->key(), block_iter->value());
-    s = block_iter->status();
-  }
-  if (s.ok()) {
-    s = iiter->status();
+  if (index.Valid()) {
+    Block* block;
+    s = PinBlock(options, index.value(), &block);
+    if (s.ok()) {
+      BlockCursor data(*block, rep_->comparator, key_buffer);
+      data.Seek(k);
+      matched = data.Valid() && (*handle_result)(arg, data.key(), data.value());
+      s = data.status();
+      const uint64_t t1 = timed ? LatencyClock::Ticks() : 0;
+      BlockCache::Release(block);
+      if (timed) {
+        ctx.block_cache_nanos += LatencyClock::ToNanos(LatencyClock::Ticks() - t1);
+      }
+    }
   }
   if (filtered && !matched && s.ok()) {
     // The filter said "maybe" and the table holds no such entry.
@@ -196,29 +218,22 @@ Status Table::InternalGet(const ReadOptions& options, const Slice& k, void* arg,
 }
 
 uint64_t Table::ApproximateOffsetOf(const Slice& key) const {
-  Iterator* index_iter = rep_->index_block->NewIterator(rep_->comparator);
-  index_iter->Seek(key);
-  uint64_t result;
-  if (index_iter->Valid()) {
+  std::string found;
+  BlockCursor index(*rep_->index_block, rep_->comparator, &found);
+  index.Seek(key);
+  if (index.Valid()) {
     BlockHandle handle;
-    Slice input = index_iter->value();
-    Status s = handle.DecodeFrom(&input);
-    if (s.ok()) {
-      result = handle.offset();
-    } else {
-      // Strange: we can't decode the block handle in the index block.
-      // We'll just return the offset of the metaindex block, which is
-      // close to the whole file size for this case.
-      result = rep_->metaindex_handle.offset();
+    Slice input = index.value();
+    if (handle.DecodeFrom(&input).ok()) {
+      return handle.offset();
     }
-  } else {
-    // key is past the last key in the file.  Approximate the offset
-    // by returning the offset of the metaindex block (which is
-    // right near the end of the file).
-    result = rep_->metaindex_handle.offset();
+    // Strange: we can't decode the block handle in the index block.
+    // We'll just return the offset of the metaindex block, which is
+    // close to the whole file size for this case.
   }
-  delete index_iter;
-  return result;
+  // key is past the last key in the file (or its handle is bad): the
+  // metaindex block's offset is right near the end of the file.
+  return rep_->metaindex_handle.offset();
 }
 
 namespace {

@@ -36,7 +36,8 @@ class Table {
 
   // Point lookup. The table's Bloom filter is probed first; a key it rules
   // out ends the lookup with no index seek and no block read. Otherwise
-  // seeks the index, then the candidate block, to the first entry >= k and,
+  // seeks the index, then the candidate block, in place (no iterator, and
+  // no heap allocation on a block-cache hit) to the first entry >= k and,
   // if there is one, invokes handle_result(arg, found_key, found_value),
   // which returns whether that entry is the key looked for. A probe the
   // filter let through that finds no such entry counts as a Bloom false
@@ -51,6 +52,11 @@ class Table {
   struct Rep;
 
   static Iterator* BlockReader(void*, const ReadOptions&, const Slice&);
+
+  // The data block an index entry's value names, pinned: from the cache,
+  // else read, and cached unless options.fill_cache is false. The caller
+  // releases it with BlockCache::Release.
+  Status PinBlock(const ReadOptions& options, const Slice& index_value, Block** block) const;
 
   explicit Table(Rep* rep) : rep_(rep) {}
 

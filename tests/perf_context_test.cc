@@ -142,8 +142,9 @@ TEST(PerfContextTest, BloomCountersAccountForEveryAbsentKeyProbe) {
 // A table probe asks the table's Bloom filter first and seeks the index
 // only if the filter lets the key through, so over present and absent keys
 // alike index_seeks == probes - bloom_useful. At timers level the filter
-// probe, index seek and block read of a disk Get are each timed, and being
-// nested in the disk search they sum to at most its time.
+// probe, index seek, block-cache work and block read of a disk Get are each
+// timed, and so is a table's first open; being nested in the disk search
+// they sum to at most its time.
 TEST(PerfContextTest, DiskGetSplitsIntoFilterIndexSeekAndBlockRead) {
   ScratchDir dir("perf-split");
   Options options;
@@ -174,10 +175,11 @@ TEST(PerfContextTest, DiskGetSplitsIntoFilterIndexSeekAndBlockRead) {
     EXPECT_EQ(seeks, probes - useful);
   }
 
+  // Reopened, the store opens each table on the first Get that probes it.
   options.perf_level = PerfLevel::kEnableTimers;
   std::unique_ptr<DB> db = OpenFresh(DbVariant::kClsm, options, dir.path() + "/db");
   PerfContext* ctx = GetPerfContext();
-  int disk_gets = 0;
+  int disk_gets = 0, opening_gets = 0;
   std::string value;
   for (int i = 0; i < 4000; i += 2) {
     ASSERT_TRUE(db->Get(ReadOptions(), Key(i), &value).ok()) << i;
@@ -185,14 +187,21 @@ TEST(PerfContextTest, DiskGetSplitsIntoFilterIndexSeekAndBlockRead) {
       continue;  // served from the memtable
     }
     disk_gets++;
+    if (ctx->table_open_nanos > 0) {
+      opening_gets++;
+    }
     EXPECT_GT(ctx->filter_probe_nanos, 0u) << i;
     EXPECT_GT(ctx->index_seek_nanos, 0u) << i;
+    EXPECT_GT(ctx->block_cache_nanos, 0u) << i;
     EXPECT_GT(ctx->block_read_nanos, 0u) << i;
-    EXPECT_LE(ctx->filter_probe_nanos + ctx->index_seek_nanos + ctx->block_read_nanos,
+    EXPECT_LE(ctx->filter_probe_nanos + ctx->index_seek_nanos + ctx->block_cache_nanos +
+                  ctx->block_read_nanos + ctx->table_open_nanos,
               ctx->disk_search_nanos)
         << i;
   }
   EXPECT_GT(disk_gets, 1000);
+  EXPECT_GT(opening_gets, 0);
+  EXPECT_LT(opening_gets, disk_gets) << "a table is opened once, not per Get";
 }
 
 TEST(PerfContextTest, PutPhaseTimersSumToTotalWithinTenPercent) {
@@ -291,7 +300,8 @@ TEST(PerfContextTest, PerfJsonPropertyRendersThisThreadsSnapshot) {
         "\"timers_nanos\"", "\"total\"", "\"throttle\"", "\"memtable_roll_wait\"",
         "\"write_delay\"", "\"lock_getts\"", "\"shared_lock_wait\"", "\"mem_insert\"",
         "\"wal_append\"", "\"mem_search\"", "\"disk_search\"", "\"filter_probe\"",
-        "\"index_seek\"", "\"block_read\"", "\"crc_verify\""}) {
+        "\"index_seek\"", "\"block_cache\"", "\"block_read\"", "\"table_open\"",
+        "\"crc_verify\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key << " in " << json;
   }
   // The put populated the write-path timers; they render as nonzero.

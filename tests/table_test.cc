@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -22,21 +24,51 @@
 #include "src/util/random.h"
 #include "tests/test_util.h"
 
+// This binary replaces the global operator new and delete to count heap
+// allocations: per thread (what one call allocates) and live in the
+// process (what a scope leaves behind).
+namespace {
+thread_local uint64_t tls_allocations = 0;
+std::atomic<int64_t> live_allocations{0};
+
+void* CountedAlloc(std::size_t size) noexcept {
+  tls_allocations++;
+  live_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void CountedFree(void* p) noexcept {
+  if (p != nullptr) {
+    live_allocations.fetch_sub(1, std::memory_order_relaxed);
+    std::free(p);
+  }
+}
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = CountedAlloc(size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept { return CountedAlloc(size); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { CountedFree(p); }
+
 namespace clsm {
 namespace {
 
-// Copies bytes into a heap buffer of their own, as ReadBlock returns a block.
-BlockContents CopyOf(const Slice& bytes) {
-  BlockContents contents{std::make_unique<char[]>(bytes.size()), bytes.size()};
-  std::memcpy(contents.data.get(), bytes.data(), bytes.size());
-  return contents;
+// A block holding a copy of bytes, owned by the caller.
+std::unique_ptr<Block> CopyOf(const Slice& bytes) {
+  return std::unique_ptr<Block>(Block::Copy(bytes));
 }
 
 TEST(BlockTest, EmptyBlock) {
   Options options;
   BlockBuilder builder(&options, BytewiseComparator());
-  Block block(CopyOf(builder.Finish()));
-  std::unique_ptr<Iterator> iter(block.NewIterator(BytewiseComparator()));
+  std::unique_ptr<Block> block = CopyOf(builder.Finish());
+  std::unique_ptr<Iterator> iter(block->NewIterator(BytewiseComparator()));
   iter->SeekToFirst();
   EXPECT_FALSE(iter->Valid());
 }
@@ -59,8 +91,8 @@ TEST_P(BlockRoundTripTest, RoundTripWithRestartInterval) {
   for (const auto& [k, v] : model) {
     builder.Add(k, v);
   }
-  Block block(CopyOf(builder.Finish()));
-  std::unique_ptr<Iterator> iter(block.NewIterator(BytewiseComparator()));
+  std::unique_ptr<Block> block = CopyOf(builder.Finish());
+  std::unique_ptr<Iterator> iter(block->NewIterator(BytewiseComparator()));
 
   // Full forward scan.
   iter->SeekToFirst();
@@ -268,7 +300,7 @@ Block* ValueBlock(int value) {
   Options options;
   BlockBuilder builder(&options, BytewiseComparator());
   builder.Add("v", std::to_string(value));
-  return new Block(CopyOf(builder.Finish()));
+  return Block::Copy(builder.Finish());
 }
 
 int BlockValue(Block* block) {
@@ -280,15 +312,17 @@ int BlockValue(Block* block) {
 TEST(CacheTest, HitAndMiss) {
   BlockCache cache(1000);
   auto insert = [&](uint64_t offset, int value) {
-    cache.Release(cache.Insert(1, offset, ValueBlock(value)));
+    Block* block = ValueBlock(value);
+    cache.Insert(1, offset, block);
+    BlockCache::Release(block);
   };
   auto lookup = [&](uint64_t table_id, uint64_t offset) -> int {
-    BlockCache::Entry* e = cache.Lookup(table_id, offset);
-    if (e == nullptr) {
+    Block* block = cache.Lookup(table_id, offset);
+    if (block == nullptr) {
       return -1;
     }
-    int v = BlockValue(BlockCache::Value(e));
-    cache.Release(e);
+    int v = BlockValue(block);
+    BlockCache::Release(block);
     return v;
   };
 
@@ -302,17 +336,76 @@ TEST(CacheTest, HitAndMiss) {
 
 TEST(CacheTest, EvictionRespectsPins) {
   BlockCache cache(16);  // tiny per-shard capacity
-  BlockCache::Entry* pinned = cache.Insert(1, 7, ValueBlock(7));
+  auto insert = [&](uint64_t offset, int value) {
+    Block* block = ValueBlock(value);
+    cache.Insert(1, offset, block);
+    BlockCache::Release(block);
+  };
+  Block* pinned = ValueBlock(7);
+  cache.Insert(1, 7, pinned);
   // Flood the cache far past capacity.
   for (int i = 100; i < 400; i++) {
-    cache.Release(cache.Insert(1, i, ValueBlock(i)));
+    insert(i, i);
   }
-  // The pinned entry's block must still be readable.
-  EXPECT_EQ(7, BlockValue(BlockCache::Value(pinned)));
+  // The pinned block must still be readable.
+  EXPECT_EQ(7, BlockValue(pinned));
   // Replacing the entry takes it out of the cache; its block lives on.
-  cache.Release(cache.Insert(1, 7, ValueBlock(8)));
-  EXPECT_EQ(7, BlockValue(BlockCache::Value(pinned)));
-  cache.Release(pinned);
+  insert(7, 8);
+  EXPECT_EQ(7, BlockValue(pinned));
+  BlockCache::Release(pinned);
+}
+
+// Four threads pin and release blocks through a cache of 32 bytes per
+// shard (about two blocks) while their own inserts evict and replace the
+// same blocks: Release drops pins with no lock while an insert takes the
+// blocks out of the cache under the shard mutex, and whichever of the two
+// drops the last reference frees the block. Every pinned block must read
+// its value; after the join the cache fits its capacity, and once it is
+// destroyed every block is freed.
+TEST(CacheTest, LockFreeReleaseRacesEviction) {
+  constexpr size_t kCapacity = 16 * 32;
+  constexpr int kThreads = 4;
+  constexpr int kKeys = 64;
+  const int64_t live_before = live_allocations.load();
+  {
+    BlockCache cache(kCapacity);
+    std::atomic<int> ready{0};
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; t++) {
+      threads.emplace_back([&, t] {
+        Random rnd(401 + t);
+        Block* held[2] = {nullptr, nullptr};  // pins outlive the next insert
+        ready++;
+        while (ready.load() < kThreads) {
+        }
+        for (int i = 0; i < 20000; i++) {
+          const int key = static_cast<int>(rnd.Uniform(kKeys));
+          Block* block = cache.Lookup(1, key);
+          if (block == nullptr) {
+            block = ValueBlock(key);
+            cache.Insert(1, key, block);
+          }
+          if (BlockValue(block) != key) {
+            wrong++;
+          }
+          if (held[i % 2] != nullptr) {
+            BlockCache::Release(held[i % 2]);
+          }
+          held[i % 2] = block;
+        }
+        for (Block* block : held) {
+          BlockCache::Release(block);
+        }
+      });
+    }
+    for (auto& th : threads) {
+      th.join();
+    }
+    EXPECT_EQ(0, wrong.load());
+    EXPECT_LE(cache.TotalCharge(), kCapacity);
+  }
+  EXPECT_EQ(live_before, live_allocations.load()) << "blocks left allocated";
 }
 
 // keys k00000000, k00000002, ... each with a value of value_size bytes.
@@ -499,6 +592,55 @@ TEST_F(TableRoundTripTest, ConcurrentReadersThroughATinyCache) {
   EXPECT_LE(block_cache.TotalCharge(), kCapacity);
 }
 
+// A point lookup allocates only what it caches: on a block-cache hit it
+// makes no heap allocation (both seeks run in place on a reused key
+// buffer), and on a miss at most two, the block (header and bytes in one)
+// and, when the shard's hash table grows, its bucket array. The keys are
+// 16 bytes, like an 8-byte user key and its tag, too long for a
+// std::string to keep inline.
+TEST_F(TableRoundTripTest, PointLookupAllocatesOnlyWhatItCaches) {
+  Options options;
+  options.block_size = 1024;
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < 4000; i++) {
+    char key[32];
+    std::snprintf(key, sizeof(key), "key-%012d", i);
+    model[key] = std::string(64, 'v');
+  }
+  for (const size_t capacity : {size_t{1} << 20, size_t{4} << 10}) {
+    SCOPED_TRACE(capacity);
+    BlockCache block_cache(capacity);
+    std::unique_ptr<Table> table =
+        BuildTable("alloc-" + std::to_string(capacity) + ".sst", options, model, &block_cache);
+    ASSERT_NE(nullptr, table);
+    auto handler = [](void* arg, const Slice& k, const Slice&) {
+      return k == *reinterpret_cast<const Slice*>(arg);
+    };
+    // Allocations made by one lookup of key, which must be found.
+    auto allocations = [&](const std::string& key) {
+      Slice probe(key);
+      const uint64_t before = tls_allocations;
+      const Status s = table->InternalGet(ReadOptions(), probe, &probe, handler);
+      const uint64_t made = tls_allocations - before;
+      EXPECT_TRUE(s.ok());
+      return made;
+    };
+    std::vector<std::string> keys;
+    for (const auto& [k, v] : model) {
+      keys.push_back(k);
+    }
+    allocations(keys[0]);  // grows this thread's key buffer
+    uint64_t most_per_miss = 0;
+    for (size_t i = 0; i < keys.size(); i += 20) {  // every 20th key: a block not read yet
+      most_per_miss = std::max(most_per_miss, allocations(keys[i]));
+      if (capacity > (size_t{64} << 10)) {
+        EXPECT_EQ(0u, allocations(keys[i])) << keys[i] << ": a cache hit";
+      }
+    }
+    EXPECT_LE(most_per_miss, 2u);
+  }
+}
+
 // Forwards to a real file and counts the Flush calls made on it.
 class CountingWritableFile final : public WritableFile {
  public:
@@ -616,10 +758,10 @@ std::map<std::string, BlockHandle> MetaIndexOf(Env* env, const std::string& fnam
       file->Read(size - Footer::kEncodedLength, Footer::kEncodedLength, &input, space).ok());
   Footer footer;
   EXPECT_TRUE(footer.DecodeFrom(&input).ok());
-  BlockContents contents;
-  EXPECT_TRUE(ReadBlock(file.get(), ReadOptions(), footer.metaindex_handle(), &contents).ok());
-  Block meta(std::move(contents));
-  std::unique_ptr<Iterator> iter(meta.NewIterator(BytewiseComparator()));
+  Block* raw = nullptr;
+  EXPECT_TRUE(Block::Read(file.get(), ReadOptions(), footer.metaindex_handle(), &raw).ok());
+  std::unique_ptr<Block> meta(raw);
+  std::unique_ptr<Iterator> iter(meta->NewIterator(BytewiseComparator()));
   for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
     Slice v = iter->value();
     EXPECT_TRUE(entries[iter->key().ToString()].DecodeFrom(&v).ok());
@@ -786,7 +928,7 @@ TEST(MergingIteratorTest, MergesSortedStreams) {
       std::snprintf(key, sizeof(key), "key%05d", i * 3 + c);
       builder.Add(key, "v");
     }
-    blocks.push_back(std::make_unique<Block>(CopyOf(builder.Finish())));
+    blocks.push_back(CopyOf(builder.Finish()));
     children.push_back(blocks.back()->NewIterator(BytewiseComparator()));
   }
   std::unique_ptr<Iterator> merged(
